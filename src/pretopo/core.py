@@ -187,12 +187,6 @@ class ItemSet:
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         return (self.mask.bit_count(), self.indices())
 
-    def with_label(self, label: str) -> "ItemSet":
-        return ItemSet(self.universe, self.mask | 1 << self.universe.index(label))
-
-    def without_label(self, label: str) -> "ItemSet":
-        return ItemSet(self.universe, self.mask & ~(1 << self.universe.index(label)))
-
 
 def distance(a: ItemSet, b: ItemSet) -> int:
     """Symmetric-difference size |a Δ b| (a metric on subsets of one universe)."""
@@ -277,9 +271,6 @@ class SetFamily:
         bit = 1 << self.universe.index(label)
         return tuple(m for m in self.members if m.mask & bit)
 
-    def restrict(self, keep: Iterable[ItemSet]) -> "SetFamily":
-        return SetFamily(self.universe, keep)
-
     def to_obj(self) -> dict:
         return {
             "universe": list(self.universe.labels),
@@ -352,12 +343,6 @@ class KnowledgeStructure:
         """Masks of all states containing the item (the system H_t)."""
         bit = 1 << self.universe.index(label)
         return frozenset(m for m in self.states.masks() if m & bit)
-
-    def closed_family(self) -> SetFamily:
-        full = self.universe.full.mask
-        return SetFamily.from_masks(
-            self.universe, (full & ~m for m in self.states.masks())
-        )
 
     def to_obj(self) -> dict:
         return self.states.to_obj()

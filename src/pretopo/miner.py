@@ -1531,10 +1531,18 @@ def run_skills_suite(
     max_items: int = 2, max_skills: int = 2, max_comps: int = 2
 ) -> dict[str, _RunResult]:
     """One sweep over every multimap up to the given sizes, shared by
-    the four skill checks. Results are cached per size triple."""
+    the four skill checks. The results of the last size triple asked
+    for are cached, so the checks of one audit sweep once."""
     key = (max_items, max_skills, max_comps)
-    if key in _skills_cache:
-        return _skills_cache[key]
+    if key not in _skills_cache:
+        _skills_cache.clear()
+        _skills_cache[key] = _sweep_multimaps(*key)
+    return _skills_cache[key]
+
+
+def _sweep_multimaps(
+    max_items: int, max_skills: int, max_comps: int
+) -> dict[str, _RunResult]:
     cols = {ident: _Collector() for ident in _SKILLS_IDS}
     checked = 0
     for qn in range(1, max_items + 1):
@@ -1559,6 +1567,10 @@ def run_skills_suite(
                     skills.problem_function(m, ItemSet(m.skills, r)).mask
                     for r in range(sfull + 1)
                 ]
+                if set(p) != delin.states.masks():
+                    cols["delineation-theorem-agree"].add(
+                        ser, "delineate differs from p over every skill set"
+                    )
                 for r in range(sfull + 1):
                     rest = sfull & ~r
                     while rest:
@@ -1600,10 +1612,7 @@ def run_skills_suite(
                     cols["cd-thm-agrees"].add(
                         ser, f"competency route={via} direct={direct}"
                     )
-    _skills_cache[key] = {
-        ident: (checked, cols[ident].stored, None) for ident in _SKILLS_IDS
-    }
-    return _skills_cache[key]
+    return {ident: (checked, cols[ident].stored, None) for ident in _SKILLS_IDS}
 
 
 @_register("p-monotone-union")

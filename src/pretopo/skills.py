@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 
-from .core import ItemSet, KnowledgeStructure, SetFamily, Universe
+from .core import ItemSet, KnowledgeStructure, SetFamily, Universe, union_closure_masks
 from .errors import CombinatorialBoundExceeded, SchemaError, SkillBoundExceeded
 from .structure import classify
 
@@ -141,13 +143,64 @@ def _skill_guard(m: SkillMultimap, bound: int | None) -> None:
         )
 
 
-def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
-    """Family of all p(R) over the 2^|S| skill sets."""
-    _skill_guard(m, bound)
-    states = set()
-    for r in range(1 << len(m.skills)):
-        states.add(problem_function(m, ItemSet(m.skills, r)).mask)
+def _holders(m: SkillMultimap) -> dict[int, int]:
+    """Each competency of the minimal pool -> mask of the items holding it
+    as a minimal competency, so p(R) is the union of the masks whose key
+    lies inside R."""
+    table: dict[int, int] = {}
+    for i, t in enumerate(m.items.labels):
+        for c in m.mu_min[t]:
+            table[c.mask] = table.get(c.mask, 0) | 1 << i
+    return table
+
+
+def _delineated_masks(holders: dict[int, int], n_skills: int) -> set[int]:
+    """{p(V) : V a union of keys of the holder table}, one p per union."""
+    # A key inside u | g but not inside u meets g, so p(u | g) is p(u),
+    # the holders of g, and those of the other keys meeting g that fit.
+    meets = {
+        g: [(c, h) for c, h in holders.items() if c & g and c != g] for g in holders
+    }
+    unions = array("Q", [0])
+    images = array("Q", [0])
+    # A 2^|S|-byte seen-map while the skill guard's default holds; past it
+    # a dict, which reads as 0 for unseen unions just as the bytearray does.
+    seen = bytearray(1 << n_skills) if n_skills <= SKILL_BOUND else defaultdict(int)
+    seen[0] = 1
+    for g, held in holders.items():
+        extra = meets[g]
+        for i in range(len(unions)):
+            v = unions[i] | g
+            if seen[v]:
+                continue
+            seen[v] = 1
+            p = images[i] | held
+            for c, h in extra:
+                if c & ~v == 0:
+                    p |= h
+            unions.append(v)
+            images.append(p)
+    return set(images)
+
+
+def _delineate(m: SkillMultimap, holders: dict[int, int]) -> KnowledgeStructure:
+    states = _delineated_masks(holders, len(m.skills))
     return KnowledgeStructure(m.items, SetFamily.from_masks(m.items, states))
+
+
+def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
+    """Family of all p(R) over the skill sets R, in output-sensitive time.
+
+    Lemma: p(R) = p(V_R) with V_R the union of the minimal competencies
+    inside R, and every union V of minimal competencies is a skill set
+    with V_R = V. So the family is {p(V) : V a union of the minimal
+    pool}, and p is evaluated once per distinct union. Cost: O(U * k)
+    for U distinct unions of the minimal pool and k pool members meeting
+    a given one (U is at most 2^|S| and at most 2^|pool|), plus a
+    2^|S|-byte seen-map. The skill guard is kept as the bound on |S|.
+    """
+    _skill_guard(m, bound)
+    return _delineate(m, _holders(m))
 
 
 @dataclass(frozen=True)
@@ -169,17 +222,23 @@ def is_delineated_space(
 ) -> DelineationReport:
     """Union-closedness of the delineated family, via two routes.
 
-    Direct route: check closure under binary unions. Characterization
+    Direct route: classify the delineated family. Characterization
     route: the family must coincide with all unions of p(D) for D drawn
-    from the minimal competencies of all items.
+    from the minimal competencies of all items. Both read one holder
+    table; neither uses the other's result.
     """
-    family = delineate(m, bound).states
+    _skill_guard(m, bound)
+    holders = _holders(m)
+    family = _delineate(m, holders).states
     space = classify(family).is_knowledge_space
-    unions = {0}
-    for d in m.minimal_pool():
-        pd = problem_function(m, d).mask
-        unions |= {u | pd for u in unions}
-    via = unions == set(family.masks())
+    images = []
+    for d in holders:
+        pd = 0
+        for c, h in holders.items():
+            if c & ~d == 0:
+                pd |= h
+        images.append(pd)
+    via = union_closure_masks(images) == family.masks()
     return DelineationReport(space=space, via_characterization=via, agree=space == via)
 
 
@@ -190,6 +249,14 @@ def star_condition(m: SkillMultimap, bound: int | None = None) -> bool:
     if every minimal competency of g leaves a remainder against each
     member of M separately, it must leave a remainder against the union
     of M. The item-provenance quantifier collapses onto the full pool.
+
+    Lemma: for a fixed g the antecedent holds exactly for the subfamilies
+    of A_g, the pool members holding none of g's minimal competencies,
+    and the consequent only gets harder as M grows. So the condition
+    holds iff, for every g, no minimal competency of g lies inside the
+    union of A_g. Cost: O(|items| * |pool| * c) for at most c minimal
+    competencies per item, where the definition ranges over 2^|pool|
+    subfamilies. The pool guard is kept as an API contract.
     """
     pool = m.competency_pool()
     limit = bound if bound is not None else int(
@@ -200,20 +267,14 @@ def star_condition(m: SkillMultimap, bound: int | None = None) -> bool:
             f"competency pool of {len(pool)} exceeds the bound {limit}"
         )
     pool_masks = [c.mask for c in pool]
-    n = len(pool_masks)
-    minimal = {
-        t: [c.mask for c in m.mu_min[t]] for t in m.items.labels
-    }
-    for sub in range(1, 1 << n):
-        chosen = [pool_masks[i] for i in range(n) if sub >> i & 1]
-        union = 0
-        for d in chosen:
-            union |= d
-        for t in m.items.labels:
-            mins = minimal[t]
-            if all(c & ~d for c in mins for d in chosen):
-                if any(c & ~union == 0 for c in mins):
-                    return False
+    for t in m.items.labels:
+        mins = [c.mask for c in m.mu_min[t]]
+        reach = 0
+        for d in pool_masks:
+            if all(c & ~d for c in mins):
+                reach |= d
+        if any(c & ~reach == 0 for c in mins):
+            return False
     return True
 
 
@@ -222,15 +283,12 @@ def refines(c: ItemSet, family: tuple[ItemSet, ...]) -> bool:
     return any(w <= c for w in family)
 
 
-def is_completely_discriminative_delineation(
-    m: SkillMultimap, bound: int | None = None
-) -> bool:
+def is_completely_discriminative_delineation(m: SkillMultimap) -> bool:
     """Minimal-competency route to complete discrimination.
 
     For each pair of distinct items there must be minimal competencies
     whose refinement marks never overlap across items.
     """
-    del bound
     labels = m.items.labels
     for i, h in enumerate(labels):
         for q in labels[i + 1 :]:

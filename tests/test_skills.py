@@ -1,5 +1,7 @@
 """Skill multimaps: problem functions, delineation, star condition, bounds."""
 
+import random
+
 import pytest
 
 from pretopo import (
@@ -143,3 +145,79 @@ def test_json_round_trip_and_schema():
         SkillMultimap.from_obj(
             {"items": ["q1"], "skills": ["s1"], "mu": {"q1": [[]]}}
         )
+
+
+def brute_delineation(m):
+    """{p(R) : R a skill set}, over all 2^|S| skill sets."""
+    return {
+        problem_function(m, ItemSet(m.skills, r)).mask
+        for r in range(1 << len(m.skills))
+    }
+
+
+def brute_star(m):
+    """The star condition by its definition: every nonempty subfamily of
+    the competency pool, for every item."""
+    pool = [c.mask for c in m.competency_pool()]
+    minimal = {t: [c.mask for c in m.mu_min[t]] for t in m.items.labels}
+    for sub in range(1, 1 << len(pool)):
+        chosen = [d for i, d in enumerate(pool) if sub >> i & 1]
+        union = 0
+        for d in chosen:
+            union |= d
+        for mins in minimal.values():
+            if all(c & ~d for c in mins for d in chosen) and any(
+                c & ~union == 0 for c in mins
+            ):
+                return False
+    return True
+
+
+def random_multimap(rng, max_skills=10, max_items=6, max_comps=3):
+    skills = Universe([f"s{i + 1}" for i in range(rng.randint(1, max_skills))])
+    items = Universe([f"q{i + 1}" for i in range(rng.randint(1, max_items))])
+    full = (1 << len(skills)) - 1
+    mu = {}
+    for t in items.labels:
+        comps = []
+        for _ in range(rng.randint(1, max_comps)):
+            # the meet of two random masks keeps competencies small
+            c = rng.randint(1, full) & rng.randint(1, full)
+            comps.append(ItemSet(skills, c or 1 << rng.randrange(len(skills))))
+        mu[t] = comps
+    return SkillMultimap(items, skills, mu)
+
+
+def small_multimaps():
+    for qn, sn in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        yield from enumerate_multimaps(qn, sn, 2)
+
+
+def test_delineate_matches_the_sweep_over_every_skill_set():
+    for m in small_multimaps():
+        assert delineate(m).states.masks() == brute_delineation(m), m.to_obj()
+
+
+def test_star_condition_matches_the_sweep_over_every_subfamily():
+    for m in small_multimaps():
+        assert star_condition(m) == brute_star(m), m.to_obj()
+
+
+def test_seeded_multimaps_match_the_sweeps():
+    rng = random.Random(2111)
+    for _ in range(200):
+        m = random_multimap(rng)
+        family = delineate(m).states.masks()
+        assert family == brute_delineation(m), m.to_obj()
+        assert star_condition(m) == brute_star(m), m.to_obj()
+        report = is_delineated_space(m)
+        direct = all(a | b in family for a in family for b in family)
+        assert report.agree and report.space == direct, m.to_obj()
+
+
+def test_delineate_past_the_default_bound_is_output_sensitive():
+    skills = Universe([f"s{i}" for i in range(1, 41)])
+    items = Universe(["q1", "q2", "q3"])
+    m = mk(items, skills, {"q1": [0b1], "q2": [0b10], "q3": [1 << 39 | 0b1]})
+    family = {0, 0b1, 0b10, 0b11, 0b101, 0b111}
+    assert delineate(m, bound=40).states.masks() == family
