@@ -14,8 +14,9 @@ from .core import (
     ItemSet,
     PreTopology,
     SetFamily,
+    _irreducible_masks,
+    _require_cover,
     irreducible_states,
-    union_closure,
 )
 from .errors import NotMinimalPreBase
 from .structure import _guard
@@ -216,15 +217,20 @@ def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
     Selected rows move to the front, their block columns move to the
     front of the unconsumed column range; both moves keep the relative
     order of everything else.
+
+    The base must cover the universe (CoverError) and be the minimal
+    pre-base of the space it generates (NotMinimalPreBase): no nonempty
+    member is the union of the members strictly inside it, which is
+    decided on the base alone in O(|B|²).
     """
     u = base.universe
-    space = union_closure(base)
-    minimal = irreducible_states(space)
-    if set(minimal.masks()) != {s.mask for s in base.nonempty_members()}:
+    _require_cover(base)
+    base_masks = [s.mask for s in base.nonempty_members()]
+    if len(_irreducible_masks(base_masks)) != len(base_masks):
         raise NotMinimalPreBase("base is not the minimal pre-base of its space")
     m = len(u)
     rows = list(range(m))
-    cols = [s.mask for s in minimal.members]
+    cols = base_masks
     picks: list[tuple[int, list[int]]] = []
     block_sizes: list[int] = []
     done = 0
@@ -254,7 +260,6 @@ def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
         t=t,
         block_sizes=tuple(block_sizes),
     )
-    base_masks = [s.mask for s in minimal.members]
     _, result = _prune(u, picks, base_masks)
     return result, state
 

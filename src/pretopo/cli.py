@@ -438,6 +438,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    previous = os.environ.get("PRETOPO_BOUND")
     if args.bound is not None:
         os.environ["PRETOPO_BOUND"] = str(args.bound)
     try:
@@ -457,6 +458,12 @@ def main(argv=None) -> int:
     except PretopoError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # the bound lasts for this command only
+        if previous is None:
+            os.environ.pop("PRETOPO_BOUND", None)
+        else:
+            os.environ["PRETOPO_BOUND"] = previous
 
 
 if __name__ == "__main__":

@@ -354,17 +354,21 @@ class KnowledgeStructure:
 class PreTopology(KnowledgeStructure):
     """A knowledge space: states closed under arbitrary unions.
 
-    For a finite family, closure under binary unions is equivalent and is
-    what construction verifies, pair by pair.
+    For a finite family, closure under binary unions is equivalent.
+    Construction accepts K iff s ∪ b ∈ K for every state s and every
+    member b of the minimal pre-base: every state is a union of base
+    members, so these unions generate every pairwise union. That costs
+    O(|K|·|B|); only a rejected family is scanned pair by pair, to report
+    the first missing union in mask order as the witness.
     """
 
     __slots__ = ()
 
     def __init__(self, universe: Universe, states: SetFamily, _trusted: bool = False):
         super().__init__(universe, states)
-        if not _trusted:
-            masks = sorted(states.masks())
-            mask_set = states.masks()
+        mask_set = states.masks()
+        if not _trusted and not _is_union_closed(mask_set, _irreducible_masks(mask_set)):
+            masks = sorted(mask_set)
             for i, a in enumerate(masks):
                 for b in masks[i + 1 :]:
                     if a | b not in mask_set:
@@ -389,6 +393,13 @@ class PreTopology(KnowledgeStructure):
         return cls.from_obj(json.loads(text))
 
 
+def _require_cover(base: SetFamily) -> None:
+    """Raise CoverError unless the members of the family cover the universe."""
+    missing = base.universe.full - base.union_of_members()
+    if missing.mask:
+        raise CoverError(f"generators do not cover the universe: {missing} uncovered")
+
+
 def union_closure(base: SetFamily) -> PreTopology:
     """Close a generating family under arbitrary unions.
 
@@ -401,9 +412,7 @@ def union_closure(base: SetFamily) -> PreTopology:
     ['{}', '{a}', '{b}', '{a,b}']
     """
     universe = base.universe
-    if base.union_of_members().mask != universe.full.mask:
-        missing = universe.full - base.union_of_members()
-        raise CoverError(f"generators do not cover the universe: {missing} uncovered")
+    _require_cover(base)
     closed: set[int] = {0}
     for g in base.masks():
         closed |= {m | g for m in closed}
@@ -418,24 +427,54 @@ def union_closure_masks(masks: Iterable[int]) -> set[int]:
     return closed
 
 
+def _irreducible_masks(masks: Iterable[int]) -> list[int]:
+    """Union-irreducible nonempty masks of any family, by ascending size.
+
+    A mask is kept when the union of the already kept masks strictly
+    inside it is not the mask itself. This is the definition, because the
+    members strictly below s and the irreducibles strictly below s have
+    the same union: by induction on size, every member is the union of the
+    irreducibles inside it. Union-closure is not needed. O(|K|·|B|) for
+    |K| members and |B| irreducibles.
+    """
+    keep: list[int] = []
+    for s in sorted(masks, key=int.bit_count):
+        below = 0
+        for b in keep:
+            if b | s == s:
+                below |= b
+        if below != s:
+            keep.append(s)
+    return keep
+
+
+def _is_union_closed(masks: frozenset[int], base: list[int]) -> bool:
+    """s ∪ b ∈ K for every member s and every irreducible b of K.
+
+    Every member is a union of irreducibles, so adding them one at a time
+    reaches any pairwise union through members of K. O(|K|·|B|); stops at
+    the first miss.
+    """
+    for b in base:
+        for s in masks:
+            if s | b not in masks:
+                return False
+    return True
+
+
 def irreducible_states(space: KnowledgeStructure) -> SetFamily:
     """Union-irreducible nonempty states: the unique minimal pre-base.
 
     A nonempty state is irreducible when it is not the union of the states
-    properly below it.
+    properly below it. Every state is the union of the irreducibles it
+    contains (Doignon & Falmagne's base); O(|K|·|B|).
+
+    >>> u = Universe(["a", "b", "c"])
+    >>> space = union_closure(SetFamily.of(u, [["a"], ["a", "b"], ["c"]]))
+    >>> [str(s) for s in irreducible_states(space)]
+    ['{a}', '{c}', '{a,b}']
     """
-    masks = sorted(space.states.masks())
-    keep = []
-    for m in masks:
-        if m == 0:
-            continue
-        below = 0
-        for other in masks:
-            if other != m and other & ~m == 0:
-                below |= other
-        if below != m:
-            keep.append(m)
-    return SetFamily.from_masks(space.universe, keep)
+    return SetFamily.from_masks(space.universe, _irreducible_masks(space.states.masks()))
 
 
 def is_pre_base_for(candidate: SetFamily, space: PreTopology) -> bool:

@@ -751,8 +751,8 @@ def _signatures(v: _View) -> list[int]:
 def _chk_separation_hierarchy(views, rng):
     """T0 against signature distinctness, T1 against both the
     bi-discriminative signatures and open complements of singletons,
-    T2 against complete discrimination, and the implication chain of
-    the profile flags."""
+    T2 against disjoint ⊆-minimal states at the two points, and the
+    implication chain of the profile flags."""
     col = _Collector()
     for v in views:
         sigs = _signatures(v)
@@ -775,8 +775,14 @@ def _chk_separation_hierarchy(views, rng):
         if v.t1() != (inner_q == v.full):
             col.add(v.ser(), "T1 disagrees with the inner fringe of the universe")
     for v in _cap(views, CAP_HEAVY):
-        if separation.is_t2(v.space)[0] != separation.is_completely_discriminative(v.space):
-            col.add(v.ser(), "T2 disagrees with complete discrimination")
+        atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
+        apart = all(
+            any(not a & b for a in atoms[p] for b in atoms[q])
+            for p in range(v.n)
+            for q in range(p + 1, v.n)
+        )
+        if separation.is_t2(v.space)[0] != apart:
+            col.add(v.ser(), "T2 disagrees with disjoint minimal states")
         if separation.bi_discriminative_via_fringe(v.space) != v.t1():
             col.add(v.ser(), "fringe route to bi-discrimination disagrees")
     for v in _cap(views, CAP_VERY_HEAVY):
@@ -790,8 +796,6 @@ def _chk_separation_hierarchy(views, rng):
             col.add(v.ser(), "profile flags disagree with predicates")
         if p.discriminative != p.t0 or p.bi_discriminative != p.t1:
             col.add(v.ser(), "profile discrimination flags disagree")
-        if p.completely_discriminative != p.t2:
-            col.add(v.ser(), "profile complete discrimination disagrees")
     return len(views), col.stored, None
 
 

@@ -16,6 +16,8 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
+    _irreducible_masks,
+    _is_union_closed,
     irreducible_states,
     is_pre_base_for,
 )
@@ -58,24 +60,30 @@ def classify(family: SetFamily) -> Classification:
     Finite families make topology and quasi-ordinality coincide (both
     reduce to closure under binary intersection on top of a knowledge
     space); the two flags are kept separate for reporting.
+
+    Union-closure is the base test of `PreTopology`, O(|K|·|B|). A
+    union-closed family is closed under intersection iff, for each item q,
+    the intersection N(q) of the states containing q is a state: then
+    A ∩ B is the union of N(q) over q ∈ A ∩ B. Every state through q
+    holds a base member through q, so N(q) is the intersection of those
+    base members: O(m·|B|). The test is skipped when no reported flag
+    depends on it.
     """
     full = family.universe.full.mask
-    masks = sorted(family.masks())
-    structure = family.has_mask(0) and family.has_mask(full)
-    union_closed = structure
-    inter_closed = structure
-    if structure:
-        mask_set = family.masks()
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a | b not in mask_set:
-                    union_closed = False
-                if a & b not in mask_set:
-                    inter_closed = False
-            if not union_closed and not inter_closed:
+    masks = family.masks()
+    structure = 0 in masks and full in masks
+    base = _irreducible_masks(masks)
+    space = structure and _is_union_closed(masks, base)
+    quasi = space
+    if space:
+        for q in range(len(family.universe)):
+            meet = full
+            for b in base:
+                if b >> q & 1:
+                    meet &= b
+            if meet not in masks:
+                quasi = False
                 break
-    space = structure and union_closed
-    quasi = space and inter_closed
     return Classification(
         is_knowledge_structure=structure,
         is_knowledge_space=space,

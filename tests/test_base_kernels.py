@@ -1,0 +1,216 @@
+"""Base-first kernels against the pairwise-of-states algorithms they replace.
+
+The oracles below are test-local copies of the pairwise scans over states
+(O(|K|²) and worse). They are compared, witnesses included, on every
+family over 3 items (union-closed or not), on every space on 4 points, and
+on seeded random families on up to 12 items, union-closed and perturbed.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from pretopo import miner
+from pretopo.core import (
+    KnowledgeStructure,
+    PreTopology,
+    SetFamily,
+    Universe,
+    _irreducible_masks,
+    irreducible_states,
+    union_closure_masks,
+)
+from pretopo.errors import AxiomViolation
+from pretopo.separation import (
+    is_completely_discriminative,
+    is_discriminative,
+    is_normal_property,
+    is_regular_property,
+    is_t2,
+    separation_profile,
+)
+from pretopo.structure import classify
+
+# ------------------------------------------------------------------ oracles
+
+
+def oracle_irreducible(masks):
+    keep = set()
+    for m in masks:
+        below = 0
+        for other in masks:
+            if other != m and other & ~m == 0:
+                below |= other
+        if m and below != m:
+            keep.add(m)
+    return keep
+
+
+def oracle_missing_union(masks):
+    """First pair (a, b), a < b in mask order, whose union is missing."""
+    ordered = sorted(masks)
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1 :]:
+            if a | b not in masks:
+                return a, b
+    return None
+
+
+def oracle_classify(masks, full):
+    structure = 0 in masks and full in masks
+    union_closed = inter_closed = structure
+    if structure:
+        for a, b in itertools.combinations(masks, 2):
+            union_closed &= a | b in masks
+            inter_closed &= a & b in masks
+    space = structure and union_closed
+    quasi = space and inter_closed
+    return (structure, space, quasi, quasi)
+
+
+def oracle_t2(labels, opens):
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        if not any(
+            m >> i & 1 and w >> j & 1 and not m & w for m in opens for w in opens
+        ):
+            return False, (labels[i], labels[j])
+    return True, None
+
+
+def _closed_in_order(u, opens):
+    full = u.full.mask
+    return sorted(
+        (full & ~m for m in opens),
+        key=lambda m: (m.bit_count(), u.from_mask(m).indices()),
+    )
+
+
+def oracle_regular(u, opens):
+    reach = {w: 0 for w in opens}
+    for w in opens:
+        for m in opens:
+            if not m & w:
+                reach[w] |= m
+    for i in range(len(u)):
+        bit = 1 << i
+        for f in _closed_in_order(u, opens):
+            if f & bit:
+                continue
+            if not any(f & ~w == 0 and reach[w] & bit for w in opens):
+                return False, (u.labels[i], u.from_mask(f).labels)
+    return True, None
+
+
+def oracle_normal(u, opens):
+    closed = _closed_in_order(u, opens)
+    for idx, e in enumerate(closed):
+        for f in closed[idx + 1 :]:
+            if e & f:
+                continue
+            if not any(
+                not e & ~a and not f & ~b and not a & b for a in opens for b in opens
+            ):
+                return False, (u.from_mask(e).labels, u.from_mask(f).labels)
+    return True, None
+
+
+def oracle_discriminative(labels, opens):
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        if all((m >> i & 1) == (m >> j & 1) for m in opens):
+            return False, (labels[i], labels[j])
+    return True, None
+
+
+# ------------------------------------------------------------------ drivers
+
+
+def check_family(u, masks):
+    """Every kernel that accepts an arbitrary family."""
+    masks = frozenset(masks)
+    full = u.full.mask
+    assert set(_irreducible_masks(masks)) == oracle_irreducible(masks)
+    c = classify(SetFamily.from_masks(u, masks))
+    got = (c.is_knowledge_structure, c.is_knowledge_space, c.is_topology, c.is_quasi_ordinal)
+    assert got == oracle_classify(masks, full)
+    if 0 not in masks or full not in masks:
+        return None
+    family = SetFamily.from_masks(u, masks)
+    assert set(irreducible_states(KnowledgeStructure(u, family)).masks()) == (
+        oracle_irreducible(masks)
+    )
+    missing = oracle_missing_union(masks)
+    if missing is None:
+        return PreTopology(u, family)
+    with pytest.raises(AxiomViolation) as err:
+        PreTopology(u, family)
+    assert err.value.witness == tuple(str(u.from_mask(m)) for m in missing)
+    return None
+
+
+def check_space(space):
+    """Every separation kernel of a pre-topology, witnesses included."""
+    u = space.universe
+    opens = sorted(space.states.masks())
+    t2 = oracle_t2(u.labels, opens)
+    assert is_t2(space) == t2
+    assert is_completely_discriminative(space) == t2[0]
+    profile = separation_profile(space)
+    assert profile.completely_discriminative == t2[0]
+    assert profile.witnesses.get("completely_discriminative") == (
+        None if t2[1] is None else list(t2[1])
+    )
+    assert is_regular_property(space) == oracle_regular(u, opens)
+    assert is_normal_property(space) == oracle_normal(u, opens)
+    assert is_discriminative(space) == oracle_discriminative(u.labels, opens)
+
+
+def random_families(count, seed):
+    """Pairs (universe, masks): union closures and perturbed copies."""
+    rng = random.Random(seed)
+    for k in range(count):
+        m = rng.randint(1, 12)
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        full = (1 << m) - 1
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(1, 6))]
+        closed = union_closure_masks(gens) | {full}
+        if k % 2:
+            inner = sorted(closed - {0, full})
+            if inner and rng.random() < 0.5:
+                closed.discard(rng.choice(inner))
+            else:
+                closed.add(rng.getrandbits(m))
+        yield u, closed
+
+
+# -------------------------------------------------------------------- tests
+
+
+def test_every_family_on_three_items():
+    u = Universe(["a", "b", "c"])
+    spaces = 0
+    for bits in range(1 << 8):
+        masks = [s for s in range(8) if bits >> s & 1]
+        space = check_family(u, masks)
+        if space is not None:
+            spaces += 1
+            check_space(space)
+    assert spaces == 45
+
+
+def test_every_space_on_four_points():
+    spaces = miner.enumerate_spaces(4)
+    assert len(spaces) == 2271
+    for space in spaces:
+        assert check_family(space.universe, space.states.masks()) is not None
+        check_space(space)
+
+
+def test_seeded_random_families():
+    spaces = 0
+    for u, masks in random_families(200, seed=7):
+        space = check_family(u, masks)
+        if space is not None:
+            spaces += 1
+            check_space(space)
+    assert spaces >= 100

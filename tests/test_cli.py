@@ -321,3 +321,19 @@ def test_installed_entry_point_matches_in_process_output(capsys):
     )
     assert proc.returncode == 0
     assert proc.stdout == expected
+
+
+def test_bound_lasts_for_one_command(capsys, monkeypatch):
+    import os
+
+    from pretopo import cardinal, fixtures, miner
+
+    monkeypatch.delenv("PRETOPO_BOUND", raising=False)
+    main(["mine", "-n", "2", "--suite", "closure-axioms", "--bound", "3"])
+    capsys.readouterr()
+    assert "PRETOPO_BOUND" not in os.environ
+    assert cardinal.cellularity(fixtures.e0()) >= 1
+    assert len(miner.enumerate_spaces(4)) == 2271
+    monkeypatch.setenv("PRETOPO_BOUND", "5")
+    main(["mine", "-n", "2", "--suite", "closure-axioms", "--bound", "3"])
+    assert os.environ["PRETOPO_BOUND"] == "5"
