@@ -19,6 +19,7 @@ from .core import (
     irreducible_states,
 )
 from .errors import NotMinimalPreBase
+from .order import atoms_at
 from .structure import _guard
 
 DENSITY_UNIVERSE_BOUND = 24
@@ -285,13 +286,8 @@ def cellularity(space: PreTopology, bound: int | None = None) -> int:
 
 
 def character(space: PreTopology, z: str | None = None) -> int:
-    """Size of the minimal neighborhood pre-base at z, or the maximum."""
+    """Size of the minimal neighborhood pre-base at z (its ⊆-minimal
+    states, `atoms_at`), or the maximum over the items."""
     if z is not None:
-        bit = 1 << space.universe.index(z)
-        around = [b for b in space.states.masks() if b & bit]
-        return sum(
-            1
-            for b in around
-            if not any(o != b and o & ~b == 0 for o in around)
-        )
+        return len(atoms_at(space, z))
     return max(character(space, t) for t in space.universe.labels)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import cardinal, connectivity, maps, miner, operators, order, separation, skills, structure
@@ -235,9 +234,9 @@ def _cmd_order(args) -> int:
 
 def _cmd_delineate(args) -> int:
     m = SkillMultimap.from_obj(_read(args.multimap))
-    delin = skills.delineate(m)
-    rep = skills.is_delineated_space(m)
-    star = skills.star_condition(m)
+    delin = skills.delineate(m, bound=args.bound)
+    rep = skills.is_delineated_space(m, bound=args.bound)
+    star = skills.star_condition(m, bound=args.bound)
     cd = skills.is_completely_discriminative_delineation(m)
     obj = {
         "states": [list(s.labels) for s in delin.states.members],
@@ -277,7 +276,7 @@ def _cmd_primary_items(args) -> int:
         lines.append(f"|D| = {len(tr.result.labels)}")
         return _emit(args, obj, "\n".join(lines))
     if args.method == "exact":
-        k, d = cardinal.density_exact(space)
+        k, d = cardinal.density_exact(space, bound=args.bound)
         obj = {"method": "exact", "D": list(d.labels), "size": k, "density": k}
         lines = [f"D = {_fmt(d)}", f"|D| = {k}", f"d(Q) = {k}"]
         return _emit(args, obj, "\n".join(lines))
@@ -337,7 +336,7 @@ def _cmd_product(args) -> int:
 
 def _cmd_mine(args) -> int:
     suite = "all" if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    reports = miner.audit(suite, args.n, seed=args.seed)
+    reports = miner.audit(suite, args.n, seed=args.seed, bound=args.bound)
     text = miner.reports_to_json(reports)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -363,7 +362,11 @@ def _parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--bound", type=int, default=None,
-        help="override the enumeration size guards",
+        help=(
+            "override the size guards of this verb's own calls (mine: the "
+            "space stream; delineate: skills and pool; primary-items exact: "
+            "the universe)"
+        ),
     )
     p = argparse.ArgumentParser(
         prog="pretopo",
@@ -438,9 +441,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    previous = os.environ.get("PRETOPO_BOUND")
-    if args.bound is not None:
-        os.environ["PRETOPO_BOUND"] = str(args.bound)
     try:
         return args.fn(args)
     except json.JSONDecodeError as exc:
@@ -458,12 +458,6 @@ def main(argv=None) -> int:
     except PretopoError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        # the bound lasts for this command only
-        if previous is None:
-            os.environ.pop("PRETOPO_BOUND", None)
-        else:
-            os.environ["PRETOPO_BOUND"] = previous
 
 
 if __name__ == "__main__":

@@ -267,10 +267,6 @@ class SetFamily:
     def nonempty_members(self) -> tuple[ItemSet, ...]:
         return tuple(m for m in self.members if m.mask)
 
-    def members_containing(self, label: str) -> tuple[ItemSet, ...]:
-        bit = 1 << self.universe.index(label)
-        return tuple(m for m in self.members if m.mask & bit)
-
     def to_obj(self) -> dict:
         return {
             "universe": list(self.universe.labels),
@@ -336,14 +332,6 @@ class KnowledgeStructure:
     def is_state(self, s: ItemSet) -> bool:
         return s in self.states
 
-    def states_containing(self, label: str) -> tuple[ItemSet, ...]:
-        return self.states.members_containing(label)
-
-    def state_system_mask(self, label: str) -> frozenset[int]:
-        """Masks of all states containing the item (the system H_t)."""
-        bit = 1 << self.universe.index(label)
-        return frozenset(m for m in self.states.masks() if m & bit)
-
     def to_obj(self) -> dict:
         return self.states.to_obj()
 
@@ -360,6 +348,11 @@ class PreTopology(KnowledgeStructure):
     members, so these unions generate every pairwise union. That costs
     O(|K|·|B|); only a rejected family is scanned pair by pair, to report
     the first missing union in mask order as the witness.
+
+    The specialization order is read from N(q), the meet of the states
+    containing q (`_item_meets`): x ⪯ y iff x ∈ N(y). T0 says ⪯ is
+    antisymmetric, T1 that it is equality, and the space is quasi-ordinal
+    iff every N(q) is a state, the minimal state at q.
     """
 
     __slots__ = ()
@@ -446,6 +439,25 @@ def _irreducible_masks(masks: Iterable[int]) -> list[int]:
         if below != s:
             keep.append(s)
     return keep
+
+
+def _item_meets(base: Iterable[int], m: int) -> list[int]:
+    """N(q) for each of the m items: the meet of the given masks through q.
+
+    Given the irreducibles of any family (`_irreducible_masks`), this is
+    the meet of all its members through q: every member through q is a
+    union of irreducibles inside it, one of them through q. Union-closure
+    is not needed. O(m·|B|) for |B| irreducibles; the full mask for an
+    item that no mask holds.
+    """
+    meets = [(1 << m) - 1] * m
+    for b in base:
+        rest = b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            meets[low.bit_length() - 1] &= b
+    return meets
 
 
 def _is_union_closed(masks: frozenset[int], base: list[int]) -> bool:

@@ -388,11 +388,13 @@ def audit(
     n: int = 3,
     seed: int = 0,
     samples: int | None = None,
+    bound: int | None = None,
 ) -> list[MinerReport]:
     """Run the selected checks over the size-n space stream.
 
     Exhaustive for n up to 4, seeded sampling beyond. Reports are a
-    pure function of (theorem_set, n, seed, samples).
+    pure function of (theorem_set, n, seed, samples). The bound
+    overrides the size guard of the space stream only.
     """
     if isinstance(theorem_set, str):
         idents = list(_REGISTRY) if theorem_set == "all" else [theorem_set]
@@ -402,11 +404,11 @@ def audit(
         if ident not in _REGISTRY:
             raise PretopoError(f"unknown theorem id: {ident}")
     if samples is not None:
-        spaces = sample_spaces(n, samples, seed)
+        spaces = sample_spaces(n, samples, seed, bound)
     elif n <= MAX_EXHAUSTIVE:
-        spaces = enumerate_spaces(n)
+        spaces = enumerate_spaces(n, bound)
     else:
-        spaces = sample_spaces(n, DEFAULT_SAMPLES, seed)
+        spaces = sample_spaces(n, DEFAULT_SAMPLES, seed, bound)
     views = [_View(s) for s in spaces]
     reports = []
     for ident in idents:
@@ -529,9 +531,11 @@ def _chk_classify_monotone(views, rng):
             col.add(v.ser(), "space flag without structure flag")
         if c.is_quasi_ordinal and not c.is_knowledge_space:
             col.add(v.ser(), "quasi-ordinal flag without space flag")
-        if c.is_quasi_ordinal != c.is_topology:
-            col.add(v.ser(), "quasi-ordinal and topology flags disagree")
-        if c.is_quasi_ordinal != v.quasi_ordinal():
+        masks = v.space.states.masks()
+        pairwise = all(
+            a & b in masks for i, a in enumerate(v.opens) for b in v.opens[i + 1 :]
+        )
+        if c.is_quasi_ordinal != pairwise:
             col.add(v.ser(), "classification disagrees with the intersection test")
     return len(views), col.stored, None
 
@@ -749,8 +753,8 @@ def _signatures(v: _View) -> list[int]:
 
 @_register("separation-hierarchy")
 def _chk_separation_hierarchy(views, rng):
-    """T0 against signature distinctness, T1 against both the
-    bi-discriminative signatures and open complements of singletons,
+    """T0 against signature distinctness, T1 against the
+    bi-discriminative signatures and the inner fringe of the universe,
     T2 against disjoint ⊆-minimal states at the two points, and the
     implication chain of the profile flags."""
     col = _Collector()
@@ -766,14 +770,8 @@ def _chk_separation_hierarchy(views, rng):
         )
         if v.t1() != bi:
             col.add(v.ser(), "T1 disagrees with bi-discrimination")
-        co_singletons = all(
-            v.space.states.has_mask(v.full & ~(1 << t)) for t in range(v.n)
-        )
-        if v.t1() != co_singletons:
-            col.add(v.ser(), "T1 disagrees with open singleton complements")
-        inner_q = v.fr()[v.full][0]
-        if v.t1() != (inner_q == v.full):
-            col.add(v.ser(), "T1 disagrees with the inner fringe of the universe")
+        if separation.bi_discriminative_via_fringe(v.space) != v.t1():
+            col.add(v.ser(), "fringe route to bi-discrimination disagrees")
     for v in _cap(views, CAP_HEAVY):
         atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
         apart = all(
@@ -783,8 +781,6 @@ def _chk_separation_hierarchy(views, rng):
         )
         if separation.is_t2(v.space)[0] != apart:
             col.add(v.ser(), "T2 disagrees with disjoint minimal states")
-        if separation.bi_discriminative_via_fringe(v.space) != v.t1():
-            col.add(v.ser(), "fringe route to bi-discrimination disagrees")
     for v in _cap(views, CAP_VERY_HEAVY):
         p = v.profile()
         chain = (p.t4, p.t3, p.t2, p.t1, p.t0)
@@ -792,10 +788,6 @@ def _chk_separation_hierarchy(views, rng):
             if hi and not lo:
                 col.add(v.ser(), "separation hierarchy implication fails")
                 break
-        if p.t0 != v.t0() or p.t1 != v.t1():
-            col.add(v.ser(), "profile flags disagree with predicates")
-        if p.discriminative != p.t0 or p.bi_discriminative != p.t1:
-            col.add(v.ser(), "profile discrimination flags disagree")
     return len(views), col.stored, None
 
 

@@ -1,8 +1,12 @@
 """Quasi-order correspondence, minimal states, atoms, reduction.
 
-Intersection-closed spaces (quasi-ordinal / Alexandroff) are in bijection
-with quasi-orders: x ⪯ y iff x lies in every open containing y, and the
-space is regenerated as the union closure of the principal down-sets.
+The primitive is N(q), the meet of the states containing q, read from
+the irreducible states (`core._item_meets`). It gives the specialization
+order: x ⪯ y iff x lies in every open containing y, that is x ∈ N(y). A
+space is intersection-closed (quasi-ordinal / Alexandroff) iff every N(q)
+is a state, which is then the minimal state at q. Such spaces are in
+bijection with quasi-orders, and the space is regenerated as the union
+closure of the principal down-sets N(q).
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
+    _irreducible_masks,
+    _item_meets,
     union_closure_masks,
 )
 from .errors import AxiomViolation, NotQuasiOrdinal, SchemaError
@@ -120,38 +126,36 @@ class QuasiOrder:
         return cls.from_obj(json.loads(text))
 
 
-def is_quasi_ordinal(space: KnowledgeStructure) -> bool:
-    """Union closure is given; intersections must also stay in the family."""
-    masks = sorted(space.states.masks())
-    mask_set = space.states.masks()
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a & b not in mask_set:
-                return False
-    return True
+def _meets(structure: KnowledgeStructure) -> list[int]:
+    """N(q) for every item q."""
+    masks = structure.states.masks()
+    return _item_meets(_irreducible_masks(masks), len(structure.universe))
+
+
+def _minimal_states(space: PreTopology) -> list[int] | None:
+    """N(q) for every item q when each is a state, else None."""
+    meets = _meets(space)
+    masks = space.states.masks()
+    return meets if all(meet in masks for meet in meets) else None
+
+
+def is_quasi_ordinal(space: PreTopology) -> bool:
+    """Union closure is given; intersections must also stay in the family.
+
+    They do iff every N(q) is a state: A ∩ B is then the union of N(q)
+    over q ∈ A ∩ B. O(|K|·|B|).
+    """
+    return _minimal_states(space) is not None
 
 
 def to_quasi_order(space: PreTopology) -> QuasiOrder:
-    """x ⪯ y iff x belongs to every open containing y."""
-    if not is_quasi_ordinal(space):
+    """x ⪯ y iff x belongs to every open containing y, i.e. x ∈ N(y)."""
+    mins = _minimal_states(space)
+    if mins is None:
         raise NotQuasiOrdinal("space is not closed under intersections")
-    u = space.universe
-    full = u.full.mask
-    min_state = []
-    for i in range(len(u)):
-        inter = full
-        for m in space.states.masks():
-            if m >> i & 1:
-                inter &= m
-        min_state.append(inter)
-    up = []
-    for x in range(len(u)):
-        row = 0
-        for y in range(len(u)):
-            if min_state[y] >> x & 1:
-                row |= 1 << y
-        up.append(row)
-    return QuasiOrder(u, tuple(up))
+    n = len(mins)
+    up = tuple(sum(1 << y for y in range(n) if mins[y] >> x & 1) for x in range(n))
+    return QuasiOrder(space.universe, up)
 
 
 def from_quasi_order(order: QuasiOrder) -> PreTopology:
@@ -163,11 +167,13 @@ def from_quasi_order(order: QuasiOrder) -> PreTopology:
 
 
 def minimal_state(space: PreTopology, t: str) -> ItemSet | None:
-    """The minimum of the states containing t, or None if not unique."""
-    minimals = atoms_at(space, t)
-    if len(minimals) == 1:
-        return minimals[0]
-    return None
+    """The minimum of the states containing t, or None if not unique.
+
+    A minimum, if any, is N(t); when N(t) is not a state, at least two
+    ⊆-minimal states hold t.
+    """
+    meet = _meets(space)[space.universe.index(t)]
+    return ItemSet(space.universe, meet) if space.states.has_mask(meet) else None
 
 
 def atoms_at(space: PreTopology, t: str) -> SetFamily:
@@ -226,29 +232,19 @@ class Reduction:
 def discriminative_reduction(structure: KnowledgeStructure) -> Reduction:
     """Quotient by notions: items with identical state systems collapse.
 
-    States are saturated under the notion partition, so they map cleanly
-    onto the class universe; the result is discriminative (T0) and
-    union-closed whenever the input is.
+    i and j lie in the same states iff j ∈ N(i) and i ∈ N(j), which holds
+    iff N(i) = N(j); so the classes are the items grouped by their meet,
+    in order of least item. States are saturated under the notion
+    partition, so they map cleanly onto the class universe; the result is
+    discriminative (T0). The image of a union-closed family is
+    union-closed, so the quotient of a pre-topology needs no validation.
     """
     u = structure.universe
-    systems = [structure.state_system_mask(t) for t in u.labels]
-    class_of: dict[int, int] = {}
-    classes: list[int] = []
-    for i in range(len(u)):
-        for rep in classes:
-            if systems[rep] == systems[i]:
-                class_of[i] = rep
-                break
-        else:
-            class_of[i] = i
-            classes.append(i)
-    class_masks = []
-    for rep in classes:
-        mask = 0
-        for i in range(len(u)):
-            if class_of[i] == rep:
-                mask |= 1 << i
-        class_masks.append(mask)
+    meets = _meets(structure)
+    groups: dict[int, int] = {}
+    for i, meet in enumerate(meets):
+        groups[meet] = groups.get(meet, 0) | 1 << i
+    class_masks = list(groups.values())
     labels = ["+".join(ItemSet(u, m).labels) for m in class_masks]
     reduced_universe = Universe(labels)
     reduced_states = set()
@@ -261,12 +257,11 @@ def discriminative_reduction(structure: KnowledgeStructure) -> Reduction:
     family = SetFamily.from_masks(reduced_universe, reduced_states)
     reduced: KnowledgeStructure
     if isinstance(structure, PreTopology):
-        reduced = PreTopology(reduced_universe, family)
+        reduced = PreTopology(reduced_universe, family, _trusted=True)
     else:
         reduced = KnowledgeStructure(reduced_universe, family)
-    assignment = {
-        u.labels[i]: labels[classes.index(class_of[i])] for i in range(len(u))
-    }
+    class_of = {meet: ci for ci, meet in enumerate(groups)}
+    assignment = {t: labels[class_of[meets[i]]] for i, t in enumerate(u.labels)}
     projection = PointMap(u, reduced_universe, assignment)
     return Reduction(
         classes=tuple(ItemSet(u, m) for m in class_masks),
@@ -277,18 +272,10 @@ def discriminative_reduction(structure: KnowledgeStructure) -> Reduction:
 
 def m_graph_connected(space: PreTopology) -> bool:
     """Items chained by overlapping minimal states (quasi-ordinal spaces)."""
-    if not is_quasi_ordinal(space):
+    mins = _minimal_states(space)
+    if mins is None:
         raise NotQuasiOrdinal("minimal-state graph needs a quasi-ordinal space")
-    u = space.universe
-    full = u.full.mask
-    mins = []
-    for i in range(len(u)):
-        inter = full
-        for m in space.states.masks():
-            if m >> i & 1:
-                inter &= m
-        mins.append(inter)
-    n = len(u)
+    n = len(mins)
     seen = {0}
     frontier = [0]
     while frontier:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from collections.abc import Iterable
 
-from .core import ItemSet, PreTopology, _irreducible_masks
+from .core import ItemSet, PreTopology, _irreducible_masks, _item_meets
 from .operators import fringes
 
 
@@ -48,50 +48,39 @@ class SeparationProfile:
         return out
 
 
-def _system(space: PreTopology, bit: int) -> frozenset[int]:
-    return frozenset(m for m in space.states.masks() if m & bit)
-
-
 def is_t0(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
-    """Some open contains exactly one of each pair of distinct points."""
-    u = space.universe
-    opens = space.states.masks()
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            pair = (1 << i) | (1 << j)
-            if not any((m & pair).bit_count() == 1 for m in opens):
-                return False, (u.labels[i], u.labels[j])
-    return True, None
+    """Some open contains exactly one of each pair of distinct points.
 
-
-def is_discriminative(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
-    """Distinct points have distinct state systems.
-
-    The m systems are built once, O(m·|K|), then compared pairwise.
+    No open separates i and j iff each lies in every open through the
+    other: j ∈ N(i) and i ∈ N(j), with N the per-item meets
+    (`_item_meets`). Fails at the first such pair i < j. T0 is the
+    discriminative condition (distinct points, distinct state systems).
     """
     u = space.universe
-    systems = [_system(space, 1 << i) for i in range(len(u))]
+    meets = _item_meets(_irreducible_masks(space.states.masks()), len(u))
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
-            if systems[i] == systems[j]:
+            if meets[i] >> j & 1 and meets[j] >> i & 1:
                 return False, (u.labels[i], u.labels[j])
     return True, None
+
+
+# one notion, one implementation
+is_discriminative = is_t0
 
 
 def is_t1(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     """Each point of a pair lies in an open missing the other.
 
-    Failure witness (p, q): every state containing p contains q.
+    Failure witness (p, q): every state containing p contains q, that is
+    q ∈ N(p); the first p, then the least such q ≠ p.
     """
     u = space.universe
-    opens = space.states.masks()
-    for i in range(len(u)):
-        for j in range(len(u)):
-            if i == j:
-                continue
-            bi, bj = 1 << i, 1 << j
-            if not any(m & bi and not m & bj for m in opens):
-                return False, (u.labels[i], u.labels[j])
+    meets = _item_meets(_irreducible_masks(space.states.masks()), len(u))
+    for p, meet in enumerate(meets):
+        rest = meet & ~(1 << p)
+        if rest:
+            return False, (u.labels[p], u.labels[(rest & -rest).bit_length() - 1])
     return True, None
 
 
@@ -198,19 +187,15 @@ def bi_discriminative_via_fringe(space: PreTopology) -> bool:
 
 
 def separation_profile(space: PreTopology) -> SeparationProfile:
+    """Every axiom once; the discrimination flags are T0, T1 and T2 under
+    their knowledge-space names, with the same witnesses."""
     witnesses: dict = {}
     t0, w = is_t0(space)
     if w:
-        witnesses["t0"] = list(w)
-    disc, w = is_discriminative(space)
-    if w:
-        witnesses["discriminative"] = list(w)
+        witnesses["t0"] = witnesses["discriminative"] = list(w)
     t1, w = is_t1(space)
     if w:
-        witnesses["t1"] = list(w)
-    bi = bi_discriminative_via_fringe(space)
-    if not bi and "t1" in witnesses:
-        witnesses["bi_discriminative"] = witnesses["t1"]
+        witnesses["t1"] = witnesses["bi_discriminative"] = list(w)
     t2, w = is_t2(space)
     if w:
         witnesses["t2"] = list(w)
@@ -229,8 +214,8 @@ def separation_profile(space: PreTopology) -> SeparationProfile:
         t3=t1 and reg,
         normal_property=norm,
         t4=t1 and norm,
-        discriminative=disc,
-        bi_discriminative=bi,
+        discriminative=t0,
+        bi_discriminative=t1,
         completely_discriminative=t2,
         witnesses=witnesses,
     )

@@ -18,6 +18,7 @@ from .core import (
     Universe,
     _irreducible_masks,
     _is_union_closed,
+    _item_meets,
     irreducible_states,
     is_pre_base_for,
 )
@@ -66,24 +67,17 @@ def classify(family: SetFamily) -> Classification:
     the intersection N(q) of the states containing q is a state: then
     A ∩ B is the union of N(q) over q ∈ A ∩ B. Every state through q
     holds a base member through q, so N(q) is the intersection of those
-    base members: O(m·|B|). The test is skipped when no reported flag
-    depends on it.
+    base members (`_item_meets`): O(m·|B|). The test is skipped when no
+    reported flag depends on it.
     """
     full = family.universe.full.mask
     masks = family.masks()
     structure = 0 in masks and full in masks
     base = _irreducible_masks(masks)
     space = structure and _is_union_closed(masks, base)
-    quasi = space
-    if space:
-        for q in range(len(family.universe)):
-            meet = full
-            for b in base:
-                if b >> q & 1:
-                    meet &= b
-            if meet not in masks:
-                quasi = False
-                break
+    quasi = space and all(
+        meet in masks for meet in _item_meets(base, len(family.universe))
+    )
     return Classification(
         is_knowledge_structure=structure,
         is_knowledge_space=space,

@@ -4,6 +4,10 @@ The oracles below are test-local copies of the pairwise scans over states
 (O(|K|²) and worse). They are compared, witnesses included, on every
 family over 3 items (union-closed or not), on every space on 4 points, and
 on seeded random families on up to 12 items, union-closed and perturbed.
+The per-item meets N(q) (`core._item_meets`) are compared the same way
+with the open scans, state systems and pairwise intersection tests that
+T0, T1, quasi-ordinality, minimal states and the discriminative
+reduction were computed with before.
 """
 
 import itertools
@@ -21,12 +25,23 @@ from pretopo.core import (
     irreducible_states,
     union_closure_masks,
 )
-from pretopo.errors import AxiomViolation
+from pretopo.errors import AxiomViolation, NotQuasiOrdinal
+from pretopo.maps import PointMap
+from pretopo.order import (
+    Reduction,
+    discriminative_reduction,
+    is_quasi_ordinal,
+    m_graph_connected,
+    minimal_state,
+    to_quasi_order,
+)
 from pretopo.separation import (
     is_completely_discriminative,
     is_discriminative,
     is_normal_property,
     is_regular_property,
+    is_t0,
+    is_t1,
     is_t2,
     separation_profile,
 )
@@ -122,6 +137,87 @@ def oracle_discriminative(labels, opens):
     return True, None
 
 
+def oracle_t0(labels, opens):
+    for i, j in itertools.combinations(range(len(labels)), 2):
+        pair = (1 << i) | (1 << j)
+        if not any((m & pair).bit_count() == 1 for m in opens):
+            return False, (labels[i], labels[j])
+    return True, None
+
+
+def oracle_t1(labels, opens):
+    for i, j in itertools.product(range(len(labels)), repeat=2):
+        if i != j and not any(m >> i & 1 and not m >> j & 1 for m in opens):
+            return False, (labels[i], labels[j])
+    return True, None
+
+
+def oracle_quasi_ordinal(masks):
+    return all(a & b in masks for a, b in itertools.combinations(masks, 2))
+
+
+def oracle_meets(n, opens):
+    """Per item, the meet of every open through it."""
+    meets = []
+    for i in range(n):
+        inter = (1 << n) - 1
+        for m in opens:
+            if m >> i & 1:
+                inter &= m
+        meets.append(inter)
+    return meets
+
+
+def oracle_m_graph_connected(meets):
+    seen, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(len(meets)):
+            if j not in seen and meets[i] & meets[j]:
+                seen.add(j)
+                frontier.append(j)
+    return len(seen) == len(meets)
+
+
+def oracle_minimal_state(n, opens, i):
+    """The ⊆-minimal states through i, if there is exactly one."""
+    through = [m for m in opens if m >> i & 1]
+    mins = [m for m in through if not any(o != m and o & ~m == 0 for o in through)]
+    return mins[0] if len(mins) == 1 else None
+
+
+def oracle_reduction(structure):
+    """Classes by equal frozenset state systems; untrusted quotient."""
+    u = structure.universe
+    masks = structure.states.masks()
+    systems = [frozenset(m for m in masks if m >> i & 1) for i in range(len(u))]
+    reps = []
+    for i, system in enumerate(systems):
+        if not any(systems[r] == system for r in reps):
+            reps.append(i)
+    classes = [
+        sum(1 << i for i in range(len(u)) if systems[i] == systems[r]) for r in reps
+    ]
+    labels = ["+".join(u.from_mask(c).labels) for c in classes]
+    ru = Universe(labels)
+    images = {
+        sum(1 << k for k, c in enumerate(classes) if m & c) for m in masks
+    }
+    family = SetFamily.from_masks(ru, images)
+    kind = PreTopology if isinstance(structure, PreTopology) else KnowledgeStructure
+    assignment = {
+        u.labels[i]: labels[k]
+        for k, c in enumerate(classes)
+        for i in range(len(u))
+        if c >> i & 1
+    }
+    return Reduction(
+        classes=tuple(u.from_mask(c) for c in classes),
+        reduced=kind(ru, family),
+        projection=PointMap(u, ru, assignment),
+    )
+
+
 # ------------------------------------------------------------------ drivers
 
 
@@ -163,6 +259,47 @@ def check_space(space):
     assert is_regular_property(space) == oracle_regular(u, opens)
     assert is_normal_property(space) == oracle_normal(u, opens)
     assert is_discriminative(space) == oracle_discriminative(u.labels, opens)
+
+
+def check_reduction(structure):
+    got = discriminative_reduction(structure)
+    want = oracle_reduction(structure)
+    assert got.to_obj() == want.to_obj()
+    assert type(got.reduced) is type(want.reduced)
+
+
+def check_meet_routes(space):
+    """Every notion read from the per-item meets, witnesses included."""
+    u = space.universe
+    n = len(u)
+    opens = sorted(space.states.masks())
+    t0, t1 = oracle_t0(u.labels, opens), oracle_t1(u.labels, opens)
+    assert is_t0(space) == is_discriminative(space) == t0
+    assert is_t1(space) == t1
+    profile = separation_profile(space)
+    assert (profile.t0, profile.discriminative) == (t0[0], t0[0])
+    assert (profile.t1, profile.bi_discriminative) == (t1[0], t1[0])
+    for key, (_, w) in (
+        ("t0", t0), ("discriminative", t0), ("t1", t1), ("bi_discriminative", t1)
+    ):
+        assert profile.witnesses.get(key) == (None if w is None else list(w))
+    quasi = oracle_quasi_ordinal(opens)
+    assert is_quasi_ordinal(space) == quasi
+    meets = oracle_meets(n, opens)
+    for i, t in enumerate(u.labels):
+        want = oracle_minimal_state(n, opens, i)
+        got = minimal_state(space, t)
+        assert (None if got is None else got.mask) == want
+    if quasi:
+        up = tuple(sum(1 << y for y in range(n) if meets[y] >> x & 1) for x in range(n))
+        assert to_quasi_order(space).up == up
+        assert m_graph_connected(space) == oracle_m_graph_connected(meets)
+    else:
+        with pytest.raises(NotQuasiOrdinal):
+            to_quasi_order(space)
+        with pytest.raises(NotQuasiOrdinal):
+            m_graph_connected(space)
+    check_reduction(space)
 
 
 def random_families(count, seed):
@@ -213,4 +350,42 @@ def test_seeded_random_families():
         if space is not None:
             spaces += 1
             check_space(space)
+    assert spaces >= 100
+
+
+def test_meet_routes_on_every_structure_on_three_items():
+    u = Universe(["a", "b", "c"])
+    structures = spaces = 0
+    for bits in range(1 << 8):
+        masks = {s for s in range(8) if bits >> s & 1}
+        if not {0, 7} <= masks:
+            continue
+        structures += 1
+        family = SetFamily.from_masks(u, masks)
+        check_reduction(KnowledgeStructure(u, family))
+        if oracle_missing_union(masks) is None:
+            spaces += 1
+            check_meet_routes(PreTopology(u, family))
+    assert (structures, spaces) == (64, 45)
+
+
+def test_meet_routes_on_every_space_up_to_four_points():
+    for n, count in ((1, 1), (2, 4), (3, 45), (4, 2271)):
+        spaces = miner.enumerate_spaces(n)
+        assert len(spaces) == count
+        for space in spaces:
+            check_meet_routes(space)
+
+
+def test_meet_routes_on_seeded_random_families():
+    spaces = 0
+    for u, masks in random_families(200, seed=11):
+        if not {0, u.full.mask} <= masks:
+            continue
+        family = SetFamily.from_masks(u, masks)
+        if oracle_missing_union(masks) is None:
+            spaces += 1
+            check_meet_routes(PreTopology(u, family))
+        else:
+            check_reduction(KnowledgeStructure(u, family))
     assert spaces >= 100

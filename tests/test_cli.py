@@ -337,3 +337,14 @@ def test_bound_lasts_for_one_command(capsys, monkeypatch):
     monkeypatch.setenv("PRETOPO_BOUND", "5")
     main(["mine", "-n", "2", "--suite", "closure-axioms", "--bound", "3"])
     assert os.environ["PRETOPO_BOUND"] == "5"
+
+
+def test_bound_reaches_only_the_verbs_own_guards(capsys, monkeypatch):
+    # --bound 3 covers the 3-point space stream; the cellularity guard
+    # inside the check keeps its own default
+    monkeypatch.delenv("PRETOPO_BOUND", raising=False)
+    code, out, err = run(
+        capsys, "mine", "-n", "3", "--suite", "dense-ge-cellularity", "--bound", "3"
+    )
+    assert code == 0 and err == ""
+    assert "holds" in out and "checked=45" in out

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,3 +245,23 @@ def test_notcover_fixture_payload():
     obj = json.loads(path.read_text())
     with pytest.raises(CoverError):
         KnowledgeStructure.from_family(SetFamily.from_obj(obj))
+
+
+# ------------------------------------------------------- shipped fixtures
+
+FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
+FIXTURE_BUILDERS = {
+    **fixtures.ALL,
+    "alg5": fixtures.alg5_base,
+    "vertex_cover": fixtures.vertex_cover_base,
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.stem for p in FIXTURE_DIR.glob("*.json") if p.stem != "notcover")
+)
+def test_fixture_file_matches_its_builder(name):
+    """Each fixtures/*.json but the malformed notcover.json is the
+    `.to_obj()` of its builder in pretopo.fixtures."""
+    obj = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
+    assert obj == FIXTURE_BUILDERS[name]().to_obj()
