@@ -76,9 +76,10 @@ def density_exact(
     best = _greedy_hitting(members, m)
     best_key = (len(best), tuple(best))
 
-    def rec(chosen: list[int], start: int) -> None:
+    # left: the members that chosen misses, in base order; a child
+    # filters its parent's left by the one item it adds
+    def rec(chosen: list[int], start: int, left: list[int]) -> None:
         nonlocal best_key, best
-        left = [b for b in members if not any(b >> i & 1 for i in chosen)]
         if not left:
             key = (len(chosen), tuple(chosen))
             if key < best_key:
@@ -87,12 +88,13 @@ def density_exact(
         if len(chosen) + _disjoint_lower_bound(left) > best_key[0]:
             return
         for i in range(start, m):
-            if any(b >> i & 1 for b in left):
+            bit = 1 << i
+            if any(b & bit for b in left):
                 chosen.append(i)
-                rec(chosen, i + 1)
+                rec(chosen, i + 1, [b for b in left if not b & bit])
                 chosen.pop()
 
-    rec([], 0)
+    rec([], 0, members)
     mask = 0
     for i in best:
         mask |= 1 << i

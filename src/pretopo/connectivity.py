@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ItemSet, PreTopology, SetFamily, distance
+from .core import ItemSet, PreTopology, SetFamily
 from .errors import NotACover
 from .operators import fringes
 

@@ -19,7 +19,7 @@ Examples
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import AxiomViolation, CoverError, SchemaError, UniverseOverflow
 

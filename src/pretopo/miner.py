@@ -452,25 +452,72 @@ def _chk_union_closure_laws(views, rng):
 @_register("minimal-base-in-every-pre-base")
 def _chk_minimal_base_containment(views, rng):
     """The union-irreducible states sit inside every generating
-    subfamily, so the minimal pre-base really is minimum."""
+    subfamily, so the minimal pre-base really is minimum.
+
+    Cover lemma: a subfamily F of the nonzero states generates K exactly
+    when, for every nonzero state s and every item x in s, F has a member
+    b with x in b and b inside s. The test never reads the base, so the
+    audit stays independent of `irreducible_states`. Each pair (s, x)
+    gives the index mask of its members b. Up to 10 nonzero states all
+    2^k - 1 picks are decided at once, with ints as bitsets over the
+    picks: column i holds the picks that contain member i, a pair is met
+    by the OR of its members' columns, and the generating picks are the
+    AND of those over the pairs. Past 10, the 200 sampled picks are
+    tested against the pair masks one at a time. Cost per space:
+    O(|K|·m·k) operations on 2^k-bit ints, where a union closure per pick
+    costs 2^k·O(|K|·k).
+    """
     col = _Collector()
     checked = 0
+    columns: dict[int, list[int]] = {}
     for v in views:
         irr_masks = set(v.irr().masks()) - {0}
         nonzero = [m for m in v.opens if m]
         k = len(nonzero)
+        pairs = set()
+        for s in nonzero:
+            inside = [(i, b) for i, b in enumerate(nonzero) if b | s == s]
+            rest = s
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                pairs.add(sum(1 << i for i, b in inside if b & x))
         if k <= 10:
-            pool = range(1, 1 << k)
+            if k not in columns:
+                columns[k] = [
+                    sum(1 << pick for pick in range(1 << k) if pick >> i & 1)
+                    for i in range(k)
+                ]
+            cols = columns[k]
+            generates = (1 << (1 << k)) - 2  # every pick but the empty one
+            for need in pairs:
+                met = 0
+                for i in range(k):
+                    if need >> i & 1:
+                        met |= cols[i]
+                generates &= met
+            keeps = generates
+            for b in irr_masks:
+                keeps &= cols[nonzero.index(b)] if b in nonzero else 0
+            checked += (1 << k) - 1
+            bad = generates & ~keeps
+            picks = []
+            while bad:
+                low = bad & -bad
+                bad ^= low
+                picks.append(low.bit_length() - 1)
         else:
-            pool = [rng.randrange(1, 1 << k) for _ in range(200)]
-        target = set(v.opens)
-        for pick in pool:
+            sampled = [rng.randrange(1, 1 << k) for _ in range(200)]
+            checked += len(sampled)
+            picks = [
+                pick
+                for pick in sampled
+                if all(need & pick for need in pairs)
+                and not irr_masks <= {nonzero[i] for i in range(k) if pick >> i & 1}
+            ]
+        for pick in picks:
             fam = [nonzero[i] for i in range(k) if pick >> i & 1]
-            checked += 1
-            if union_closure_masks(fam) != target:
-                continue
-            if not irr_masks <= set(fam):
-                col.add(v.ser(), f"pre-base {fam} misses an irreducible state")
+            col.add(v.ser(), f"pre-base {fam} misses an irreducible state")
     return checked, col.stored, None
 
 
@@ -1536,6 +1583,11 @@ def run_skills_suite(
     return _skills_cache[key]
 
 
+def _multimap_ser(m: SkillMultimap) -> str:
+    """The JSON witness of a multimap, made only when a violation is kept."""
+    return json.dumps(m.to_obj(), separators=(",", ":"))
+
+
 def _sweep_multimaps(
     max_items: int, max_skills: int, max_comps: int
 ) -> dict[str, _RunResult]:
@@ -1545,18 +1597,19 @@ def _sweep_multimaps(
         for sn in range(1, max_skills + 1):
             for m in enumerate_multimaps(qn, sn, max_comps):
                 checked += 1
-                ser = json.dumps(m.to_obj(), separators=(",", ":"))
-                delin = skills.delineate(m)
-                rep = skills.is_delineated_space(m)
+                # one delineation serves the family and both report routes
+                holders = skills._holders(m)
+                delin = skills._delineate(m, holders)
+                rep = skills._delineation_report(holders, delin.states)
                 star = skills.star_condition(m)
                 if not rep.agree:
                     cols["delineation-theorem-agree"].add(
-                        ser,
+                        _multimap_ser(m),
                         f"direct={rep.space} characterization={rep.via_characterization}",
                     )
                 if star and not rep.space:
                     cols["star-implies-space"].add(
-                        ser, "pooling condition without a delineated space"
+                        _multimap_ser(m), "pooling condition without a delineated space"
                     )
                 sfull = (1 << len(m.skills)) - 1
                 p = [
@@ -1565,7 +1618,7 @@ def _sweep_multimaps(
                 ]
                 if set(p) != delin.states.masks():
                     cols["delineation-theorem-agree"].add(
-                        ser, "delineate differs from p over every skill set"
+                        _multimap_ser(m), "delineate differs from p over every skill set"
                     )
                 for r in range(sfull + 1):
                     rest = sfull & ~r
@@ -1574,7 +1627,7 @@ def _sweep_multimaps(
                         rest ^= low
                         if p[r] & ~p[r | low]:
                             cols["p-monotone-union"].add(
-                                ser, f"p not monotone at {r:b}+{low:b}"
+                                _multimap_ser(m), f"p not monotone at {r:b}+{low:b}"
                             )
                 pool = [c.mask for c in m.minimal_pool()]
                 for pick in range(1, 1 << len(pool)):
@@ -1586,11 +1639,11 @@ def _sweep_multimaps(
                             up |= p[cm]
                     if up & ~p[union]:
                         cols["p-monotone-union"].add(
-                            ser, f"union lower bound fails at {pick:b}"
+                            _multimap_ser(m), f"union lower bound fails at {pick:b}"
                         )
                     if star and p[union] != up:
                         cols["p-monotone-union"].add(
-                            ser, f"union equality under pooling fails at {pick:b}"
+                            _multimap_ser(m), f"union equality under pooling fails at {pick:b}"
                         )
                 via = skills.is_completely_discriminative_delineation(m)
                 masks = delin.states.masks()
@@ -1606,7 +1659,7 @@ def _sweep_multimaps(
                             direct = False
                 if via != direct:
                     cols["cd-thm-agrees"].add(
-                        ser, f"competency route={via} direct={direct}"
+                        _multimap_ser(m), f"competency route={via} direct={direct}"
                     )
     return {ident: (checked, cols[ident].stored, None) for ident in _SKILLS_IDS}
 

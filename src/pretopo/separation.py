@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from collections.abc import Iterable
 
-from .core import ItemSet, PreTopology, _irreducible_masks, _item_meets
+from .core import ItemSet, PreTopology, Universe, _irreducible_masks, _item_meets
 from .operators import fringes
 
 
@@ -56,8 +56,14 @@ def is_t0(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     (`_item_meets`). Fails at the first such pair i < j. T0 is the
     discriminative condition (distinct points, distinct state systems).
     """
-    u = space.universe
-    meets = _item_meets(_irreducible_masks(space.states.masks()), len(u))
+    return _t0(space.universe, _meets(space))
+
+
+def _meets(space: PreTopology) -> list[int]:
+    return _item_meets(_irreducible_masks(space.states.masks()), len(space.universe))
+
+
+def _t0(u: Universe, meets: list[int]) -> tuple[bool, tuple[str, str] | None]:
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
             if meets[i] >> j & 1 and meets[j] >> i & 1:
@@ -75,8 +81,10 @@ def is_t1(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     Failure witness (p, q): every state containing p contains q, that is
     q ∈ N(p); the first p, then the least such q ≠ p.
     """
-    u = space.universe
-    meets = _item_meets(_irreducible_masks(space.states.masks()), len(u))
+    return _t1(space.universe, _meets(space))
+
+
+def _t1(u: Universe, meets: list[int]) -> tuple[bool, tuple[str, str] | None]:
     for p, meet in enumerate(meets):
         rest = meet & ~(1 << p)
         if rest:
@@ -92,8 +100,10 @@ def is_t2(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     j must lie in the reach of some base member through i.
     O(|B|² + m·|B|) for |B| base members.
     """
-    u = space.universe
-    base = _irreducible_masks(space.states.masks())
+    return _t2(space.universe, _irreducible_masks(space.states.masks()))
+
+
+def _t2(u: Universe, base: list[int]) -> tuple[bool, tuple[str, str] | None]:
     reach = _reach(base, base)
     for i in range(len(u)):
         apart = 0
@@ -129,10 +139,20 @@ def is_regular_property(
     u = space.universe
     opens = space.states.masks()
     reach = _reach(opens, _irreducible_masks(opens))
-    closed = sorted(
-        (space.universe.full.mask & ~m for m in opens),
+    return _regular(u, opens, _closed(u, opens), reach)
+
+
+def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
+    """The closed sets in witness scan order: by size, then by indices."""
+    return sorted(
+        (u.full.mask & ~m for m in opens),
         key=lambda m: (m.bit_count(), ItemSet(u, m).indices()),
     )
+
+
+def _regular(
+    u: Universe, opens: Iterable[int], closed: list[int], reach: dict[int, int]
+) -> tuple[bool, tuple[str, tuple[str, ...]] | None]:
     for i in range(len(u)):
         bit = 1 << i
         for f in closed:
@@ -153,13 +173,15 @@ def is_normal_property(
     closed sets, O(|K|³) at worst, instead of a scan of pairs of opens.
     """
     u = space.universe
-    opens = sorted(space.states.masks())
+    opens = space.states.masks()
     reach = _reach(opens, _irreducible_masks(opens))
-    full = u.full.mask
-    closed = sorted(
-        (full & ~m for m in opens),
-        key=lambda m: (m.bit_count(), ItemSet(u, m).indices()),
-    )
+    return _normal(u, opens, _closed(u, opens), reach)
+
+
+def _normal(
+    u: Universe, opens: Iterable[int], closed: list[int], reach: dict[int, int]
+) -> tuple[bool, tuple[tuple[str, ...], tuple[str, ...]] | None]:
+    opens = sorted(opens)
     for idx_e, e in enumerate(closed):
         for f in closed[idx_e + 1 :]:
             if e & f:
@@ -188,22 +210,32 @@ def bi_discriminative_via_fringe(space: PreTopology) -> bool:
 
 def separation_profile(space: PreTopology) -> SeparationProfile:
     """Every axiom once; the discrimination flags are T0, T1 and T2 under
-    their knowledge-space names, with the same witnesses."""
+    their knowledge-space names, with the same witnesses.
+
+    The base, the per-item meets, the closed sets and the reach of every
+    open are computed once and shared by the five predicates' kernels.
+    """
+    u = space.universe
+    opens = space.states.masks()
+    base = _irreducible_masks(opens)
+    meets = _item_meets(base, len(u))
+    closed = _closed(u, opens)
+    reach = _reach(opens, base)
     witnesses: dict = {}
-    t0, w = is_t0(space)
+    t0, w = _t0(u, meets)
     if w:
         witnesses["t0"] = witnesses["discriminative"] = list(w)
-    t1, w = is_t1(space)
+    t1, w = _t1(u, meets)
     if w:
         witnesses["t1"] = witnesses["bi_discriminative"] = list(w)
-    t2, w = is_t2(space)
+    t2, w = _t2(u, base)
     if w:
         witnesses["t2"] = list(w)
         witnesses["completely_discriminative"] = list(w)
-    reg, w = is_regular_property(space)
+    reg, w = _regular(u, opens, closed, reach)
     if w:
         witnesses["regular_property"] = [w[0], list(w[1])]
-    norm, w = is_normal_property(space)
+    norm, w = _normal(u, opens, closed, reach)
     if w:
         witnesses["normal_property"] = [list(w[0]), list(w[1])]
     return SeparationProfile(

@@ -229,7 +229,12 @@ def is_delineated_space(
     """
     _skill_guard(m, bound)
     holders = _holders(m)
-    family = _delineate(m, holders).states
+    return _delineation_report(holders, _delineate(m, holders).states)
+
+
+def _delineation_report(holders: dict[int, int], family: SetFamily) -> DelineationReport:
+    """Both routes of `is_delineated_space` on the delineated family of
+    the multimap whose holder table is given."""
     space = classify(family).is_knowledge_space
     images = []
     for d in holders:

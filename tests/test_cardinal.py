@@ -1,6 +1,7 @@
 """Weight, density, primary-items constructions, cellularity, character."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,7 @@ from pretopo import (
     cellularity,
     character,
     density_exact,
+    enumerate_spaces,
     greedy_primary_items,
     irreducible_states,
     is_dense,
@@ -19,6 +21,7 @@ from pretopo import (
     weight,
 )
 from pretopo import fixtures
+from pretopo.core import union_closure_masks
 
 UNI3 = Universe(["a1", "a2", "a3"])
 TWO = PreTopology.from_family(SetFamily.from_masks(UNI3, [0, 7]))
@@ -54,9 +57,24 @@ def test_density_exact_examples():
     assert n == 1 and list(d.labels) == ["a1"]
 
 
+def seeded_spaces(count, seed):
+    """Union closures of random generators on 1 to 12 points."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 12)
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        full = (1 << m) - 1
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(1, 2 * m))]
+        masks = union_closure_masks(gens) | {full}
+        yield PreTopology.from_family(SetFamily.from_masks(u, masks))
+
+
 def test_density_exact_matches_the_exhaustive_sweep():
-    for fn in (fixtures.tight, fixtures.conn, fixtures.e0, fixtures.e1_delta):
-        space = fn()
+    spaces = [fn() for fn in (fixtures.tight, fixtures.conn, fixtures.e0, fixtures.e1_delta)]
+    spaces += [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    spaces += seeded_spaces(200, 4)
+    assert max(len(s.universe) for s in spaces) == 12
+    for space in spaces:
         n, d = density_exact(space)
         bn, combo = brute_density(space)
         assert n == bn

@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
+from pretopo import miner
 from pretopo import (
     BoundExceeded,
     PretopoError,
@@ -14,6 +16,7 @@ from pretopo import (
     reports_to_json,
     sample_spaces,
 )
+from pretopo.core import SetFamily, union_closure_masks
 from pretopo.miner import enumerate_multimaps, sample_quasi_orders
 
 
@@ -141,3 +144,80 @@ def test_report_serialization_schema():
     assert obj["violations"] == []
     parsed = json.loads(reports_to_json([report]))
     assert parsed[0]["theorem"] == "closure-axioms"
+
+
+def per_pick_minimal_base_check(views, rng):
+    """The minimal-base audit by its definition: one union closure per
+    pick of nonzero states, every pick up to 10 states, else 200 drawn."""
+    stored = []
+    checked = 0
+    for v in views:
+        irr_masks = set(v.irr().masks()) - {0}
+        nonzero = [m for m in v.opens if m]
+        k = len(nonzero)
+        if k <= 10:
+            pool = range(1, 1 << k)
+        else:
+            pool = [rng.randrange(1, 1 << k) for _ in range(200)]
+        for pick in pool:
+            fam = [nonzero[i] for i in range(k) if pick >> i & 1]
+            checked += 1
+            if union_closure_masks(fam) == set(v.opens) and not irr_masks <= set(fam):
+                if len(stored) < miner.MAX_STORED:
+                    stored.append((v.ser(), f"pre-base {fam} misses an irreducible state"))
+    return checked, stored
+
+
+def minimal_base_views():
+    spaces = [s for n in (1, 2, 3) for s in enumerate_spaces(n)]
+    spaces += enumerate_spaces(4)[:400]
+    spaces += sample_spaces(5, 200, seed=11)
+    return [miner._View(s) for s in spaces]
+
+
+def both_minimal_base_routes(views):
+    checked, stored, _ = miner._chk_minimal_base_containment(views, random.Random(5))
+    return (checked, stored), per_pick_minimal_base_check(views, random.Random(5))
+
+
+def test_minimal_base_audit_matches_the_per_pick_route():
+    views = minimal_base_views()
+    sizes = [len(v.opens) - 1 for v in views]
+    # both the all-picks bitsets and the sampled picks are exercised
+    assert min(sizes) <= 10 < max(sizes)
+    fast, slow = both_minimal_base_routes(views)
+    assert fast == slow
+    assert fast[1] == []
+
+
+def test_minimal_base_audit_fails_with_the_per_pick_route_on_a_wrong_base():
+    """A reducible state put in place of an irreducible one, added, or
+    claimed as the whole base, and a set that is no state, are each
+    missed by some generating pick; a dropped irreducible state only
+    weakens the claim, so neither route can report it."""
+    mutations = ("swap", "add", "only", "foreign", "drop")
+    for mutate in mutations:
+        views = minimal_base_views()
+        mutated = 0
+        for v in views:
+            irr = set(v.irr().masks()) - {0}
+            reducible = [s for s in v.opens if s and s not in irr]
+            outside = [a for a in range(1, v.full) if a not in v.opens]
+            if mutate == "drop":
+                irr.discard(max(irr))
+            elif mutate == "foreign" and outside:
+                irr.add(outside[0])
+            elif mutate == "only" and reducible:
+                irr = {reducible[0]}
+            elif mutate in ("swap", "add") and reducible:
+                if mutate == "swap":
+                    irr.discard(max(irr))
+                irr.add(reducible[0])
+            else:
+                continue
+            v._irr = SetFamily.from_masks(v.space.universe, irr)
+            mutated += 1
+        assert mutated > 100
+        fast, slow = both_minimal_base_routes(views)
+        assert fast == slow, mutate
+        assert bool(fast[1]) == (mutate != "drop"), mutate
