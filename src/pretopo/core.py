@@ -105,6 +105,17 @@ class Universe:
             yield ItemSet(self, mask)
 
 
+def _read_universe(labels: object, key: str) -> Universe:
+    """The universe under `key` of a JSON input: an array of distinct
+    labels, at least one. A malformed one is a SchemaError."""
+    if not isinstance(labels, list):
+        raise SchemaError(f"{key!r} must be an array of labels")
+    try:
+        return Universe(labels)
+    except ValueError as exc:
+        raise SchemaError(f"{key!r}: {exc}") from None
+
+
 class ItemSet:
     """Immutable subset of a universe, packed into an int."""
 
@@ -287,7 +298,7 @@ class SetFamily:
             raise SchemaError(f"set-family JSON missing key: {exc}") from None
         if not isinstance(labels, list) or not isinstance(states, list):
             raise SchemaError("'universe' and 'states' must be arrays")
-        universe = Universe(labels)
+        universe = _read_universe(labels, "universe")
         try:
             members = [universe.subset(s) for s in states]
         except (TypeError, ValueError) as exc:

@@ -16,6 +16,7 @@ library behaviour.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -146,9 +147,13 @@ class _Collector:
         self.stored: list[tuple[str, str]] = []
         self.total = 0
 
-    def add(self, space_ser: str, witness: str) -> None:
+    def add(self, space_ser: str | Callable[[], str], witness: str) -> None:
+        """Count a violation; a callable space_ser is called only when
+        the violation is stored."""
         self.total += 1
         if len(self.stored) < MAX_STORED:
+            if callable(space_ser):
+                space_ser = space_ser()
             self.stored.append((space_ser, witness))
 
 
@@ -296,21 +301,24 @@ class _View:
 
 _RunResult = tuple[int, list[tuple[str, str]], str | None]
 _Runner = Callable[[list[_View], random.Random], _RunResult]
+# a skill check reads its result from the shared multimap sweep
+_SweepRunner = Callable[[dict[str, _RunResult]], _RunResult]
 
 
 @dataclass(frozen=True)
 class _Check:
     ident: str
     audit_only: bool
-    run: _Runner
+    run: _Runner | _SweepRunner
+    on_multimaps: bool
 
 
 _REGISTRY: dict[str, _Check] = {}
 
 
-def _register(ident: str, audit_only: bool = False):
-    def deco(fn: _Runner) -> _Runner:
-        _REGISTRY[ident] = _Check(ident, audit_only, fn)
+def _register(ident: str, audit_only: bool = False, on_multimaps: bool = False):
+    def deco(fn: _Runner | _SweepRunner) -> _Runner | _SweepRunner:
+        _REGISTRY[ident] = _Check(ident, audit_only, fn, on_multimaps)
         return fn
 
     return deco
@@ -369,18 +377,51 @@ def enumerate_multimaps(
 ) -> Iterator[SkillMultimap]:
     """All skill multimaps with the given exact universe sizes and at
     most max_competencies competencies per item."""
-    items = Universe([f"q{i + 1}" for i in range(n_items)])
-    skill_u = Universe([f"s{i + 1}" for i in range(n_skills)])
-    comp_masks = list(range(1, 1 << n_skills))
-    choices: list[tuple[int, ...]] = []
+    for comps, _, _, _ in _mask_multimaps(n_items, n_skills, max_competencies):
+        yield _multimap(comps, n_skills)
+
+
+_Masks = tuple[int, ...]
+
+
+def _mask_multimaps(
+    n_items: int, n_skills: int, max_competencies: int
+) -> Iterator[tuple[tuple[_Masks, ...], tuple[_Masks, ...], _Masks, _Masks]]:
+    """The multimaps of `enumerate_multimaps`, in its order, as masks: per
+    item its competencies and its minimal ones, then the competency pool
+    and the minimal pool, each in the canonical order of `SkillMultimap`.
+
+    A choice is one item's set of competencies; its sorted and minimal
+    members are found once, and pools are sorted by a rank table of
+    `ItemSet.sort_key` over the skill masks.
+    """
+    skill_u = _skill_universe(n_skills)
+    ranked = sorted(range(1 << n_skills), key=lambda c: ItemSet(skill_u, c).sort_key())
+    rank = {c: i for i, c in enumerate(ranked)}
+    choices = []
     for size in range(1, max_competencies + 1):
-        choices.extend(itertools.combinations(comp_masks, size))
+        for combo in itertools.combinations(range(1, 1 << n_skills), size):
+            comps = tuple(sorted(combo, key=rank.__getitem__))
+            mins = tuple(c for c in comps if not any(o != c and o & ~c == 0 for o in comps))
+            choices.append((comps, mins))
     for assignment in itertools.product(choices, repeat=n_items):
-        mu = {
-            label: [ItemSet(skill_u, m) for m in comps]
-            for label, comps in zip(items.labels, assignment)
-        }
-        yield SkillMultimap(items, skill_u, mu)
+        comps, mins = zip(*assignment)
+        pool = tuple(sorted(set().union(*comps), key=rank.__getitem__))
+        min_pool = tuple(sorted(set().union(*mins), key=rank.__getitem__))
+        yield comps, mins, pool, min_pool
+
+
+def _skill_universe(n_skills: int) -> Universe:
+    return Universe([f"s{i + 1}" for i in range(n_skills)])
+
+
+def _multimap(comps: tuple[_Masks, ...], n_skills: int) -> SkillMultimap:
+    """The multimap whose items q1, q2, ... have the given competency masks
+    over the skills s1, s2, ..."""
+    items = Universe([f"q{i + 1}" for i in range(len(comps))])
+    skill_u = _skill_universe(n_skills)
+    mu = {t: [ItemSet(skill_u, c) for c in cs] for t, cs in zip(items.labels, comps)}
+    return SkillMultimap(items, skill_u, mu)
 
 
 def audit(
@@ -410,11 +451,17 @@ def audit(
     else:
         spaces = sample_spaces(n, DEFAULT_SAMPLES, seed, bound)
     views = [_View(s) for s in spaces]
+    sweep = None  # one multimap sweep serves every skill check of this call
     reports = []
     for ident in idents:
         chk = _REGISTRY[ident]
-        rng = random.Random(f"{seed}:{ident}")
-        checked, stored, summary = chk.run(views, rng)
+        if chk.on_multimaps:
+            if sweep is None:
+                sweep = run_skills_suite()
+            checked, stored, summary = chk.run(sweep)
+        else:
+            rng = random.Random(f"{seed}:{ident}")
+            checked, stored, summary = chk.run(views, rng)
         if chk.audit_only:
             status = "audit-only"
         else:
@@ -1567,121 +1614,124 @@ _SKILLS_IDS = (
     "cd-thm-agrees",
 )
 
-_skills_cache: dict[tuple[int, int, int], dict[str, _RunResult]] = {}
-
-
 def run_skills_suite(
     max_items: int = 2, max_skills: int = 2, max_comps: int = 2
 ) -> dict[str, _RunResult]:
-    """One sweep over every multimap up to the given sizes, shared by
-    the four skill checks. The results of the last size triple asked
-    for are cached, so the checks of one audit sweep once."""
-    key = (max_items, max_skills, max_comps)
-    if key not in _skills_cache:
-        _skills_cache.clear()
-        _skills_cache[key] = _sweep_multimaps(*key)
-    return _skills_cache[key]
+    """One sweep over every multimap up to the given sizes, shared by the
+    four skill checks; `checked` counts multimaps.
 
-
-def _multimap_ser(m: SkillMultimap) -> str:
-    """The JSON witness of a multimap, made only when a violation is kept."""
-    return json.dumps(m.to_obj(), separators=(",", ":"))
-
-
-def _sweep_multimaps(
-    max_items: int, max_skills: int, max_comps: int
-) -> dict[str, _RunResult]:
+    The sweep reads masks from `_mask_multimaps` and calls the mask
+    kernels of `skills`, so a `SkillMultimap` is built only for a stored
+    witness. p is evaluated by its kernel on every skill set, so the
+    monotonicity checks test p itself, not a table built to be monotone.
+    """
     cols = {ident: _Collector() for ident in _SKILLS_IDS}
     checked = 0
     for qn in range(1, max_items + 1):
+        every_item = (1 << qn) - 1
         for sn in range(1, max_skills + 1):
-            for m in enumerate_multimaps(qn, sn, max_comps):
+            sfull = (1 << sn) - 1
+            # each skill set r and a skill low outside it
+            steps = [
+                (r, 1 << i) for r in range(sfull + 1) for i in range(sn) if not r >> i & 1
+            ]
+            for comps, mins, pool, min_pool in _mask_multimaps(qn, sn, max_comps):
                 checked += 1
+                ser = functools.partial(_multimap_ser, comps, sn)
                 # one delineation serves the family and both report routes
-                holders = skills._holders(m)
-                delin = skills._delineate(m, holders)
-                rep = skills._delineation_report(holders, delin.states)
-                star = skills.star_condition(m)
+                holders = skills._holders(mins)
+                family = skills._delineated_masks(holders, sn)
+                rep = skills._delineation_report(holders, family, qn)
+                star = skills._star(pool, mins)
                 if not rep.agree:
                     cols["delineation-theorem-agree"].add(
-                        _multimap_ser(m),
-                        f"direct={rep.space} characterization={rep.via_characterization}",
+                        ser, f"direct={rep.space} characterization={rep.via_characterization}"
                     )
                 if star and not rep.space:
                     cols["star-implies-space"].add(
-                        _multimap_ser(m), "pooling condition without a delineated space"
+                        ser, "pooling condition without a delineated space"
                     )
-                sfull = (1 << len(m.skills)) - 1
-                p = [
-                    skills.problem_function(m, ItemSet(m.skills, r)).mask
-                    for r in range(sfull + 1)
-                ]
-                if set(p) != delin.states.masks():
+                p = [skills._p(mins, r) for r in range(sfull + 1)]
+                if set(p) != family:
                     cols["delineation-theorem-agree"].add(
-                        _multimap_ser(m), "delineate differs from p over every skill set"
+                        ser, "delineate differs from p over every skill set"
                     )
-                for r in range(sfull + 1):
-                    rest = sfull & ~r
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        if p[r] & ~p[r | low]:
-                            cols["p-monotone-union"].add(
-                                _multimap_ser(m), f"p not monotone at {r:b}+{low:b}"
-                            )
-                pool = [c.mask for c in m.minimal_pool()]
-                for pick in range(1, 1 << len(pool)):
-                    union = 0
-                    up = 0
-                    for i, cm in enumerate(pool):
-                        if pick >> i & 1:
-                            union |= cm
-                            up |= p[cm]
+                for r, low in steps:
+                    if p[r] & ~p[r | low]:
+                        cols["p-monotone-union"].add(ser, f"p not monotone at {r:b}+{low:b}")
+                # the union of each pick of the minimal pool, and the union
+                # of the p's of its members, from the pick without its
+                # lowest member
+                unions = [0] * (1 << len(min_pool))
+                ups = [0] * (1 << len(min_pool))
+                for pick in range(1, 1 << len(min_pool)):
+                    low = pick & -pick
+                    c = min_pool[low.bit_length() - 1]
+                    union = unions[pick] = unions[pick ^ low] | c
+                    up = ups[pick] = ups[pick ^ low] | p[c]
                     if up & ~p[union]:
                         cols["p-monotone-union"].add(
-                            _multimap_ser(m), f"union lower bound fails at {pick:b}"
+                            ser, f"union lower bound fails at {pick:b}"
                         )
                     if star and p[union] != up:
                         cols["p-monotone-union"].add(
-                            _multimap_ser(m), f"union equality under pooling fails at {pick:b}"
+                            ser, f"union equality under pooling fails at {pick:b}"
                         )
-                via = skills.is_completely_discriminative_delineation(m)
-                masks = delin.states.masks()
-                direct = True
-                for a in range(len(m.items)):
-                    for b in range(a + 1, len(m.items)):
-                        ba, bb = 1 << a, 1 << b
-                        if not any(
-                            h & ba and l & bb and not h & l
-                            for h in masks
-                            for l in masks
-                        ):
-                            direct = False
+                via = skills._refinement_route(mins)
+                # items a < b lie in disjoint states iff b is in some state
+                # disjoint from a state through a: b in apart[a], where
+                # apart[a] is the union over the states h through a of the
+                # states disjoint from h
+                apart = [0] * qn
+                for h in family:
+                    away = 0
+                    for other in family:
+                        if not h & other:
+                            away |= other
+                    for a in range(qn):
+                        if h >> a & 1:
+                            apart[a] |= away
+                # every_item & -(2 << a): the items above a
+                direct = all(every_item & -(2 << a) & ~apart[a] == 0 for a in range(qn))
                 if via != direct:
                     cols["cd-thm-agrees"].add(
-                        _multimap_ser(m), f"competency route={via} direct={direct}"
+                        ser, f"competency route={via} direct={direct}"
                     )
     return {ident: (checked, cols[ident].stored, None) for ident in _SKILLS_IDS}
 
 
-@_register("p-monotone-union")
-def _chk_p_monotone_union(views, rng):
-    return run_skills_suite()["p-monotone-union"]
+def _multimap_ser(comps: tuple[_Masks, ...], n_skills: int) -> str:
+    """The JSON witness of a multimap, made only when a violation is kept."""
+    return json.dumps(_multimap(comps, n_skills).to_obj(), separators=(",", ":"))
 
 
-@_register("delineation-theorem-agree")
-def _chk_delineation_theorem_agree(views, rng):
-    return run_skills_suite()["delineation-theorem-agree"]
+@_register("p-monotone-union", on_multimaps=True)
+def _chk_p_monotone_union(sweep):
+    """p grows with the skill set, p of a union of minimal competencies
+    holds the p's of its members, and equals their union under the star
+    condition. Unit: multimaps."""
+    return sweep["p-monotone-union"]
 
 
-@_register("star-implies-space")
-def _chk_star_implies_space(views, rng):
-    return run_skills_suite()["star-implies-space"]
+@_register("delineation-theorem-agree", on_multimaps=True)
+def _chk_delineation_theorem_agree(sweep):
+    """The two routes of `is_delineated_space` agree, and the delineated
+    family is p over every skill set. Unit: multimaps."""
+    return sweep["delineation-theorem-agree"]
 
 
-@_register("cd-thm-agrees")
-def _chk_cd_thm_agrees(views, rng):
-    return run_skills_suite()["cd-thm-agrees"]
+@_register("star-implies-space", on_multimaps=True)
+def _chk_star_implies_space(sweep):
+    """The star condition makes the delineated family a knowledge space.
+    Unit: multimaps."""
+    return sweep["star-implies-space"]
+
+
+@_register("cd-thm-agrees", on_multimaps=True)
+def _chk_cd_thm_agrees(sweep):
+    """The competency route to complete discrimination agrees with the
+    delineated family's disjoint states. Unit: multimaps."""
+    return sweep["cd-thm-agrees"]
 
 
 # ------------------------------------------------------------------ cardinal

@@ -22,6 +22,7 @@ from .core import (
     Universe,
     _irreducible_masks,
     _item_meets,
+    _read_universe,
     union_closure_masks,
 )
 from .errors import AxiomViolation, NotQuasiOrdinal, SchemaError
@@ -112,7 +113,7 @@ class QuasiOrder:
     def from_obj(cls, obj: object) -> "QuasiOrder":
         if not isinstance(obj, dict) or "universe" not in obj or "leq" not in obj:
             raise SchemaError("quasi-order JSON needs 'universe' and 'leq'")
-        universe = Universe(obj["universe"])
+        universe = _read_universe(obj["universe"], "universe")
         pairs = obj["leq"]
         if not isinstance(pairs, list):
             raise SchemaError("'leq' must be an array of pairs")

@@ -199,10 +199,6 @@ def is_completely_discriminative(space: PreTopology) -> bool:
     return is_t2(space)[0]
 
 
-# one notion, one implementation; the private name stays importable
-_completely_discriminative = is_t2
-
-
 def bi_discriminative_via_fringe(space: PreTopology) -> bool:
     """T1 criterion through the inner fringe of the whole universe."""
     return fringes(space, space.universe.full).inner == space.universe.full

@@ -12,11 +12,19 @@ import json
 import os
 from array import array
 from collections import defaultdict
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass
 
-from .core import ItemSet, KnowledgeStructure, SetFamily, Universe, union_closure_masks
+from .core import (
+    ItemSet,
+    KnowledgeStructure,
+    SetFamily,
+    Universe,
+    _read_universe,
+    union_closure_masks,
+)
 from .errors import CombinatorialBoundExceeded, SchemaError, SkillBoundExceeded
-from .structure import classify
+from .structure import _classify
 
 SKILL_BOUND = 20
 POOL_BOUND = 16
@@ -99,8 +107,8 @@ class SkillMultimap:
             or "mu" not in obj
         ):
             raise SchemaError("skill-map JSON needs 'items', 'skills' and 'mu'")
-        items = Universe(obj["items"])
-        skills = Universe(obj["skills"])
+        items = _read_universe(obj["items"], "items")
+        skills = _read_universe(obj["skills"], "skills")
         raw = obj["mu"]
         if not isinstance(raw, dict):
             raise SchemaError("'mu' must map items to competency arrays")
@@ -126,11 +134,23 @@ def problem_function(m: SkillMultimap, r: ItemSet) -> ItemSet:
     """Items with some competency contained in r; monotone in r."""
     if r.universe != m.skills:
         raise ValueError("skill set over a different universe")
+    return ItemSet(m.items, _p(_min_masks(m), r.mask))
+
+
+def _min_masks(m: SkillMultimap) -> list[tuple[int, ...]]:
+    """The minimal competencies of each item as masks, items in order."""
+    return [tuple(c.mask for c in m.mu_min[t]) for t in m.items.labels]
+
+
+def _p(mins: Sequence[Sequence[int]], r: int) -> int:
+    """p(R) on masks: the items with a minimal competency inside r."""
     mask = 0
-    for i, t in enumerate(m.items.labels):
-        if any(c.mask & ~r.mask == 0 for c in m.mu_min[t]):
-            mask |= 1 << i
-    return ItemSet(m.items, mask)
+    for i, comps in enumerate(mins):
+        for c in comps:
+            if c & ~r == 0:
+                mask |= 1 << i
+                break
+    return mask
 
 
 def _skill_guard(m: SkillMultimap, bound: int | None) -> None:
@@ -143,14 +163,14 @@ def _skill_guard(m: SkillMultimap, bound: int | None) -> None:
         )
 
 
-def _holders(m: SkillMultimap) -> dict[int, int]:
+def _holders(mins: Sequence[Sequence[int]]) -> dict[int, int]:
     """Each competency of the minimal pool -> mask of the items holding it
     as a minimal competency, so p(R) is the union of the masks whose key
     lies inside R."""
     table: dict[int, int] = {}
-    for i, t in enumerate(m.items.labels):
-        for c in m.mu_min[t]:
-            table[c.mask] = table.get(c.mask, 0) | 1 << i
+    for i, comps in enumerate(mins):
+        for c in comps:
+            table[c] = table.get(c, 0) | 1 << i
     return table
 
 
@@ -183,11 +203,6 @@ def _delineated_masks(holders: dict[int, int], n_skills: int) -> set[int]:
     return set(images)
 
 
-def _delineate(m: SkillMultimap, holders: dict[int, int]) -> KnowledgeStructure:
-    states = _delineated_masks(holders, len(m.skills))
-    return KnowledgeStructure(m.items, SetFamily.from_masks(m.items, states))
-
-
 def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
     """Family of all p(R) over the skill sets R, in output-sensitive time.
 
@@ -200,7 +215,8 @@ def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
     2^|S|-byte seen-map. The skill guard is kept as the bound on |S|.
     """
     _skill_guard(m, bound)
-    return _delineate(m, _holders(m))
+    states = _delineated_masks(_holders(_min_masks(m)), len(m.skills))
+    return KnowledgeStructure(m.items, SetFamily.from_masks(m.items, states))
 
 
 @dataclass(frozen=True)
@@ -228,14 +244,17 @@ def is_delineated_space(
     table; neither uses the other's result.
     """
     _skill_guard(m, bound)
-    holders = _holders(m)
-    return _delineation_report(holders, _delineate(m, holders).states)
+    holders = _holders(_min_masks(m))
+    family = _delineated_masks(holders, len(m.skills))
+    return _delineation_report(holders, family, len(m.items))
 
 
-def _delineation_report(holders: dict[int, int], family: SetFamily) -> DelineationReport:
-    """Both routes of `is_delineated_space` on the delineated family of
-    the multimap whose holder table is given."""
-    space = classify(family).is_knowledge_space
+def _delineation_report(
+    holders: dict[int, int], family: Set[int], n_items: int
+) -> DelineationReport:
+    """Both routes of `is_delineated_space` on the delineated family, as
+    masks, of the multimap over n_items items whose holder table is given."""
+    space = _classify(family, n_items).is_knowledge_space
     images = []
     for d in holders:
         pd = 0
@@ -243,7 +262,7 @@ def _delineation_report(holders: dict[int, int], family: SetFamily) -> Delineati
             if c & ~d == 0:
                 pd |= h
         images.append(pd)
-    via = union_closure_masks(images) == family.masks()
+    via = union_closure_masks(images) == family
     return DelineationReport(space=space, via_characterization=via, agree=space == via)
 
 
@@ -271,21 +290,24 @@ def star_condition(m: SkillMultimap, bound: int | None = None) -> bool:
         raise CombinatorialBoundExceeded(
             f"competency pool of {len(pool)} exceeds the bound {limit}"
         )
-    pool_masks = [c.mask for c in pool]
-    for t in m.items.labels:
-        mins = [c.mask for c in m.mu_min[t]]
+    return _star([c.mask for c in pool], _min_masks(m))
+
+
+def _star(pool: Iterable[int], mins: Sequence[Sequence[int]]) -> bool:
+    """`star_condition` on masks: the competency pool and each item's
+    minimal competencies."""
+    for comps in mins:
         reach = 0
-        for d in pool_masks:
-            if all(c & ~d for c in mins):
+        for d in pool:
+            for c in comps:
+                if c & ~d == 0:
+                    break
+            else:
                 reach |= d
-        if any(c & ~reach == 0 for c in mins):
-            return False
+        for c in comps:
+            if c & ~reach == 0:
+                return False
     return True
-
-
-def refines(c: ItemSet, family: tuple[ItemSet, ...]) -> bool:
-    """Some member of the family sits inside c."""
-    return any(w <= c for w in family)
 
 
 def is_completely_discriminative_delineation(m: SkillMultimap) -> bool:
@@ -294,20 +316,28 @@ def is_completely_discriminative_delineation(m: SkillMultimap) -> bool:
     For each pair of distinct items there must be minimal competencies
     whose refinement marks never overlap across items.
     """
-    labels = m.items.labels
-    for i, h in enumerate(labels):
-        for q in labels[i + 1 :]:
-            found = False
-            for ch in m.mu_min[h]:
-                for cq in m.mu_min[q]:
-                    if all(
-                        not (refines(ch, m.mu_min[g]) and refines(cq, m.mu_min[g]))
-                        for g in labels
-                    ):
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+    return _refinement_route(_min_masks(m))
+
+
+def _refinement_route(mins: Sequence[Sequence[int]]) -> bool:
+    """`is_completely_discriminative_delineation` on masks. The marks of a
+    competency c are the items g that c refines (some minimal competency
+    of g lies inside c); a pair of items passes when a minimal competency
+    of each has marks disjoint from the other's."""
+    marks: dict[int, int] = {}
+    for comps in mins:
+        for c in comps:
+            if c not in marks:
+                marked = 0
+                for g, own in enumerate(mins):
+                    for w in own:
+                        if w & ~c == 0:
+                            marked |= 1 << g
+                            break
+                marks[c] = marked
+    item_marks = [[marks[c] for c in comps] for comps in mins]
+    for i, mh in enumerate(item_marks):
+        for mq in item_marks[i + 1 :]:
+            if not any(not x & y for x in mh for y in mq):
                 return False
     return True

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .core import (
@@ -19,6 +20,7 @@ from .core import (
     _irreducible_masks,
     _is_union_closed,
     _item_meets,
+    _read_universe,
     irreducible_states,
     is_pre_base_for,
 )
@@ -70,14 +72,15 @@ def classify(family: SetFamily) -> Classification:
     base members (`_item_meets`): O(m·|B|). The test is skipped when no
     reported flag depends on it.
     """
-    full = family.universe.full.mask
-    masks = family.masks()
-    structure = 0 in masks and full in masks
+    return _classify(family.masks(), len(family.universe))
+
+
+def _classify(masks: Set[int], m: int) -> Classification:
+    """`classify` on the member masks of a family over m items."""
+    structure = 0 in masks and (1 << m) - 1 in masks
     base = _irreducible_masks(masks)
     space = structure and _is_union_closed(masks, base)
-    quasi = space and all(
-        meet in masks for meet in _item_meets(base, len(family.universe))
-    )
+    quasi = space and all(meet in masks for meet in _item_meets(base, m))
     return Classification(
         is_knowledge_structure=structure,
         is_knowledge_space=space,
@@ -151,7 +154,7 @@ class ClosureOperatorTable:
     def from_obj(cls, obj: object) -> "ClosureOperatorTable":
         if not isinstance(obj, dict) or "universe" not in obj or "closure" not in obj:
             raise SchemaError("closure-operator JSON needs 'universe' and 'closure'")
-        universe = Universe(obj["universe"])
+        universe = _read_universe(obj["universe"], "universe")
         entries = obj["closure"]
         if not isinstance(entries, list):
             raise SchemaError("'closure' must be an array of {of, is} entries")

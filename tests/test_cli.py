@@ -348,3 +348,33 @@ def test_bound_reaches_only_the_verbs_own_guards(capsys, monkeypatch):
     )
     assert code == 0 and err == ""
     assert "holds" in out and "checked=45" in out
+
+
+@pytest.mark.parametrize(
+    "verb, obj",
+    [
+        ("check", {"universe": [], "states": [[]]}),
+        ("check", {"universe": ["a", "a"], "states": [[], ["a"]]}),
+        ("delineate", {"items": ["q1"], "skills": [], "mu": {"q1": [["s1"]]}}),
+    ],
+    ids=["empty-universe", "duplicate-labels", "empty-skill-list"],
+)
+def test_malformed_universe_exits_two(capsys, tmp_path, verb, obj):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, verb, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("SchemaError")
+
+
+def test_every_reader_rejects_an_empty_universe():
+    from pretopo import ClosureOperatorTable, QuasiOrder, SchemaError, SetFamily, SkillMultimap
+
+    for read, obj in (
+        (SetFamily.from_obj, {"universe": [], "states": []}),
+        (QuasiOrder.from_obj, {"universe": [], "leq": []}),
+        (SkillMultimap.from_obj, {"items": [], "skills": ["s1"], "mu": {}}),
+        (ClosureOperatorTable.from_obj, {"universe": [], "closure": []}),
+    ):
+        with pytest.raises(SchemaError):
+            read(obj)

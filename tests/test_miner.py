@@ -6,8 +6,11 @@ import random
 
 import pytest
 
-from pretopo import miner
+from pretopo import miner, skills
 from pretopo import (
+    ItemSet,
+    SkillMultimap,
+    Universe,
     BoundExceeded,
     PretopoError,
     audit,
@@ -221,3 +224,107 @@ def test_minimal_base_audit_fails_with_the_per_pick_route_on_a_wrong_base():
         fast, slow = both_minimal_base_routes(views)
         assert fast == slow, mutate
         assert bool(fast[1]) == (mutate != "drop"), mutate
+
+
+def object_enumerate_multimaps(n_items, n_skills, max_competencies):
+    """The multimap enumerator before the mask sweep: one SkillMultimap per
+    assignment of competency choices, in `itertools.product` order."""
+    items = Universe([f"q{i + 1}" for i in range(n_items)])
+    skill_u = Universe([f"s{i + 1}" for i in range(n_skills)])
+    choices = []
+    for size in range(1, max_competencies + 1):
+        choices.extend(itertools.combinations(range(1, 1 << n_skills), size))
+    for assignment in itertools.product(choices, repeat=n_items):
+        mu = {
+            label: [ItemSet(skill_u, m) for m in comps]
+            for label, comps in zip(items.labels, assignment)
+        }
+        yield SkillMultimap(items, skill_u, mu)
+
+
+def test_mask_enumerator_matches_the_object_enumerator():
+    for qn, sn, k in ((1, 1, 1), (1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        old = list(object_enumerate_multimaps(qn, sn, k))
+        masks = list(miner._mask_multimaps(qn, sn, k))
+        assert len(masks) == len(old)
+        for m, (comps, mins, pool, min_pool) in zip(old, masks):
+            labels = m.items.labels
+            assert comps == tuple(tuple(c.mask for c in m.mu[t]) for t in labels)
+            assert mins == tuple(tuple(c.mask for c in m.mu_min[t]) for t in labels)
+            assert pool == tuple(c.mask for c in m.competency_pool())
+            assert min_pool == tuple(c.mask for c in m.minimal_pool())
+        new = [m.to_obj() for m in enumerate_multimaps(qn, sn, k)]
+        assert new == [m.to_obj() for m in old]
+
+
+# 261 multimaps: up to 3 items, 2 skills and 2 competencies per item, enough
+# for a delineated family that is not a knowledge space
+SMALL_SWEEP = (3, 2, 2)
+
+
+def test_a_clean_sweep_builds_no_multimap(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a SkillMultimap")
+
+    monkeypatch.setattr(SkillMultimap, "__init__", refuse)
+    results = miner.run_skills_suite(*SMALL_SWEEP)
+    assert {ident: (c, s) for ident, (c, s, _) in results.items()} == {
+        ident: (261, []) for ident in miner._SKILLS_IDS
+    }
+
+
+def wrong_p(real):
+    # p of the full skill set of two skills drops every item
+    return lambda mins, r: 0 if r == 0b11 else real(mins, r)
+
+
+def wrong_report(real):
+    # the characterization route forgets all holders but the first
+    return lambda holders, family, n: real(dict(list(holders.items())[:1]), family, n)
+
+
+@pytest.mark.parametrize(
+    "kernel, mutate, ident",
+    [
+        ("_p", wrong_p, "p-monotone-union"),
+        ("_star", lambda real: lambda pool, mins: True, "star-implies-space"),
+        ("_refinement_route", lambda real: lambda mins: True, "cd-thm-agrees"),
+        ("_delineation_report", wrong_report, "delineation-theorem-agree"),
+    ],
+)
+def test_a_wrong_skill_kernel_fails_its_check(monkeypatch, kernel, mutate, ident):
+    monkeypatch.setattr(skills, kernel, mutate(getattr(skills, kernel)))
+    checked, stored, _ = miner.run_skills_suite(*SMALL_SWEEP)[ident]
+    assert checked == 261 and stored
+    witness = SkillMultimap.from_json(stored[0][0])
+    assert json.loads(stored[0][0]) == witness.to_obj()
+
+
+def test_collector_builds_a_witness_only_when_it_stores_it():
+    built = []
+
+    def ser():
+        built.append(1)
+        return "{}"
+
+    col = miner._Collector()
+    for _ in range(miner.MAX_STORED + 5):
+        col.add(ser, "witness")
+    assert col.total == miner.MAX_STORED + 5
+    assert len(col.stored) == len(built) == miner.MAX_STORED
+
+
+def test_audit_sweeps_the_multimaps_once_per_call(monkeypatch):
+    calls = []
+    real = miner.run_skills_suite
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(miner, "run_skills_suite", counted)
+    ids = list(miner._SKILLS_IDS) + ["closure-axioms"]
+    first = reports_to_json(audit(ids, 2))
+    assert len(calls) == 1
+    assert reports_to_json(audit(ids, 2)) == first
+    assert len(calls) == 2

@@ -18,7 +18,8 @@ from pretopo import (
     problem_function,
     star_condition,
 )
-from pretopo.separation import _completely_discriminative
+from pretopo import miner, skills
+from pretopo.separation import is_t2
 from pretopo.miner import enumerate_multimaps
 
 ITEMS2 = Universe(["q1", "q2"])
@@ -85,7 +86,7 @@ def test_delineation_characterization_agrees():
 
 def test_complete_discrimination_route_matches_the_direct_check():
     for m in enumerate_multimaps(2, 2, 2):
-        direct, _ = _completely_discriminative(delineate(m))
+        direct, _ = is_t2(delineate(m))
         assert is_completely_discriminative_delineation(m) == direct
 
 
@@ -221,3 +222,17 @@ def test_delineate_past_the_default_bound_is_output_sensitive():
     m = mk(items, skills, {"q1": [0b1], "q2": [0b10], "q3": [1 << 39 | 0b1]})
     family = {0, 0b1, 0b10, 0b11, 0b101, 0b111}
     assert delineate(m, bound=40).states.masks() == family
+
+
+def test_mask_kernels_match_their_wrappers():
+    for qn, sn in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        masks = miner._mask_multimaps(qn, sn, 2)
+        for (_, mins, pool, _), m in zip(masks, enumerate_multimaps(qn, sn, 2)):
+            for r in range(1 << sn):
+                assert skills._p(mins, r) == problem_function(m, ItemSet(m.skills, r)).mask
+            assert skills._star(pool, mins) == star_condition(m)
+            assert skills._refinement_route(mins) == is_completely_discriminative_delineation(m)
+            holders = skills._holders(mins)
+            family = skills._delineated_masks(holders, sn)
+            assert family == delineate(m).states.masks()
+            assert skills._delineation_report(holders, family, qn) == is_delineated_space(m)
