@@ -14,7 +14,6 @@ from .core import (
     ItemSet,
     PreTopology,
     SetFamily,
-    _irreducible_masks,
     _require_cover,
     irreducible_states,
 )
@@ -70,7 +69,7 @@ def density_exact(
     u = space.universe
     m = len(u)
     _guard(m, DENSITY_UNIVERSE_BOUND, "density universe", bound)
-    members = [s.mask for s in irreducible_states(space).members]
+    members = list(space.states._base().masks)
     if not members:
         return 0, u.empty
     best = _greedy_hitting(members, m)
@@ -173,7 +172,7 @@ def greedy_primary_items(space: PreTopology) -> PrimaryItemsTrace:
     """Greedy dense-set construction over the minimal pre-base."""
     u = space.universe
     m = len(u)
-    base = [s.mask for s in irreducible_states(space).members]
+    base = list(space.states._base().masks)
     remaining = list(base)
     consumed = 0
     picks: list[tuple[int, list[int]]] = []
@@ -229,7 +228,7 @@ def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
     u = base.universe
     _require_cover(base)
     base_masks = [s.mask for s in base.nonempty_members()]
-    if len(_irreducible_masks(base_masks)) != len(base_masks):
+    if len(base._base().masks) != len(base_masks):
         raise NotMinimalPreBase("base is not the minimal pre-base of its space")
     m = len(u)
     rows = list(range(m))

@@ -19,7 +19,7 @@ Examples
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AxiomViolation, CoverError, SchemaError, UniverseOverflow
 
@@ -116,6 +116,18 @@ def _read_universe(labels: object, key: str) -> Universe:
         raise SchemaError(f"{key!r}: {exc}") from None
 
 
+def _read_labels(universe: Universe, labels: object, what: str) -> list[str]:
+    """A subset (or a pair) in a JSON input: an array of labels of the
+    universe. Anything else is a SchemaError, a string too, which would
+    otherwise be read as its characters."""
+    if not isinstance(labels, list):
+        raise SchemaError(f"bad {what}: {labels!r} is not an array of labels")
+    for label in labels:
+        if not isinstance(label, str) or label not in universe:
+            raise SchemaError(f"bad {what}: unknown item {label!r}")
+    return labels
+
+
 class ItemSet:
     """Immutable subset of a universe, packed into an int."""
 
@@ -206,9 +218,14 @@ def distance(a: ItemSet, b: ItemSet) -> int:
 
 
 class SetFamily:
-    """Duplicate-free collection of item sets in canonical order."""
+    """Duplicate-free collection of item sets in canonical order.
 
-    __slots__ = ("universe", "members", "_mask_set")
+    The union-irreducible members and the per-item meets are derived
+    once, on first use, and kept in `_derived` (see `_base`); the family
+    is immutable, so the slot never goes stale.
+    """
+
+    __slots__ = ("universe", "members", "_mask_set", "_derived")
 
     def __init__(self, universe: Universe, members: Iterable[ItemSet] = ()):
         seen: set[int] = set()
@@ -225,6 +242,7 @@ class SetFamily:
         self.universe = universe
         self.members = tuple(canon)
         self._mask_set = frozenset(seen)
+        self._derived: _Base | None = None
 
     @classmethod
     def of(cls, universe: Universe, members: Iterable[Iterable[str]]) -> "SetFamily":
@@ -278,6 +296,18 @@ class SetFamily:
     def nonempty_members(self) -> tuple[ItemSet, ...]:
         return tuple(m for m in self.members if m.mask)
 
+    def _base(self) -> "_Base":
+        """The union-irreducible members and the per-item meets N(q),
+        computed on the first call and shared by every later one."""
+        if self._derived is None:
+            irreducibles = SetFamily.from_masks(
+                self.universe, _irreducible_masks(self._mask_set)
+            )
+            masks = tuple(b.mask for b in irreducibles.members)
+            meets = tuple(_item_meets(masks, len(self.universe)))
+            self._derived = _Base(irreducibles, masks, meets)
+        return self._derived
+
     def to_obj(self) -> dict:
         return {
             "universe": list(self.universe.labels),
@@ -299,15 +329,22 @@ class SetFamily:
         if not isinstance(labels, list) or not isinstance(states, list):
             raise SchemaError("'universe' and 'states' must be arrays")
         universe = _read_universe(labels, "universe")
-        try:
-            members = [universe.subset(s) for s in states]
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad state entry: {exc}") from None
+        members = [
+            universe.subset(_read_labels(universe, s, "state entry")) for s in states
+        ]
         return cls(universe, members)
 
     @classmethod
     def from_json(cls, text: str) -> "SetFamily":
         return cls.from_obj(json.loads(text))
+
+
+class _Base(NamedTuple):
+    """What a family derives from its members (`SetFamily._base`)."""
+
+    irreducibles: SetFamily  # the minimal pre-base, as `irreducible_states` gives it
+    masks: tuple[int, ...]  # the same members as masks, in canonical order
+    meets: tuple[int, ...]  # N(q) for each item q (`_item_meets`)
 
 
 class KnowledgeStructure:
@@ -371,7 +408,7 @@ class PreTopology(KnowledgeStructure):
     def __init__(self, universe: Universe, states: SetFamily, _trusted: bool = False):
         super().__init__(universe, states)
         mask_set = states.masks()
-        if not _trusted and not _is_union_closed(mask_set, _irreducible_masks(mask_set)):
+        if not _trusted and not _is_union_closed(mask_set, states._base().masks):
             masks = sorted(mask_set)
             for i, a in enumerate(masks):
                 for b in masks[i + 1 :]:
@@ -471,7 +508,7 @@ def _item_meets(base: Iterable[int], m: int) -> list[int]:
     return meets
 
 
-def _is_union_closed(masks: frozenset[int], base: list[int]) -> bool:
+def _is_union_closed(masks: frozenset[int], base: Iterable[int]) -> bool:
     """s ∪ b ∈ K for every member s and every irreducible b of K.
 
     Every member is a union of irreducibles, so adding them one at a time
@@ -490,14 +527,19 @@ def irreducible_states(space: KnowledgeStructure) -> SetFamily:
 
     A nonempty state is irreducible when it is not the union of the states
     properly below it. Every state is the union of the irreducibles it
-    contains (Doignon & Falmagne's base); O(|K|·|B|).
+    contains (Doignon & Falmagne's base); O(|K|·|B|) the first time.
+
+    The result is cached on the states family and shared: every later
+    call, and every kernel that reads the base or the per-item meets of
+    the same family (validation, `classify`, the operators, separation,
+    order, cardinal), gets the same object without recomputing it.
 
     >>> u = Universe(["a", "b", "c"])
     >>> space = union_closure(SetFamily.of(u, [["a"], ["a", "b"], ["c"]]))
     >>> [str(s) for s in irreducible_states(space)]
     ['{a}', '{c}', '{a,b}']
     """
-    return SetFamily.from_masks(space.universe, _irreducible_masks(space.states.masks()))
+    return space.states._base().irreducibles
 
 
 def is_pre_base_for(candidate: SetFamily, space: PreTopology) -> bool:

@@ -168,8 +168,7 @@ class _View:
 
     __slots__ = (
         "space", "n", "full", "opens",
-        "_cl", "_itr", "_der", "_fr", "_irr", "_qo", "_ser",
-        "_t0", "_t1", "_wg", "_tight1", "_profile",
+        "_cl", "_itr", "_der", "_fr", "_ser", "_wg", "_tight1",
     )
 
     def __init__(self, space: PreTopology):
@@ -181,14 +180,9 @@ class _View:
         self._itr = None
         self._der = None
         self._fr = None
-        self._irr = None
-        self._qo = None
         self._ser = None
-        self._t0 = None
-        self._t1 = None
         self._wg = None
         self._tight1 = None
-        self._profile = None
 
     def item(self, mask: int) -> ItemSet:
         return ItemSet(self.space.universe, mask)
@@ -241,26 +235,6 @@ class _View:
             self._fr = out
         return self._fr
 
-    def irr(self) -> SetFamily:
-        if self._irr is None:
-            self._irr = irreducible_states(self.space)
-        return self._irr
-
-    def quasi_ordinal(self) -> bool:
-        if self._qo is None:
-            self._qo = order.is_quasi_ordinal(self.space)
-        return self._qo
-
-    def t0(self) -> bool:
-        if self._t0 is None:
-            self._t0 = separation.is_t0(self.space)[0]
-        return self._t0
-
-    def t1(self) -> bool:
-        if self._t1 is None:
-            self._t1 = separation.is_t1(self.space)[0]
-        return self._t1
-
     def well_graded(self) -> bool:
         """One-step-descent form: every pair of states admits a state
         one toggled differing item closer; chains then compose."""
@@ -292,11 +266,6 @@ class _View:
         if self._tight1 is None:
             self._tight1 = connectivity.is_tight_n_connected(self.space, 1)
         return self._tight1
-
-    def profile(self) -> separation.SeparationProfile:
-        if self._profile is None:
-            self._profile = separation.separation_profile(self.space)
-        return self._profile
 
 
 _RunResult = tuple[int, list[tuple[str, str]], str | None]
@@ -485,7 +454,7 @@ def audit(
 def _chk_union_closure_laws(views, rng):
     col = _Collector()
     for v in views:
-        sp = union_closure(v.irr())
+        sp = union_closure(irreducible_states(v.space))
         if sp.states.masks() != v.space.states.masks():
             col.add(v.ser(), "union closure of the minimal pre-base differs")
             continue
@@ -518,7 +487,7 @@ def _chk_minimal_base_containment(views, rng):
     checked = 0
     columns: dict[int, list[int]] = {}
     for v in views:
-        irr_masks = set(v.irr().masks()) - {0}
+        irr_masks = set(irreducible_states(v.space).masks()) - {0}
         nonzero = [m for m in v.opens if m]
         k = len(nonzero)
         pairs = set()
@@ -595,7 +564,7 @@ def _chk_distance_metric(views, rng):
 def _chk_minimal_pre_base_recognized(views, rng):
     col = _Collector()
     for v in views:
-        base = v.irr()
+        base = irreducible_states(v.space)
         if not is_pre_base_for(base, v.space):
             col.add(v.ser(), "irreducible states rejected as a pre-base")
         if not structure.is_minimal_pre_base(base, v.space):
@@ -643,7 +612,7 @@ def _chk_atom_pre_base(views, rng):
     """
     col = _Collector()
     for v in views:
-        if not structure.is_atom_pre_base(v.irr(), v.space):
+        if not structure.is_atom_pre_base(irreducible_states(v.space), v.space):
             col.add(v.ser(), "minimal pre-base is not an antichain")
     frac = f"{col.total}/{len(views)} minimal pre-bases are not atom pre-bases"
     return len(views), col.stored, frac
@@ -855,16 +824,17 @@ def _chk_separation_hierarchy(views, rng):
     for v in views:
         sigs = _signatures(v)
         t0 = len(set(sigs)) == v.n
-        if v.t0() != t0:
+        if separation.is_t0(v.space)[0] != t0:
             col.add(v.ser(), "T0 disagrees with signature distinctness")
         bi = all(
             sigs[p] & ~sigs[q] and sigs[q] & ~sigs[p]
             for p in range(v.n)
             for q in range(p + 1, v.n)
         )
-        if v.t1() != bi:
+        t1 = separation.is_t1(v.space)[0]
+        if t1 != bi:
             col.add(v.ser(), "T1 disagrees with bi-discrimination")
-        if separation.bi_discriminative_via_fringe(v.space) != v.t1():
+        if separation.bi_discriminative_via_fringe(v.space) != t1:
             col.add(v.ser(), "fringe route to bi-discrimination disagrees")
     for v in _cap(views, CAP_HEAVY):
         atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
@@ -876,7 +846,7 @@ def _chk_separation_hierarchy(views, rng):
         if separation.is_t2(v.space)[0] != apart:
             col.add(v.ser(), "T2 disagrees with disjoint minimal states")
     for v in _cap(views, CAP_VERY_HEAVY):
-        p = v.profile()
+        p = separation.separation_profile(v.space)
         chain = (p.t4, p.t3, p.t2, p.t1, p.t0)
         for hi, lo in zip(chain, chain[1:]):
             if hi and not lo:
@@ -890,7 +860,7 @@ def _chk_size_weight_bound(views, rng):
     col = _Collector()
     checked = 0
     for v in views:
-        if not v.t0():
+        if not separation.is_t0(v.space)[0]:
             continue
         checked += 1
         if len(v.opens) > 1 << cardinal.weight(v.space):
@@ -904,7 +874,7 @@ def _chk_locally_closed_uniqueness(views, rng):
     one of their locally-closed fringes and whose fringes agree must
     be equal."""
     col = _Collector()
-    vs = [v for v in _cap(views, CAP_HEAVY) if v.t0()]
+    vs = [v for v in _cap(views, CAP_HEAVY) if separation.is_t0(v.space)[0]]
     for v in vs:
         fr = v.fr()
         for a in v.opens:
@@ -937,7 +907,7 @@ def _covers_for(v: _View, rng: random.Random) -> list[list[int]]:
             if acc == v.full:
                 out.append(fam)
         return out
-    out.append([m for m in v.irr().masks() if m])
+    out.append([m for m in irreducible_states(v.space).masks() if m])
     out.append(nonzero)
     for m in nonzero:
         if m != v.full and v.space.states.has_mask(v.full & ~m):
@@ -1090,9 +1060,9 @@ def _chk_quasi_order_round_trip(views, rng):
         masks = back.states.masks()
         if not v.space.states.masks() <= masks:
             col.add(v.ser(), "an open set is not a down-set of the specialization order")
-        if v.quasi_ordinal() != (masks == v.space.states.masks()):
+        if order.is_quasi_ordinal(v.space) != (masks == v.space.states.masks()):
             col.add(v.ser(), "Alexandroff fixed point disagrees with quasi-ordinality")
-        if v.quasi_ordinal():
+        if order.is_quasi_ordinal(v.space):
             qo = order.to_quasi_order(v.space)
             if qo.up != up:
                 col.add(v.ser(), "specialization order disagrees with the intersection route")
@@ -1112,7 +1082,7 @@ def _chk_alexandroff_equality(views, rng):
     """Two quasi-ordinal families coincide exactly when the inclusion
     order of their per-item open systems is the same relation."""
     col = _Collector()
-    qos = [v for v in views if v.quasi_ordinal()]
+    qos = [v for v in views if order.is_quasi_ordinal(v.space)]
     pairs = [(a, b) for i, a in enumerate(qos) for b in qos[i:]]
     if len(pairs) > CAP_HEAVY:
         pairs = rng.sample(pairs, CAP_HEAVY)
@@ -1134,7 +1104,7 @@ def _chk_bi_discriminative_powerset(views, rng):
     col = _Collector()
     checked = 0
     for v in views:
-        if not (v.quasi_ordinal() and v.t1()):
+        if not (order.is_quasi_ordinal(v.space) and separation.is_t1(v.space)[0]):
             continue
         checked += 1
         if len(v.opens) != 1 << v.n:
@@ -1147,7 +1117,7 @@ def _chk_quasi_ordinal_regularity(views, rng):
     col = _Collector()
     checked = 0
     for v in views:
-        if not v.quasi_ordinal():
+        if not order.is_quasi_ordinal(v.space):
             continue
         checked += 1
         reg = separation.is_regular_property(v.space)[0]
@@ -1167,7 +1137,7 @@ def _chk_ordinal_connectivity(views, rng):
     col = _Collector()
     checked = 0
     for v in views:
-        if not (v.quasi_ordinal() and v.t0()):
+        if not (order.is_quasi_ordinal(v.space) and separation.is_t0(v.space)[0]):
             continue
         checked += 1
         if connectivity.is_connected(v.space) != order.m_graph_connected(v.space):
@@ -1180,7 +1150,7 @@ def _chk_t0_quasi_ordinal_antimatroid(views, rng):
     col = _Collector()
     checked = 0
     for v in views:
-        if not (v.quasi_ordinal() and v.t0()):
+        if not (order.is_quasi_ordinal(v.space) and separation.is_t0(v.space)[0]):
             continue
         checked += 1
         if not order.is_antimatroid(v.space):
@@ -1231,7 +1201,7 @@ def _chk_granular_regular_disconnected(views, rng):
     col = _Collector()
     checked = 0
     for v in _cap(views, CAP_HEAVY):
-        if v.n < 2 or not v.t1():
+        if v.n < 2 or not separation.is_t1(v.space)[0]:
             continue
         if not separation.is_regular_property(v.space)[0]:
             continue
@@ -1249,7 +1219,7 @@ def _chk_quasi_ordinal_regular_normal(views, rng):
     col = _Collector()
     checked = 0
     for v in views:
-        if not v.quasi_ordinal():
+        if not order.is_quasi_ordinal(v.space):
             continue
         if not separation.is_regular_property(v.space)[0]:
             continue
@@ -1319,9 +1289,9 @@ def _chk_subspace_pre_base_trace(views, rng):
                 1 << v.space.universe.index(label)
                 for label in sub.universe.labels
             ]
+            base = irreducible_states(v.space).masks()
             trace = SetFamily.from_masks(
-                sub.universe,
-                {_parent_to_sub(b & ymask, parent_bits) for b in v.irr().masks()},
+                sub.universe, {_parent_to_sub(b & ymask, parent_bits) for b in base}
             )
             checked += 1
             if not is_pre_base_for(trace, sub):
@@ -1745,7 +1715,7 @@ def _chk_density_exact_minimal(views, rng):
     vs = _cap(views, CAP_HEAVY)
     for v in vs:
         k, dset = cardinal.density_exact(v.space)
-        blocks = [b for b in v.irr().masks() if b]
+        blocks = [b for b in irreducible_states(v.space).masks() if b]
         if not all(dset.mask & b for b in blocks):
             col.add(v.ser(), "exact answer is not dense")
         if not operators.is_dense(v.space, dset):
@@ -1771,9 +1741,9 @@ def _chk_primary_items_dense(views, rng):
     col = _Collector()
     vs = _cap(views, CAP_HEAVY)
     for v in vs:
-        blocks = [b for b in v.irr().masks() if b]
+        blocks = [b for b in irreducible_states(v.space).masks() if b]
         tr = cardinal.greedy_primary_items(v.space)
-        dm, _ = cardinal.matrix_primary_items(v.irr())
+        dm, _ = cardinal.matrix_primary_items(irreducible_states(v.space))
         for name, got in (("greedy", tr.result), ("matrix", dm)):
             if not all(got.mask & b for b in blocks):
                 col.add(v.ser(), f"{name} output is not dense")
@@ -1790,7 +1760,7 @@ def _chk_greedy_matrix_gap(views, rng):
     for v in vs:
         k, _ = cardinal.density_exact(v.space)
         tr = cardinal.greedy_primary_items(v.space)
-        dm, _ = cardinal.matrix_primary_items(v.irr())
+        dm, _ = cardinal.matrix_primary_items(irreducible_states(v.space))
         g_gap = len(tr.result.labels) - k
         m_gap = len(dm.labels) - k
         key = f"greedy+{g_gap} matrix+{m_gap}"

@@ -1,17 +1,22 @@
-"""Point-set operators on a pre-topology.
+"""Point-set operators on a pre-topology, read from its minimal pre-base.
 
-Closure is computed as the intersection of closed supersets; the
-point-membership characterization (every open through the point meets the
-set) serves as the oracle in the tests. Unions of opens are again open,
-so closed sets are intersection-closed and the smallest closed superset
-exists.
+Every open is a union of members of the minimal pre-base B, the
+irreducible states the space computes once and keeps, and every open
+through a point holds a member of B through it. So each operator is one
+pass over B, O(|B|) per query:
+
+- the closure of a is Q minus the union of the members of B disjoint
+  from a: z lies in it iff every open through z meets a;
+- the interior of a is the union of the members of B inside a;
+- z is an accumulation point of a iff every member of B through z meets
+  a minus {z}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ItemSet, KnowledgeStructure, PreTopology, irreducible_states
+from .core import ItemSet, KnowledgeStructure, PreTopology
 
 
 def _check_subset(space: KnowledgeStructure, a: ItemSet) -> None:
@@ -22,22 +27,20 @@ def _check_subset(space: KnowledgeStructure, a: ItemSet) -> None:
 def closure(space: PreTopology, a: ItemSet) -> ItemSet:
     """Smallest closed superset of a."""
     _check_subset(space, a)
-    full = space.universe.full.mask
-    out = full
-    for open_mask in space.states.masks():
-        closed = full & ~open_mask
-        if a.mask & ~closed == 0:
-            out &= closed
-    return ItemSet(space.universe, out)
+    miss = 0
+    for b in space.states._base().masks:
+        if not b & a.mask:
+            miss |= b
+    return ItemSet(space.universe, space.universe.full.mask & ~miss)
 
 
 def interior(space: PreTopology, a: ItemSet) -> ItemSet:
     """Largest open subset of a (the union of opens inside it)."""
     _check_subset(space, a)
     out = 0
-    for open_mask in space.states.masks():
-        if open_mask & ~a.mask == 0:
-            out |= open_mask
+    for b in space.states._base().masks:
+        if b & ~a.mask == 0:
+            out |= b
     return ItemSet(space.universe, out)
 
 
@@ -50,25 +53,21 @@ def derived_set(space: PreTopology, a: ItemSet) -> ItemSet:
     """Accumulation points: every open through z meets a \\ {z}."""
     _check_subset(space, a)
     u = space.universe
+    base = space.states._base().masks
     out = 0
     for i in range(len(u)):
         bit = 1 << i
         rest = a.mask & ~bit
-        if all(
-            open_mask & rest for open_mask in space.states.masks() if open_mask & bit
-        ):
+        if all(b & rest for b in base if b & bit):
             out |= bit
     return ItemSet(u, out)
 
 
 def is_dense(space: PreTopology, d: ItemSet) -> bool:
-    """True iff closure(d) is the whole universe.
-
-    Fast path: d is dense iff it meets every member of the minimal
-    pre-base (each nonempty open contains a base member).
-    """
+    """True iff closure(d) is the whole universe: d meets every member
+    of the minimal pre-base (each nonempty open contains one)."""
     _check_subset(space, d)
-    return all(b.mask & d.mask for b in irreducible_states(space))
+    return all(b & d.mask for b in space.states._base().masks)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,7 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
-    _irreducible_masks,
-    _item_meets,
+    _read_labels,
     _read_universe,
     union_closure_masks,
 )
@@ -117,25 +116,19 @@ class QuasiOrder:
         pairs = obj["leq"]
         if not isinstance(pairs, list):
             raise SchemaError("'leq' must be an array of pairs")
-        try:
-            return cls.from_pairs(universe, [(a, b) for a, b in pairs])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad leq entry: {exc}") from None
+        read = [_read_labels(universe, pair, "leq entry") for pair in pairs]
+        if any(len(pair) != 2 for pair in read):
+            raise SchemaError("bad leq entry: each must be an array of two labels")
+        return cls.from_pairs(universe, [(a, b) for a, b in read])
 
     @classmethod
     def from_json(cls, text: str) -> "QuasiOrder":
         return cls.from_obj(json.loads(text))
 
 
-def _meets(structure: KnowledgeStructure) -> list[int]:
-    """N(q) for every item q."""
-    masks = structure.states.masks()
-    return _item_meets(_irreducible_masks(masks), len(structure.universe))
-
-
-def _minimal_states(space: PreTopology) -> list[int] | None:
+def _minimal_states(space: PreTopology) -> tuple[int, ...] | None:
     """N(q) for every item q when each is a state, else None."""
-    meets = _meets(space)
+    meets = space.states._base().meets
     masks = space.states.masks()
     return meets if all(meet in masks for meet in meets) else None
 
@@ -173,7 +166,7 @@ def minimal_state(space: PreTopology, t: str) -> ItemSet | None:
     A minimum, if any, is N(t); when N(t) is not a state, at least two
     ⊆-minimal states hold t.
     """
-    meet = _meets(space)[space.universe.index(t)]
+    meet = space.states._base().meets[space.universe.index(t)]
     return ItemSet(space.universe, meet) if space.states.has_mask(meet) else None
 
 
@@ -241,7 +234,7 @@ def discriminative_reduction(structure: KnowledgeStructure) -> Reduction:
     union-closed, so the quotient of a pre-topology needs no validation.
     """
     u = structure.universe
-    meets = _meets(structure)
+    meets = structure.states._base().meets
     groups: dict[int, int] = {}
     for i, meet in enumerate(meets):
         groups[meet] = groups.get(meet, 0) | 1 << i

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from collections.abc import Iterable
 
-from .core import ItemSet, PreTopology, Universe, _irreducible_masks, _item_meets
+from .core import ItemSet, PreTopology, Universe
 from .operators import fringes
 
 
@@ -53,17 +53,11 @@ def is_t0(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
 
     No open separates i and j iff each lies in every open through the
     other: j ∈ N(i) and i ∈ N(j), with N the per-item meets
-    (`_item_meets`). Fails at the first such pair i < j. T0 is the
+    (`core._item_meets`). Fails at the first such pair i < j. T0 is the
     discriminative condition (distinct points, distinct state systems).
     """
-    return _t0(space.universe, _meets(space))
-
-
-def _meets(space: PreTopology) -> list[int]:
-    return _item_meets(_irreducible_masks(space.states.masks()), len(space.universe))
-
-
-def _t0(u: Universe, meets: list[int]) -> tuple[bool, tuple[str, str] | None]:
+    u = space.universe
+    meets = space.states._base().meets
     for i in range(len(u)):
         for j in range(i + 1, len(u)):
             if meets[i] >> j & 1 and meets[j] >> i & 1:
@@ -81,14 +75,11 @@ def is_t1(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     Failure witness (p, q): every state containing p contains q, that is
     q ∈ N(p); the first p, then the least such q ≠ p.
     """
-    return _t1(space.universe, _meets(space))
-
-
-def _t1(u: Universe, meets: list[int]) -> tuple[bool, tuple[str, str] | None]:
-    for p, meet in enumerate(meets):
+    for p, meet in enumerate(space.states._base().meets):
         rest = meet & ~(1 << p)
         if rest:
-            return False, (u.labels[p], u.labels[(rest & -rest).bit_length() - 1])
+            labels = space.universe.labels
+            return False, (labels[p], labels[(rest & -rest).bit_length() - 1])
     return True, None
 
 
@@ -100,10 +91,8 @@ def is_t2(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     j must lie in the reach of some base member through i.
     O(|B|² + m·|B|) for |B| base members.
     """
-    return _t2(space.universe, _irreducible_masks(space.states.masks()))
-
-
-def _t2(u: Universe, base: list[int]) -> tuple[bool, tuple[str, str] | None]:
+    u = space.universe
+    base = space.states._base().masks
     reach = _reach(base, base)
     for i in range(len(u)):
         apart = 0
@@ -116,7 +105,7 @@ def _t2(u: Universe, base: list[int]) -> tuple[bool, tuple[str, str] | None]:
     return True, None
 
 
-def _reach(opens: Iterable[int], base: list[int]) -> dict[int, int]:
+def _reach(opens: Iterable[int], base: Iterable[int]) -> dict[int, int]:
     """For each open W, the union of the base members disjoint from W.
 
     Every open is a union of base members, so this is the union of all
@@ -138,8 +127,7 @@ def is_regular_property(
     """Point and avoiding closed set separated by disjoint opens."""
     u = space.universe
     opens = space.states.masks()
-    reach = _reach(opens, _irreducible_masks(opens))
-    return _regular(u, opens, _closed(u, opens), reach)
+    return _regular(u, opens, _closed(u, opens), _reach(opens, space.states._base().masks))
 
 
 def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
@@ -174,8 +162,7 @@ def is_normal_property(
     """
     u = space.universe
     opens = space.states.masks()
-    reach = _reach(opens, _irreducible_masks(opens))
-    return _normal(u, opens, _closed(u, opens), reach)
+    return _normal(u, opens, _closed(u, opens), _reach(opens, space.states._base().masks))
 
 
 def _normal(
@@ -208,23 +195,22 @@ def separation_profile(space: PreTopology) -> SeparationProfile:
     """Every axiom once; the discrimination flags are T0, T1 and T2 under
     their knowledge-space names, with the same witnesses.
 
-    The base, the per-item meets, the closed sets and the reach of every
-    open are computed once and shared by the five predicates' kernels.
+    The base and the per-item meets come from the space's cache; the
+    closed sets and the reach of every open are computed once and shared
+    by the regular and normal kernels.
     """
     u = space.universe
     opens = space.states.masks()
-    base = _irreducible_masks(opens)
-    meets = _item_meets(base, len(u))
     closed = _closed(u, opens)
-    reach = _reach(opens, base)
+    reach = _reach(opens, space.states._base().masks)
     witnesses: dict = {}
-    t0, w = _t0(u, meets)
+    t0, w = is_t0(space)
     if w:
         witnesses["t0"] = witnesses["discriminative"] = list(w)
-    t1, w = _t1(u, meets)
+    t1, w = is_t1(space)
     if w:
         witnesses["t1"] = witnesses["bi_discriminative"] = list(w)
-    t2, w = _t2(u, base)
+    t2, w = is_t2(space)
     if w:
         witnesses["t2"] = list(w)
         witnesses["completely_discriminative"] = list(w)

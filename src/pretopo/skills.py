@@ -20,6 +20,7 @@ from .core import (
     KnowledgeStructure,
     SetFamily,
     Universe,
+    _read_labels,
     _read_universe,
     union_closure_masks,
 )
@@ -44,6 +45,9 @@ class SkillMultimap:
         for t in items.labels:
             if t not in mu or not mu[t]:
                 raise ValueError(f"item {t!r} needs at least one competency")
+        for t in mu:
+            if t not in items:
+                raise ValueError(f"competencies given for unknown item {t!r}")
         clean: dict[str, tuple[ItemSet, ...]] = {}
         minimal: dict[str, tuple[ItemSet, ...]] = {}
         for t in items.labels:
@@ -116,10 +120,8 @@ class SkillMultimap:
         for t, comps in raw.items():
             if not isinstance(comps, list):
                 raise SchemaError(f"competencies of {t!r} must be an array")
-            try:
-                mu[t] = [skills.subset(c) for c in comps]
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"bad competency for {t!r}: {exc}") from None
+            what = f"competency for {t!r}"
+            mu[t] = [skills.subset(_read_labels(skills, c, what)) for c in comps]
         try:
             return cls(items, skills, mu)
         except ValueError as exc:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Set
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 
 from .core import (
@@ -20,6 +20,7 @@ from .core import (
     _irreducible_masks,
     _is_union_closed,
     _item_meets,
+    _read_labels,
     _read_universe,
     irreducible_states,
     is_pre_base_for,
@@ -69,18 +70,29 @@ def classify(family: SetFamily) -> Classification:
     the intersection N(q) of the states containing q is a state: then
     A ∩ B is the union of N(q) over q ∈ A ∩ B. Every state through q
     holds a base member through q, so N(q) is the intersection of those
-    base members (`_item_meets`): O(m·|B|). The test is skipped when no
-    reported flag depends on it.
+    base members (`_item_meets`): O(m·|B|). Both are read from the
+    family, which computes them once (`irreducible_states`).
     """
-    return _classify(family.masks(), len(family.universe))
+    base = family._base()
+    return _classify(family.masks(), len(family.universe), base.masks, base.meets)
 
 
-def _classify(masks: Set[int], m: int) -> Classification:
-    """`classify` on the member masks of a family over m items."""
+def _classify(
+    masks: Set[int],
+    m: int,
+    base: Sequence[int] | None = None,
+    meets: Sequence[int] | None = None,
+) -> Classification:
+    """`classify` on the member masks of a family over m items. The
+    multimap sweep has no family to cache on, so it passes the masks
+    alone; the base and, when needed, the meets are computed here."""
     structure = 0 in masks and (1 << m) - 1 in masks
-    base = _irreducible_masks(masks)
+    if base is None:
+        base = _irreducible_masks(masks)
     space = structure and _is_union_closed(masks, base)
-    quasi = space and all(meet in masks for meet in _item_meets(base, m))
+    if space and meets is None:
+        meets = _item_meets(base, m)
+    quasi = space and all(meet in masks for meet in meets)
     return Classification(
         is_knowledge_structure=structure,
         is_knowledge_space=space,
@@ -160,11 +172,10 @@ class ClosureOperatorTable:
             raise SchemaError("'closure' must be an array of {of, is} entries")
         assignment: dict[int, int] = {}
         for entry in entries:
-            try:
-                src = universe.subset(entry["of"])
-                dst = universe.subset(entry["is"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaError(f"bad closure entry: {exc}") from None
+            if not isinstance(entry, dict) or "of" not in entry or "is" not in entry:
+                raise SchemaError(f"bad closure entry: {entry!r} needs 'of' and 'is'")
+            src = universe.subset(_read_labels(universe, entry["of"], "closure entry"))
+            dst = universe.subset(_read_labels(universe, entry["is"], "closure entry"))
             if src.mask in assignment:
                 raise SchemaError(f"duplicate closure entry for {src}")
             assignment[src.mask] = dst.mask

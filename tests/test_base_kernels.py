@@ -7,7 +7,11 @@ on seeded random families on up to 12 items, union-closed and perturbed.
 The per-item meets N(q) (`core._item_meets`) are compared the same way
 with the open scans, state systems and pairwise intersection tests that
 T0, T1, quasi-ordinality, minimal states and the discriminative
-reduction were computed with before.
+reduction were computed with before. The operators (closure, interior,
+boundary, derived set, density), which read the base, are compared with
+the scans of every open they replace, on every space on up to 4 points
+and on seeded spaces on up to 16 items. The base of a family is computed
+once and shared by every kernel that reads it.
 """
 
 import itertools
@@ -15,7 +19,7 @@ import random
 
 import pytest
 
-from pretopo import miner
+from pretopo import cardinal, core, miner
 from pretopo.core import (
     KnowledgeStructure,
     PreTopology,
@@ -27,6 +31,7 @@ from pretopo.core import (
 )
 from pretopo.errors import AxiomViolation, NotQuasiOrdinal
 from pretopo.maps import PointMap
+from pretopo.operators import boundary, closure, derived_set, interior, is_dense
 from pretopo.order import (
     Reduction,
     discriminative_reduction,
@@ -218,6 +223,33 @@ def oracle_reduction(structure):
     )
 
 
+def oracle_closure(opens, full, a):
+    out = full
+    for o in opens:
+        closed = full & ~o
+        if a & ~closed == 0:
+            out &= closed
+    return out
+
+
+def oracle_interior(opens, a):
+    out = 0
+    for o in opens:
+        if o & ~a == 0:
+            out |= o
+    return out
+
+
+def oracle_derived_set(opens, n, a):
+    out = 0
+    for i in range(n):
+        bit = 1 << i
+        rest = a & ~bit
+        if all(o & rest for o in opens if o & bit):
+            out |= bit
+    return out
+
+
 # ------------------------------------------------------------------ drivers
 
 
@@ -300,6 +332,21 @@ def check_meet_routes(space):
         with pytest.raises(NotQuasiOrdinal):
             m_graph_connected(space)
     check_reduction(space)
+
+
+def check_operators(space, queries):
+    """Every operator against the scan of the opens, on the given masks."""
+    u = space.universe
+    n, full = len(u), u.full.mask
+    opens = sorted(space.states.masks())
+    for a in queries:
+        cl = oracle_closure(opens, full, a)
+        item_set = u.from_mask(a)
+        assert closure(space, item_set).mask == cl
+        assert interior(space, item_set).mask == oracle_interior(opens, a)
+        assert boundary(space, item_set).mask == cl & oracle_closure(opens, full, full & ~a)
+        assert derived_set(space, item_set).mask == oracle_derived_set(opens, n, a)
+        assert is_dense(space, item_set) == (cl == full)
 
 
 def random_families(count, seed):
@@ -389,3 +436,53 @@ def test_meet_routes_on_seeded_random_families():
         else:
             check_reduction(KnowledgeStructure(u, family))
     assert spaces >= 100
+
+
+def test_operators_on_every_space_up_to_four_points():
+    for n in (1, 2, 3, 4):
+        for space in miner.enumerate_spaces(n):
+            check_operators(space, range(1 << n))
+
+
+def test_operators_on_seeded_spaces_up_to_sixteen_items():
+    rng = random.Random(13)
+    for _ in range(200):
+        m = rng.randint(1, 16)
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        full = (1 << m) - 1
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(1, 8))]
+        space = PreTopology(u, SetFamily.from_masks(u, union_closure_masks(gens) | {full}))
+        queries = [0, full] + [rng.getrandbits(m) for _ in range(30)]
+        # sparse sets, so that some are dense and some derived sets are nonempty
+        queries += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
+        check_operators(space, queries)
+
+
+def test_the_base_of_a_family_is_computed_once(monkeypatch):
+    """One space through a full analysis: validation, classification,
+    the base, weight, density, separation, reduction and primary items
+    all read the one base the family computed."""
+    calls = []
+    real = core._irreducible_masks
+
+    def counted(masks):
+        calls.append(1)
+        return real(masks)
+
+    monkeypatch.setattr(core, "_irreducible_masks", counted)
+    rng = random.Random(3)
+    u = Universe([f"x{i + 1}" for i in range(10)])
+    gens = [rng.getrandbits(10) for _ in range(8)]
+    family = SetFamily.from_masks(u, union_closure_masks(gens) | {u.full.mask})
+    space = PreTopology(u, family)
+    classify(family)
+    base = irreducible_states(space)
+    cardinal.weight(space)
+    is_dense(space, u.full)
+    is_dense(space, u.from_mask(0b101))
+    separation_profile(space)
+    discriminative_reduction(space)
+    cardinal.density_exact(space)
+    cardinal.greedy_primary_items(space)
+    assert len(calls) == 1
+    assert irreducible_states(space) is base

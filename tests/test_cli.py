@@ -378,3 +378,42 @@ def test_every_reader_rejects_an_empty_universe():
     ):
         with pytest.raises(SchemaError):
             read(obj)
+
+
+@pytest.mark.parametrize(
+    "verb, obj",
+    [
+        ("check", {"universe": ["a", "b"], "states": [[], "ab", ["a"]]}),
+        ("order", {"universe": ["a", "b"], "leq": ["ab"]}),
+        ("order", {"universe": ["a", "b", "c"], "leq": [["a", "b", "c"]]}),
+        ("delineate", {"items": ["q1"], "skills": ["a", "b"], "mu": {"q1": ["ab"]}}),
+        (
+            "delineate",
+            {"items": ["q1"], "skills": ["s1"], "mu": {"q1": [["s1"]], "q9": [["s1"]]}},
+        ),
+    ],
+    ids=[
+        "string-state",
+        "string-leq-entry",
+        "three-label-leq-entry",
+        "string-competency",
+        "unknown-mu-key",
+    ],
+)
+def test_malformed_subset_exits_two(capsys, tmp_path, verb, obj):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, verb, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("SchemaError")
+
+
+def test_closure_table_subsets_must_be_arrays():
+    # no verb reads a closure table, so the reader is called directly
+    from pretopo import ClosureOperatorTable, SchemaError
+
+    good = [{"of": [], "is": []}, {"of": ["a"], "is": ["a"]}]
+    assert ClosureOperatorTable.from_obj({"universe": ["a"], "closure": good})
+    for entry in ({"of": "a", "is": ["a"]}, {"of": ["a"], "is": "a"}, ["a", "a"]):
+        with pytest.raises(SchemaError):
+            ClosureOperatorTable.from_obj({"universe": ["a"], "closure": [good[0], entry]})

@@ -1,8 +1,10 @@
-"""Every name a package module imports is read there or re-exported.
+"""Import hygiene of the package modules, by stdlib `ast` scans.
 
-A stdlib `ast` scan: a name bound by `import` or `from ... import` in a
-module under `src/pretopo/` must be loaded somewhere in that module or be
-listed in its `__all__`.
+A name bound by `import` or `from ... import` in a module under
+`src/pretopo/` must be loaded somewhere in that module or be listed in its
+`__all__`. The base kernels are called only where the base is computed:
+in `core`, which caches it per family, and in `structure._classify`, which
+works on bare masks.
 """
 
 import ast
@@ -42,3 +44,29 @@ def test_every_import_is_used_or_exported():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 10
     assert [u for path in modules for u in unused_imports(path)] == []
+
+
+BASE_KERNELS = {"_irreducible_masks", "_item_meets"}
+
+
+def base_kernel_calls(path):
+    """(module, top-level function or None, kernel) for each call of a
+    base kernel in the module."""
+    calls = []
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in BASE_KERNELS:
+                calls.append((path.name, owner, name))
+    return calls
+
+
+def test_base_kernels_are_called_only_where_the_base_is_computed():
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in base_kernel_calls(path)]
+    assert ("structure.py", "_classify", "_irreducible_masks") in calls
+    stray = [c for c in calls if c[0] != "core.py" and c[:2] != ("structure.py", "_classify")]
+    assert stray == []
