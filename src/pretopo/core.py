@@ -221,8 +221,9 @@ class SetFamily:
     """Duplicate-free collection of item sets in canonical order.
 
     The union-irreducible members and the per-item meets are derived
-    once, on first use, and kept in `_derived` (see `_base`); the family
-    is immutable, so the slot never goes stale.
+    once, on first use, and kept in `_derived` (see `_base`), next to the
+    union-closure verdict once a test has computed it (`_union_closed`);
+    the family is immutable, so the slot never goes stale.
     """
 
     __slots__ = ("universe", "members", "_mask_set", "_derived")
@@ -305,8 +306,20 @@ class SetFamily:
             )
             masks = tuple(b.mask for b in irreducibles.members)
             meets = tuple(_item_meets(masks, len(self.universe)))
-            self._derived = _Base(irreducibles, masks, meets)
+            self._derived = _Base(irreducibles, masks, meets, None)
         return self._derived
+
+    def _union_closed(self) -> bool:
+        """Whether the members are closed under union (`_is_union_closed`),
+        tested on the first call and kept with the base. `PreTopology`
+        validation makes that call; a trusted construction does not, so
+        the first `classify` of a trusted family runs the test."""
+        base = self._base()
+        if base.union_closed is None:
+            base = self._derived = base._replace(
+                union_closed=_is_union_closed(self._mask_set, base.masks)
+            )
+        return base.union_closed
 
     def to_obj(self) -> dict:
         return {
@@ -345,6 +358,7 @@ class _Base(NamedTuple):
     irreducibles: SetFamily  # the minimal pre-base, as `irreducible_states` gives it
     masks: tuple[int, ...]  # the same members as masks, in canonical order
     meets: tuple[int, ...]  # N(q) for each item q (`_item_meets`)
+    union_closed: bool | None  # the verdict of `_union_closed`; None until tested
 
 
 class KnowledgeStructure:
@@ -395,7 +409,9 @@ class PreTopology(KnowledgeStructure):
     member b of the minimal pre-base: every state is a union of base
     members, so these unions generate every pairwise union. That costs
     O(|K|·|B|); only a rejected family is scanned pair by pair, to report
-    the first missing union in mask order as the witness.
+    the first missing union in mask order as the witness. The verdict is
+    kept on the family (`SetFamily._union_closed`), so `classify` of a
+    validated family reads it instead of testing again.
 
     The specialization order is read from N(q), the meet of the states
     containing q (`_item_meets`): x ⪯ y iff x ∈ N(y). T0 says ⪯ is
@@ -407,8 +423,8 @@ class PreTopology(KnowledgeStructure):
 
     def __init__(self, universe: Universe, states: SetFamily, _trusted: bool = False):
         super().__init__(universe, states)
-        mask_set = states.masks()
-        if not _trusted and not _is_union_closed(mask_set, states._base().masks):
+        if not _trusted and not states._union_closed():
+            mask_set = states.masks()
             masks = sorted(mask_set)
             for i, a in enumerate(masks):
                 for b in masks[i + 1 :]:

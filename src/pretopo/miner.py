@@ -1592,82 +1592,115 @@ def run_skills_suite(
 
     The sweep reads masks from `_mask_multimaps` and calls the mask
     kernels of `skills`, so a `SkillMultimap` is built only for a stored
-    witness. p is evaluated by its kernel on every skill set, so the
+    witness. p(R) depends only on the minimal competencies inside R, so
+    every check but the star condition is fixed by the profile: each
+    item's minimal competencies. Within one block of item and skill
+    counts, every pool-free check runs once per distinct profile
+    (`_profile_findings`) and `_star` once per multimap, whose findings
+    are then replayed in the order of a per-multimap run. p is evaluated
+    by its kernel on every skill set of every distinct profile, so the
     monotonicity checks test p itself, not a table built to be monotone.
     """
     cols = {ident: _Collector() for ident in _SKILLS_IDS}
     checked = 0
     for qn in range(1, max_items + 1):
-        every_item = (1 << qn) - 1
         for sn in range(1, max_skills + 1):
-            sfull = (1 << sn) - 1
             # each skill set r and a skill low outside it
             steps = [
-                (r, 1 << i) for r in range(sfull + 1) for i in range(sn) if not r >> i & 1
+                (r, 1 << i) for r in range(1 << sn) for i in range(sn) if not r >> i & 1
             ]
+            # the findings of each profile met in this block; they read sn,
+            # so the table is not shared across blocks
+            profiles: dict[tuple[_Masks, ...], _Findings] = {}
             for comps, mins, pool, min_pool in _mask_multimaps(qn, sn, max_comps):
                 checked += 1
-                ser = functools.partial(_multimap_ser, comps, sn)
-                # one delineation serves the family and both report routes
-                holders = skills._holders(mins)
-                family = skills._delineated_masks(holders, sn)
-                rep = skills._delineation_report(holders, family, qn)
+                found = profiles.get(mins)
+                if found is None:
+                    found = profiles[mins] = _profile_findings(mins, min_pool, qn, sn, steps)
+                space, findings, unpooled = found
                 star = skills._star(pool, mins)
-                if not rep.agree:
-                    cols["delineation-theorem-agree"].add(
-                        ser, f"direct={rep.space} characterization={rep.via_characterization}"
-                    )
-                if star and not rep.space:
+                # without the star condition only the unpooled findings count
+                if not (unpooled or star and (findings or not space)):
+                    continue
+                ser = functools.partial(_multimap_ser, comps, sn)
+                for ident, pooled, witness in findings:
+                    if star or not pooled:
+                        cols[ident].add(ser, witness)
+                if star and not space:
                     cols["star-implies-space"].add(
                         ser, "pooling condition without a delineated space"
                     )
-                p = [skills._p(mins, r) for r in range(sfull + 1)]
-                if set(p) != family:
-                    cols["delineation-theorem-agree"].add(
-                        ser, "delineate differs from p over every skill set"
-                    )
-                for r, low in steps:
-                    if p[r] & ~p[r | low]:
-                        cols["p-monotone-union"].add(ser, f"p not monotone at {r:b}+{low:b}")
-                # the union of each pick of the minimal pool, and the union
-                # of the p's of its members, from the pick without its
-                # lowest member
-                unions = [0] * (1 << len(min_pool))
-                ups = [0] * (1 << len(min_pool))
-                for pick in range(1, 1 << len(min_pool)):
-                    low = pick & -pick
-                    c = min_pool[low.bit_length() - 1]
-                    union = unions[pick] = unions[pick ^ low] | c
-                    up = ups[pick] = ups[pick ^ low] | p[c]
-                    if up & ~p[union]:
-                        cols["p-monotone-union"].add(
-                            ser, f"union lower bound fails at {pick:b}"
-                        )
-                    if star and p[union] != up:
-                        cols["p-monotone-union"].add(
-                            ser, f"union equality under pooling fails at {pick:b}"
-                        )
-                via = skills._refinement_route(mins)
-                # items a < b lie in disjoint states iff b is in some state
-                # disjoint from a state through a: b in apart[a], where
-                # apart[a] is the union over the states h through a of the
-                # states disjoint from h
-                apart = [0] * qn
-                for h in family:
-                    away = 0
-                    for other in family:
-                        if not h & other:
-                            away |= other
-                    for a in range(qn):
-                        if h >> a & 1:
-                            apart[a] |= away
-                # every_item & -(2 << a): the items above a
-                direct = all(every_item & -(2 << a) & ~apart[a] == 0 for a in range(qn))
-                if via != direct:
-                    cols["cd-thm-agrees"].add(
-                        ser, f"competency route={via} direct={direct}"
-                    )
     return {ident: (checked, cols[ident].stored, None) for ident in _SKILLS_IDS}
+
+
+# Whether the delineated family is a space, the pool-free violations of a
+# profile in the order a per-multimap run finds them, each as (check,
+# pooled, witness) with pooled set when it counts only under the star
+# condition, and whether any of them is not pooled.
+_Findings = tuple[bool, tuple[tuple[str, bool, str], ...], bool]
+
+
+def _profile_findings(
+    mins: tuple[_Masks, ...],
+    min_pool: _Masks,
+    qn: int,
+    sn: int,
+    steps: list[tuple[int, int]],
+) -> _Findings:
+    """Every skill check that does not read the competency pool, on the
+    minimal competencies of qn items over sn skills, and the minimal pool."""
+    out: list[tuple[str, bool, str]] = []
+    # one delineation serves the family and both report routes
+    holders = skills._holders(mins)
+    family = skills._delineated_masks(holders, sn)
+    rep = skills._delineation_report(holders, family, qn)
+    if not rep.agree:
+        out.append((
+            "delineation-theorem-agree", False,
+            f"direct={rep.space} characterization={rep.via_characterization}",
+        ))
+    p = [skills._p(mins, r) for r in range(1 << sn)]
+    if set(p) != family:
+        out.append((
+            "delineation-theorem-agree", False, "delineate differs from p over every skill set"
+        ))
+    for r, low in steps:
+        if p[r] & ~p[r | low]:
+            out.append(("p-monotone-union", False, f"p not monotone at {r:b}+{low:b}"))
+    # the union of each pick of the minimal pool, and the union of the p's
+    # of its members, from the pick without its lowest member
+    unions = [0] * (1 << len(min_pool))
+    ups = [0] * (1 << len(min_pool))
+    for pick in range(1, 1 << len(min_pool)):
+        low = pick & -pick
+        c = min_pool[low.bit_length() - 1]
+        union = unions[pick] = unions[pick ^ low] | c
+        up = ups[pick] = ups[pick ^ low] | p[c]
+        if up & ~p[union]:
+            out.append(("p-monotone-union", False, f"union lower bound fails at {pick:b}"))
+        if p[union] != up:
+            out.append((
+                "p-monotone-union", True, f"union equality under pooling fails at {pick:b}"
+            ))
+    via = skills._refinement_route(mins)
+    # items a < b lie in disjoint states iff b is in some state disjoint
+    # from a state through a: b in apart[a], where apart[a] is the union
+    # over the states h through a of the states disjoint from h
+    apart = [0] * qn
+    for h in family:
+        away = 0
+        for other in family:
+            if not h & other:
+                away |= other
+        for a in range(qn):
+            if h >> a & 1:
+                apart[a] |= away
+    # every_item & -(2 << a): the items above a
+    every_item = (1 << qn) - 1
+    direct = all(every_item & -(2 << a) & ~apart[a] == 0 for a in range(qn))
+    if via != direct:
+        out.append(("cd-thm-agrees", False, f"competency route={via} direct={direct}"))
+    return rep.space, tuple(out), any(not pooled for _, pooled, _ in out)
 
 
 def _multimap_ser(comps: tuple[_Masks, ...], n_skills: int) -> str:

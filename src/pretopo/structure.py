@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Sequence, Set
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .core import (
@@ -65,40 +65,32 @@ def classify(family: SetFamily) -> Classification:
     reduce to closure under binary intersection on top of a knowledge
     space); the two flags are kept separate for reporting.
 
-    Union-closure is the base test of `PreTopology`, O(|K|·|B|). A
-    union-closed family is closed under intersection iff, for each item q,
-    the intersection N(q) of the states containing q is a state: then
-    A ∩ B is the union of N(q) over q ∈ A ∩ B. Every state through q
-    holds a base member through q, so N(q) is the intersection of those
-    base members (`_item_meets`): O(m·|B|). Both are read from the
-    family, which computes them once (`irreducible_states`).
+    Union-closure is the base test of `PreTopology`, O(|K|·|B|); the
+    family keeps its verdict, so a validated family is not tested again
+    (`SetFamily._union_closed`). A union-closed family is closed under
+    intersection iff, for each item q, the intersection N(q) of the
+    states containing q is a state: then A ∩ B is the union of N(q) over
+    q ∈ A ∩ B. Every state through q holds a base member through q, so
+    N(q) is the intersection of those base members (`_item_meets`):
+    O(m·|B|), read from the family, which computes it once
+    (`irreducible_states`).
     """
-    base = family._base()
-    return _classify(family.masks(), len(family.universe), base.masks, base.meets)
+    masks = family.masks()
+    structure = 0 in masks and (1 << len(family.universe)) - 1 in masks
+    space = structure and family._union_closed()
+    quasi = space and all(meet in masks for meet in family._base().meets)
+    return Classification(structure, space, quasi, quasi)
 
 
-def _classify(
-    masks: Set[int],
-    m: int,
-    base: Sequence[int] | None = None,
-    meets: Sequence[int] | None = None,
-) -> Classification:
+def _classify(masks: Set[int], m: int) -> Classification:
     """`classify` on the member masks of a family over m items. The
-    multimap sweep has no family to cache on, so it passes the masks
-    alone; the base and, when needed, the meets are computed here."""
+    multimap sweep has no family to cache on, so the base and, when
+    needed, the meets are computed here."""
     structure = 0 in masks and (1 << m) - 1 in masks
-    if base is None:
-        base = _irreducible_masks(masks)
+    base = _irreducible_masks(masks)
     space = structure and _is_union_closed(masks, base)
-    if space and meets is None:
-        meets = _item_meets(base, m)
-    quasi = space and all(meet in masks for meet in meets)
-    return Classification(
-        is_knowledge_structure=structure,
-        is_knowledge_space=space,
-        is_topology=quasi,
-        is_quasi_ordinal=quasi,
-    )
+    quasi = space and all(meet in masks for meet in _item_meets(base, m))
+    return Classification(structure, space, quasi, quasi)
 
 
 def from_relation(

@@ -486,3 +486,39 @@ def test_the_base_of_a_family_is_computed_once(monkeypatch):
     cardinal.greedy_primary_items(space)
     assert len(calls) == 1
     assert irreducible_states(space) is base
+
+
+def test_classify_reads_the_validation_verdict(monkeypatch):
+    """Validation keeps its union-closure verdict on the family, so
+    `classify` of a validated family does not test again; a trusted
+    construction leaves the verdict unknown, so `classify` computes it."""
+    calls = []
+    real = core._is_union_closed
+
+    def counted(masks, base):
+        calls.append(1)
+        return real(masks, base)
+
+    monkeypatch.setattr(core, "_is_union_closed", counted)
+    u = Universe(["a", "b", "c"])
+    family = SetFamily.from_masks(u, [0, 0b001, 0b011, 0b100, 0b101, 0b111])
+    PreTopology(u, family)
+    assert classify(family).is_knowledge_space
+    assert len(calls) == 1
+
+    calls.clear()
+    trusted = SetFamily.from_masks(u, [0, 0b001, 0b011, 0b100, 0b101, 0b111])
+    PreTopology(u, trusted, _trusted=True)
+    assert classify(trusted).is_knowledge_space
+    assert len(calls) == 1
+
+    # a family wrongly trusted is still classified by the computed test
+    calls.clear()
+    wrong = SetFamily.from_masks(u, [0, 0b001, 0b100, 0b111])
+    PreTopology(u, wrong, _trusted=True)
+    assert not classify(wrong).is_knowledge_space
+    assert len(calls) == 1
+    with pytest.raises(AxiomViolation):
+        PreTopology(u, wrong)
+    assert not classify(wrong).is_knowledge_space
+    assert len(calls) == 1

@@ -291,15 +291,16 @@ def wrong_report(real):
     return lambda holders, family, n: real(dict(list(holders.items())[:1]), family, n)
 
 
-@pytest.mark.parametrize(
-    "kernel, mutate, ident",
-    [
-        ("_p", wrong_p, "p-monotone-union"),
-        ("_star", lambda real: lambda pool, mins: True, "star-implies-space"),
-        ("_refinement_route", lambda real: lambda mins: True, "cd-thm-agrees"),
-        ("_delineation_report", wrong_report, "delineation-theorem-agree"),
-    ],
-)
+# each skill kernel, a wrong version of it, and the check that must catch it
+WRONG_KERNELS = [
+    ("_p", wrong_p, "p-monotone-union"),
+    ("_star", lambda real: lambda pool, mins: True, "star-implies-space"),
+    ("_refinement_route", lambda real: lambda mins: True, "cd-thm-agrees"),
+    ("_delineation_report", wrong_report, "delineation-theorem-agree"),
+]
+
+
+@pytest.mark.parametrize("kernel, mutate, ident", WRONG_KERNELS)
 def test_a_wrong_skill_kernel_fails_its_check(monkeypatch, kernel, mutate, ident):
     monkeypatch.setattr(skills, kernel, mutate(getattr(skills, kernel)))
     checked, stored, _ = miner.run_skills_suite(*SMALL_SWEEP)[ident]
@@ -336,3 +337,102 @@ def test_audit_sweeps_the_multimaps_once_per_call(monkeypatch):
     assert len(calls) == 1
     assert reports_to_json(audit(ids, 2)) == first
     assert len(calls) == 2
+
+
+def per_multimap_skills_suite(max_items, max_skills, max_comps):
+    """The multimap sweep run check by check on every multimap, with no
+    sharing between multimaps: the oracle of the profile-factored sweep.
+    The union of each pick and the disjoint-states route are spelled out
+    by brute force; the witnesses are those of `run_skills_suite`."""
+    cols = {ident: miner._Collector() for ident in miner._SKILLS_IDS}
+    checked = 0
+    for qn in range(1, max_items + 1):
+        for sn in range(1, max_skills + 1):
+            sfull = (1 << sn) - 1
+            steps = [
+                (r, 1 << i) for r in range(sfull + 1) for i in range(sn) if not r >> i & 1
+            ]
+            for comps, mins, pool, min_pool in miner._mask_multimaps(qn, sn, max_comps):
+                checked += 1
+                ser = json.dumps(miner._multimap(comps, sn).to_obj(), separators=(",", ":"))
+                holders = skills._holders(mins)
+                family = skills._delineated_masks(holders, sn)
+                rep = skills._delineation_report(holders, family, qn)
+                star = skills._star(pool, mins)
+                if not rep.agree:
+                    cols["delineation-theorem-agree"].add(
+                        ser, f"direct={rep.space} characterization={rep.via_characterization}"
+                    )
+                if star and not rep.space:
+                    cols["star-implies-space"].add(
+                        ser, "pooling condition without a delineated space"
+                    )
+                p = [skills._p(mins, r) for r in range(sfull + 1)]
+                if set(p) != family:
+                    cols["delineation-theorem-agree"].add(
+                        ser, "delineate differs from p over every skill set"
+                    )
+                for r, low in steps:
+                    if p[r] & ~p[r | low]:
+                        cols["p-monotone-union"].add(ser, f"p not monotone at {r:b}+{low:b}")
+                for pick in range(1, 1 << len(min_pool)):
+                    members = [c for i, c in enumerate(min_pool) if pick >> i & 1]
+                    union = up = 0
+                    for c in members:
+                        union |= c
+                        up |= p[c]
+                    if up & ~p[union]:
+                        cols["p-monotone-union"].add(
+                            ser, f"union lower bound fails at {pick:b}"
+                        )
+                    if star and p[union] != up:
+                        cols["p-monotone-union"].add(
+                            ser, f"union equality under pooling fails at {pick:b}"
+                        )
+                via = skills._refinement_route(mins)
+                direct = all(
+                    any(h >> a & 1 and k >> b & 1 and not h & k for h in family for k in family)
+                    for a in range(qn)
+                    for b in range(a + 1, qn)
+                )
+                if via != direct:
+                    cols["cd-thm-agrees"].add(
+                        ser, f"competency route={via} direct={direct}"
+                    )
+    return {ident: (checked, cols[ident].stored, None) for ident in miner._SKILLS_IDS}
+
+
+@pytest.mark.parametrize("sizes", [(3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("wrong", [None, *WRONG_KERNELS])
+def test_the_factored_sweep_matches_the_per_multimap_sweep(monkeypatch, sizes, wrong):
+    if wrong is not None:
+        kernel, mutate, _ = wrong
+        monkeypatch.setattr(skills, kernel, mutate(getattr(skills, kernel)))
+    assert miner.run_skills_suite(*sizes) == per_multimap_skills_suite(*sizes)
+
+
+def test_the_sweep_runs_each_pool_free_kernel_once_per_profile(monkeypatch):
+    calls = {"_star": 0, "_delineation_report": 0, "_refinement_route": 0}
+
+    def counted(name):
+        real = getattr(skills, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(skills, name, counted(name))
+    max_items, max_skills, max_comps = SMALL_SWEEP
+    profiles = {
+        (qn, sn, mins)
+        for qn in range(1, max_items + 1)
+        for sn in range(1, max_skills + 1)
+        for _, mins, _, _ in miner._mask_multimaps(qn, sn, max_comps)
+    }
+    results = miner.run_skills_suite(*SMALL_SWEEP)
+    assert calls["_star"] == results["star-implies-space"][0] == 261
+    assert calls["_delineation_report"] == calls["_refinement_route"] == len(profiles)
+    assert len(profiles) < 261
