@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ItemSet, PreTopology, SetFamily
+from .core import ItemSet, PreTopology, SetFamily, _canonical_key
 from .errors import NotACover
 from .operators import fringes
 
@@ -60,32 +60,24 @@ class ConnectednessReport:
 
 def clopen_sets(space: PreTopology) -> list[ItemSet]:
     """Proper nonempty sets that are both open and closed, canonical order."""
-    full = space.universe.full.mask
+    full = space.universe._full
     out = [
         m
         for m in space.states.masks()
         if m not in (0, full) and space.states.has_mask(full & ~m)
     ]
-    sets = [ItemSet(space.universe, m) for m in out]
-    sets.sort(key=ItemSet.sort_key)
-    return sets
+    return [ItemSet(space.universe, m) for m in sorted(out, key=_canonical_key)]
+
 
 def connectedness(space: PreTopology) -> ConnectednessReport:
     clopens = clopen_sets(space)
     if not clopens:
         return ConnectednessReport(connected=True, separation=None)
-    full = space.universe.full.mask
-    best: ItemSet | None = None
-    best_key: tuple | None = None
-    for c in clopens:
-        size = len(c)
-        co_size = full.bit_count() - size
-        if size > co_size:
-            continue
-        key = (-min(size, co_size), c.sort_key())
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    assert best is not None
+    # the complement of a clopen is clopen, so the most balanced separation
+    # has a part of at most half the items; max keeps the first of the
+    # largest such parts, and the clopens come in canonical order
+    half = len(space.universe) // 2
+    best = max((c for c in clopens if len(c) <= half), key=len)
     return ConnectednessReport(connected=False, separation=(best, best.complement()))
 
 
@@ -107,7 +99,7 @@ def find_simple_chain(
         raise NotACover("cover is over a different universe")
     if any(m not in space.states for m in cover):
         raise NotACover("cover members must be states of the space")
-    if cover.union_of_members().mask != u.full.mask:
+    if cover.union_of_members().mask != u._full:
         raise NotACover("family does not cover the universe")
     bx, by = 1 << u.index(x), 1 << u.index(y)
     members = [m for m in cover.members if m.mask]

@@ -4,7 +4,9 @@ A universe is an ordered list of at most 64 item labels; subsets are packed
 into plain ints, one bit per item. Families of subsets are kept in a single
 canonical order -- (cardinality, then position-lexicographic) -- so that
 serialization round-trips byte for byte and every downstream tie-break is
-deterministic.
+deterministic. A family keeps only its set of masks, orders them by one
+integer key (`_canonical_key`), and builds its member item sets the first
+time someone iterates over them.
 
 Examples
 --------
@@ -19,18 +21,47 @@ Examples
 from __future__ import annotations
 
 import json
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import AxiomViolation, CoverError, SchemaError, UniverseOverflow
 
 MAX_UNIVERSE = 64
 
+# byte b -> the complement of b with its 8 bits reversed
+_REVERSED_COMPLEMENT = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+
+def _canonical_key(mask: int) -> int:
+    """The sort key of the canonical order of masks (0 <= mask < 2^64).
+
+    By size, then, between members of one size, the one holding the
+    lowest item in which they differ first: exactly the order of
+    `ItemSet.sort_key`, (size, indices()). Below the size, the key holds
+    the bit reversal of the mask over 64 bits, complemented, so that the
+    lowest item is the most significant bit and a held bit sorts first.
+    One integer built by C-level calls, where `sort_key` builds a tuple
+    of the item indices.
+
+    >>> sorted([0b110, 0b011, 0b101, 0b1000], key=_canonical_key)
+    [8, 3, 5, 6]
+    """
+    return mask.bit_count() << 64 | int.from_bytes(
+        mask.to_bytes(8, "little").translate(_REVERSED_COMPLEMENT), "big"
+    )
+
+
+_FLAG = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(mask: int) -> bytes:
+    """One byte per item up to the highest held one, item 0 first: 1 if
+    the mask holds the item, else 0. A selector for `itertools.compress`,
+    so that the held items are picked by C-level calls instead of a
+    Python loop over the bits."""
+    return f"{mask:b}"[::-1].encode().translate(_FLAG)
 
 
 class Universe:
@@ -40,7 +71,7 @@ class Universe:
     serialization, family sorting, and every "least item" tie-break.
     """
 
-    __slots__ = ("labels", "_index")
+    __slots__ = ("labels", "_index", "_full")
 
     def __init__(self, labels: Iterable[str]):
         labels = tuple(str(x) for x in labels)
@@ -54,6 +85,7 @@ class Universe:
             raise ValueError("duplicate item labels in universe")
         self.labels = labels
         self._index = {label: i for i, label in enumerate(labels)}
+        self._full = (1 << len(labels)) - 1
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -65,7 +97,9 @@ class Universe:
         return label in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Universe) and self.labels == other.labels
+        return self is other or (
+            isinstance(other, Universe) and self.labels == other.labels
+        )
 
     def __hash__(self) -> int:
         return hash(self.labels)
@@ -97,7 +131,7 @@ class Universe:
 
     @property
     def full(self) -> "ItemSet":
-        return ItemSet(self, (1 << len(self.labels)) - 1)
+        return ItemSet(self, self._full)
 
     def subsets(self) -> Iterator["ItemSet"]:
         """All 2^m subsets in mask order. Caller is responsible for bounding m."""
@@ -134,7 +168,7 @@ class ItemSet:
     __slots__ = ("universe", "mask")
 
     def __init__(self, universe: Universe, mask: int):
-        if mask >> len(universe):
+        if mask & ~universe._full:
             raise ValueError("mask has bits outside the universe")
         self.universe = universe
         self.mask = mask
@@ -142,7 +176,7 @@ class ItemSet:
     @property
     def labels(self) -> tuple[str, ...]:
         names = self.universe.labels
-        return tuple(names[i] for i in _iter_bits(self.mask))
+        return tuple(compress(names, _flags(self.mask)))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -172,7 +206,7 @@ class ItemSet:
         return f"ItemSet({str(self)})"
 
     def _check(self, other: "ItemSet") -> None:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise ValueError("item sets belong to different universes")
 
     def __or__(self, other: "ItemSet") -> "ItemSet":
@@ -199,15 +233,18 @@ class ItemSet:
         return self <= other and self.mask != other.mask
 
     def complement(self) -> "ItemSet":
-        return ItemSet(self.universe, self.universe.full.mask & ~self.mask)
+        return ItemSet(self.universe, self.universe._full & ~self.mask)
 
     def is_empty(self) -> bool:
         return self.mask == 0
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(_iter_bits(self.mask))
+        return tuple(compress(count(), _flags(self.mask)))
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
+        """The canonical order: by size, then by the item indices. Sorting
+        by it gives the same order as sorting the masks by `_canonical_key`,
+        which is what the package sorts with."""
         return (self.mask.bit_count(), self.indices())
 
 
@@ -220,29 +257,31 @@ def distance(a: ItemSet, b: ItemSet) -> int:
 class SetFamily:
     """Duplicate-free collection of item sets in canonical order.
 
+    The family keeps its set of member masks and nothing else up front:
+    the canonical order is one integer key per mask (`_canonical_key`),
+    and `members`, the item sets in that order, is built the first time
+    someone iterates, indexes, prints or serializes the family. Kernels
+    that read `masks()`, `has_mask` or the base build no item set.
+
     The union-irreducible members and the per-item meets are derived
     once, on first use, and kept in `_derived` (see `_base`), next to the
     union-closure verdict once a test has computed it (`_union_closed`);
-    the family is immutable, so the slot never goes stale.
+    the family is immutable, so neither slot goes stale.
     """
 
-    __slots__ = ("universe", "members", "_mask_set", "_derived")
+    __slots__ = ("universe", "_mask_set", "_members", "_derived")
 
     def __init__(self, universe: Universe, members: Iterable[ItemSet] = ()):
         seen: set[int] = set()
-        canon: list[ItemSet] = []
         for m in members:
             if not isinstance(m, ItemSet):
                 raise TypeError("SetFamily members must be ItemSets")
             if m.universe != universe:
                 raise ValueError("member belongs to a different universe")
-            if m.mask not in seen:
-                seen.add(m.mask)
-                canon.append(m)
-        canon.sort(key=ItemSet.sort_key)
+            seen.add(m.mask)
         self.universe = universe
-        self.members = tuple(canon)
         self._mask_set = frozenset(seen)
+        self._members: tuple[ItemSet, ...] | None = None
         self._derived: _Base | None = None
 
     @classmethod
@@ -251,10 +290,25 @@ class SetFamily:
 
     @classmethod
     def from_masks(cls, universe: Universe, masks: Iterable[int]) -> "SetFamily":
-        return cls(universe, [ItemSet(universe, m) for m in masks])
+        mask_set = frozenset(masks)
+        if reduce(or_, mask_set, 0) & ~universe._full:
+            raise ValueError("mask has bits outside the universe")
+        family = cls(universe)
+        family._mask_set = mask_set
+        return family
+
+    @property
+    def members(self) -> tuple[ItemSet, ...]:
+        """The members as item sets, in canonical order."""
+        if self._members is None:
+            u = self.universe
+            self._members = tuple(
+                ItemSet(u, m) for m in sorted(self._mask_set, key=_canonical_key)
+            )
+        return self._members
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._mask_set)
 
     def __iter__(self) -> Iterator[ItemSet]:
         return iter(self.members)
@@ -289,10 +343,7 @@ class SetFamily:
         return mask in self._mask_set
 
     def union_of_members(self) -> ItemSet:
-        mask = 0
-        for m in self.members:
-            mask |= m.mask
-        return ItemSet(self.universe, mask)
+        return ItemSet(self.universe, reduce(or_, self._mask_set, 0))
 
     def nonempty_members(self) -> tuple[ItemSet, ...]:
         return tuple(m for m in self.members if m.mask)
@@ -301,10 +352,9 @@ class SetFamily:
         """The union-irreducible members and the per-item meets N(q),
         computed on the first call and shared by every later one."""
         if self._derived is None:
-            irreducibles = SetFamily.from_masks(
-                self.universe, _irreducible_masks(self._mask_set)
-            )
-            masks = tuple(b.mask for b in irreducibles.members)
+            irreducible = _irreducible_masks(self._mask_set)
+            masks = tuple(sorted(irreducible, key=_canonical_key))
+            irreducibles = SetFamily.from_masks(self.universe, masks)
             meets = tuple(_item_meets(masks, len(self.universe)))
             self._derived = _Base(irreducibles, masks, meets, None)
         return self._derived
@@ -371,7 +421,7 @@ class KnowledgeStructure:
             raise ValueError("states family is over a different universe")
         if not states.has_mask(0):
             raise AxiomViolation("empty-set-membership", witness="{}")
-        if not states.has_mask(universe.full.mask):
+        if not states.has_mask(universe._full):
             raise CoverError("states do not cover the universe: Q is not a state")
         self.universe = universe
         self.states = states
@@ -452,9 +502,12 @@ class PreTopology(KnowledgeStructure):
 
 def _require_cover(base: SetFamily) -> None:
     """Raise CoverError unless the members of the family cover the universe."""
-    missing = base.universe.full - base.union_of_members()
-    if missing.mask:
-        raise CoverError(f"generators do not cover the universe: {missing} uncovered")
+    u = base.universe
+    missing = u._full & ~base.union_of_members().mask
+    if missing:
+        raise CoverError(
+            f"generators do not cover the universe: {ItemSet(u, missing)} uncovered"
+        )
 
 
 def union_closure(base: SetFamily) -> PreTopology:

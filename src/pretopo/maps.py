@@ -87,7 +87,7 @@ class PointMap:
         return ItemSet(self.domain, self.preimage_mask(b.mask))
 
     def is_surjective(self) -> bool:
-        return self.image_mask(self.domain.full.mask) == self.codomain.full.mask
+        return self.image_mask(self.domain._full) == self.codomain._full
 
     def is_injective(self) -> bool:
         return len(set(self._targets)) == len(self._targets)
@@ -178,8 +178,8 @@ def is_pre_open(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
 
 def is_pre_closed(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
     _check_map(f, x, y)
-    full_x = x.universe.full.mask
-    full_y = y.universe.full.mask
+    full_x = x.universe._full
+    full_y = y.universe._full
     for o in x.states.masks():
         closed = full_x & ~o
         if not y.states.has_mask(full_y & ~f.image_mask(closed)):
@@ -294,7 +294,7 @@ def _partition_masks(space: PreTopology, classes: list[ItemSet]) -> list[int]:
         if c.mask & seen:
             raise NotAPartition(f"classes overlap at {c}")
         seen |= c.mask
-    if seen != space.universe.full.mask:
+    if seen != space.universe._full:
         raise NotAPartition("classes do not cover the universe")
     return [c.mask for c in classes]
 
@@ -358,7 +358,7 @@ def child_pretopology(space: PreTopology, b: ItemSet, u: ItemSet) -> ChildPretop
         raise NotAState(f"{u} is not a state")
     trace = u.mask & b.mask
     cls = [m for m in space.states.masks() if m & b.mask == trace]
-    core = space.universe.full.mask
+    core = space.universe._full
     for m in cls:
         core &= m
     gamma = {m & ~core for m in cls}

@@ -29,6 +29,7 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
+    _canonical_key,
     distance,
     irreducible_states,
     is_pre_base_for,
@@ -361,12 +362,10 @@ def _mask_multimaps(
     and the minimal pool, each in the canonical order of `SkillMultimap`.
 
     A choice is one item's set of competencies; its sorted and minimal
-    members are found once, and pools are sorted by a rank table of
-    `ItemSet.sort_key` over the skill masks.
+    members are found once, and pools are sorted by a table of
+    `_canonical_key` over the skill masks.
     """
-    skill_u = _skill_universe(n_skills)
-    ranked = sorted(range(1 << n_skills), key=lambda c: ItemSet(skill_u, c).sort_key())
-    rank = {c: i for i, c in enumerate(ranked)}
+    rank = {c: _canonical_key(c) for c in range(1 << n_skills)}
     choices = []
     for size in range(1, max_competencies + 1):
         for combo in itertools.combinations(range(1, 1 << n_skills), size):

@@ -31,7 +31,7 @@ def closure(space: PreTopology, a: ItemSet) -> ItemSet:
     for b in space.states._base().masks:
         if not b & a.mask:
             miss |= b
-    return ItemSet(space.universe, space.universe.full.mask & ~miss)
+    return ItemSet(space.universe, space.universe._full & ~miss)
 
 
 def interior(space: PreTopology, a: ItemSet) -> ItemSet:

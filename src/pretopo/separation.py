@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from collections.abc import Iterable
 
-from .core import ItemSet, PreTopology, Universe
+from .core import ItemSet, PreTopology, Universe, _canonical_key
 from .operators import fringes
 
 
@@ -132,10 +132,7 @@ def is_regular_property(
 
 def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
     """The closed sets in witness scan order: by size, then by indices."""
-    return sorted(
-        (u.full.mask & ~m for m in opens),
-        key=lambda m: (m.bit_count(), ItemSet(u, m).indices()),
-    )
+    return sorted((u._full & ~m for m in opens), key=_canonical_key)
 
 
 def _regular(

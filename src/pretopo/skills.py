@@ -20,6 +20,7 @@ from .core import (
     KnowledgeStructure,
     SetFamily,
     Universe,
+    _canonical_key,
     _read_labels,
     _read_universe,
     union_closure_masks,
@@ -61,7 +62,7 @@ class SkillMultimap:
                 if c.mask not in seen:
                     seen.add(c.mask)
                     comps.append(c)
-            comps.sort(key=ItemSet.sort_key)
+            comps.sort(key=lambda c: _canonical_key(c.mask))
             clean[t] = tuple(comps)
             minimal[t] = tuple(
                 c
@@ -83,14 +84,14 @@ class SkillMultimap:
         for t in self.items.labels:
             for c in self.mu[t]:
                 seen[c.mask] = c
-        return tuple(sorted(seen.values(), key=ItemSet.sort_key))
+        return tuple(seen[c] for c in sorted(seen, key=_canonical_key))
 
     def minimal_pool(self) -> tuple[ItemSet, ...]:
         seen: dict[int, ItemSet] = {}
         for t in self.items.labels:
             for c in self.mu_min[t]:
                 seen[c.mask] = c
-        return tuple(sorted(seen.values(), key=ItemSet.sort_key))
+        return tuple(seen[c] for c in sorted(seen, key=_canonical_key))
 
     def to_obj(self) -> dict:
         return {

@@ -197,7 +197,7 @@ def from_closure_operator(table: ClosureOperatorTable) -> PreTopology:
     from .operators import closure
 
     u = table.universe
-    full = u.full.mask
+    full = u._full
     opens = [full & ~b for b, c in table.assignment.items() if b == c]
     space = PreTopology(u, SetFamily.from_masks(u, opens), _trusted=True)
     for b, c in table.assignment.items():
@@ -221,12 +221,8 @@ def is_atom_pre_base(candidate: SetFamily, space: PreTopology) -> bool:
     member P with z in P and P ⊆ B.
     """
     _require_pre_base(candidate, space)
-    members = candidate.nonempty_members()
-    for b in members:
-        for p in members:
-            if p.mask != b.mask and p <= b:
-                return False
-    return True
+    masks = [m for m in candidate.masks() if m]
+    return not any(p != b and p & ~b == 0 for b in masks for p in masks)
 
 
 def is_minimal_pre_base(candidate: SetFamily, space: PreTopology) -> bool:
@@ -237,4 +233,4 @@ def is_minimal_pre_base(candidate: SetFamily, space: PreTopology) -> bool:
     confirms the equivalence with the literal definition.
     """
     _require_pre_base(candidate, space)
-    return SetFamily(candidate.universe, candidate.nonempty_members()) == irreducible_states(space)
+    return candidate.masks() - {0} == irreducible_states(space).masks()

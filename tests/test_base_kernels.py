@@ -11,7 +11,8 @@ reduction were computed with before. The operators (closure, interior,
 boundary, derived set, density), which read the base, are compared with
 the scans of every open they replace, on every space on up to 4 points
 and on seeded spaces on up to 16 items. The base of a family is computed
-once and shared by every kernel that reads it.
+once and shared by every kernel that reads it, and a family made from
+masks builds no member item set unless someone iterates over it.
 """
 
 import itertools
@@ -486,6 +487,27 @@ def test_the_base_of_a_family_is_computed_once(monkeypatch):
     cardinal.greedy_primary_items(space)
     assert len(calls) == 1
     assert irreducible_states(space) is base
+
+
+def test_a_family_from_masks_builds_no_member_item_sets():
+    """Validation, classification, the operators, separation and the
+    reduction read the family's masks and its base: none of them builds
+    the member item sets, of the family or of its base."""
+    rng = random.Random(5)
+    u = Universe([f"x{i + 1}" for i in range(12)])
+    gens = [rng.getrandbits(12) for _ in range(8)]
+    family = SetFamily.from_masks(u, union_closure_masks(gens) | {u.full.mask})
+    space = PreTopology(u, family)
+    classify(family)
+    for a in (0, 0b101, rng.getrandbits(12), u.full.mask):
+        closure(space, u.from_mask(a))
+        interior(space, u.from_mask(a))
+    separation_profile(space)
+    discriminative_reduction(space)
+    assert family._members is None
+    assert family._base().irreducibles._members is None
+    assert len(family.members) == len(family)
+    assert family._members is not None
 
 
 def test_classify_reads_the_validation_verdict(monkeypatch):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from pretopo import (
     union_closure,
 )
 from pretopo import fixtures
+from pretopo.core import _canonical_key
 
 
 def u(n):
@@ -113,6 +115,73 @@ def test_family_from_obj_schema_errors():
         SetFamily.from_obj({"universe": ["a"]})
     with pytest.raises(SchemaError):
         SetFamily.from_obj({"universe": ["a"], "states": [["b"]]})
+
+
+# ---------------------------------------------------------- canonical order
+
+
+def by_sort_key(uni, masks):
+    """The masks sorted by `ItemSet.sort_key`, whose indices are checked
+    against a literal scan of the bits."""
+    for m in masks:
+        indices = tuple(i for i in range(len(uni)) if m >> i & 1)
+        assert ItemSet(uni, m).indices() == indices
+        assert ItemSet(uni, m).labels == tuple(uni.labels[i] for i in indices)
+    return sorted(masks, key=lambda m: ItemSet(uni, m).sort_key())
+
+
+def test_canonical_key_agrees_with_sort_key_on_every_mask_up_to_eight_items():
+    for n in range(1, 9):
+        masks = list(range(1 << n))
+        assert sorted(masks, key=_canonical_key) == by_sort_key(u(n), masks)
+
+
+@pytest.mark.parametrize("n", [16, 40, 63, 64])
+def test_canonical_key_agrees_with_sort_key_on_seeded_masks(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    # 0, the full mask and the top bit (bit 63 at n = 64) come first
+    masks = [0, full, 1 << (n - 1), full ^ 1, 1 | 1 << (n - 1)]
+    while len(masks) < 3000:
+        a, b = rng.getrandbits(n), rng.getrandbits(n)
+        low = (1 << rng.randrange(n)) - 1
+        # uniform, sparse and dense masks, many of one size, and one that
+        # agrees with `a` below a random item, so high items decide too
+        masks += [a, a & b, a | b, a & low | b & ~low]
+    masks = masks[:3000]
+    assert sorted(masks, key=_canonical_key) == by_sort_key(u(n), masks)
+
+
+def test_families_from_masks_and_from_item_sets_agree():
+    rng = random.Random(7)
+    for n in (3, 12, 64):
+        uni = u(n)
+        full = (1 << n) - 1
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(80)]
+        masks += [0, full, masks[0]]
+        from_masks = SetFamily.from_masks(uni, masks)
+        from_sets = SetFamily(uni, [ItemSet(uni, m) for m in masks])
+        assert from_masks.members == from_sets.members
+        assert [s.mask for s in from_masks.members] == by_sort_key(uni, set(masks))
+        assert from_masks.to_obj() == from_sets.to_obj()
+        assert len(from_masks) == len(from_sets) == len(set(masks))
+        base = from_masks._base().masks
+        assert list(base) == by_sort_key(uni, base)
+        assert (
+            irreducible_states(KnowledgeStructure(uni, from_masks)).members
+            == irreducible_states(KnowledgeStructure(uni, from_sets)).members
+        )
+
+
+def test_family_from_masks_rejects_masks_outside_the_universe():
+    for n, bad in [(3, [0, 1 << 3]), (3, [-1]), (3, [0b111, -8]), (64, [1 << 64])]:
+        with pytest.raises(ValueError):
+            SetFamily.from_masks(u(n), bad)
+
+
+def test_family_members_must_be_item_sets():
+    with pytest.raises(TypeError):
+        SetFamily(u(2), [0b01])
 
 
 # ------------------------------------------------------------ union closure
