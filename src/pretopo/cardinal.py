@@ -14,12 +14,12 @@ from .core import (
     ItemSet,
     PreTopology,
     SetFamily,
+    _guard,
     _require_cover,
     irreducible_states,
 )
 from .errors import NotMinimalPreBase
 from .order import atoms_at
-from .structure import _guard
 
 DENSITY_UNIVERSE_BOUND = 24
 CELLULARITY_STATES_BOUND = 4096

@@ -30,7 +30,10 @@ from .skills import SkillMultimap
 
 def _read(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise SchemaError("JSON nested too deeply") from None
 
 
 def _family(path: str) -> SetFamily:
@@ -452,7 +455,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PretopoError as exc:

@@ -26,7 +26,13 @@ from itertools import compress, count
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import AxiomViolation, CoverError, SchemaError, UniverseOverflow
+from .errors import (
+    AxiomViolation,
+    BoundExceeded,
+    CoverError,
+    SchemaError,
+    UniverseOverflow,
+)
 
 MAX_UNIVERSE = 64
 
@@ -62,6 +68,21 @@ def _flags(mask: int) -> bytes:
     so that the held items are picked by C-level calls instead of a
     Python loop over the bits."""
     return f"{mask:b}"[::-1].encode().translate(_FLAG)
+
+
+def _guard(
+    size: int,
+    default: int,
+    what: str,
+    bound: int | None,
+    error: type[BoundExceeded] = BoundExceeded,
+) -> None:
+    """The size guard of every exponential kernel: raise `error` when
+    `size` exceeds `bound`, or `default` when no bound is passed. It
+    reads no global setting, so each call is limited by its own bound."""
+    limit = default if bound is None else bound
+    if size > limit:
+        raise error(f"{what}: {size} exceeds the configured bound {limit}")
 
 
 class Universe:
@@ -523,9 +544,7 @@ def union_closure(base: SetFamily) -> PreTopology:
     """
     universe = base.universe
     _require_cover(base)
-    closed: set[int] = {0}
-    for g in base.masks():
-        closed |= {m | g for m in closed}
+    closed = union_closure_masks(base.masks())
     return PreTopology(universe, SetFamily.from_masks(universe, closed), _trusted=True)
 
 

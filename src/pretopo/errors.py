@@ -66,16 +66,17 @@ class EmptySubspace(PretopoError):
     """Subspace carrier must be non-empty."""
 
 
-class SkillBoundExceeded(PretopoError):
+class BoundExceeded(PretopoError):
+    """Input exceeds a configured size bound; the message names the
+    measured quantity, its size and the limit."""
+
+
+class SkillBoundExceeded(BoundExceeded):
     """Skill universe too large for exhaustive delineation."""
 
 
-class CombinatorialBoundExceeded(PretopoError):
+class CombinatorialBoundExceeded(BoundExceeded):
     """Search space exceeds the configured combinatorial guard."""
-
-
-class BoundExceeded(PretopoError):
-    """Input exceeds a configured size bound."""
 
 
 class SchemaError(ValueError):

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .core import (
+    MAX_UNIVERSE,
     ItemSet,
     PreTopology,
     SetFamily,
@@ -28,8 +29,6 @@ from .errors import (
     SchemaError,
     UniverseOverflow,
 )
-
-MAX_PRODUCT_ITEMS = 64
 
 
 class PointMap:
@@ -266,9 +265,9 @@ def product(xs: list[PreTopology]) -> PreTopology:
     total = 1
     for s in xs:
         total *= len(s.universe)
-    if total > MAX_PRODUCT_ITEMS:
+    if total > MAX_UNIVERSE:
         raise UniverseOverflow(
-            f"product universe would have {total} items (cap {MAX_PRODUCT_ITEMS})"
+            f"product universe would have {total} items (cap {MAX_UNIVERSE})"
         )
     label_tuples = list(itertools.product(*(s.universe.labels for s in xs)))
     labels = ["(" + ",".join(t) + ")" for t in label_tuples]

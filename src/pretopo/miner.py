@@ -30,6 +30,7 @@ from .core import (
     SetFamily,
     Universe,
     _canonical_key,
+    _guard,
     distance,
     irreducible_states,
     is_pre_base_for,
@@ -38,7 +39,6 @@ from .core import (
 )
 from .errors import PretopoError
 from .skills import SkillMultimap
-from .structure import _guard
 
 MAX_EXHAUSTIVE = 4
 MAX_SAMPLED = 6
@@ -103,14 +103,7 @@ def sample_spaces(
     _guard(n, MAX_SAMPLED, "sampled enumeration universe", bound)
     rng = random.Random(f"spaces:{n}:{seed}")
     u = _universe(n)
-    full = (1 << n) - 1
-    out = []
-    for _ in range(count):
-        gens = [rng.randint(1, full) for _ in range(rng.randint(1, 2 * n))]
-        gens.append(full)
-        masks = union_closure_masks(gens)
-        out.append(PreTopology(u, SetFamily.from_masks(u, masks), _trusted=True))
-    return out
+    return [_random_space(u, rng) for _ in range(count)]
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ structure is the family of all p(R).
 from __future__ import annotations
 
 import json
-import os
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Sequence, Set
@@ -21,6 +20,7 @@ from .core import (
     SetFamily,
     Universe,
     _canonical_key,
+    _guard,
     _read_labels,
     _read_universe,
     union_closure_masks,
@@ -156,16 +156,6 @@ def _p(mins: Sequence[Sequence[int]], r: int) -> int:
     return mask
 
 
-def _skill_guard(m: SkillMultimap, bound: int | None) -> None:
-    limit = bound if bound is not None else int(
-        os.environ.get("PRETOPO_BOUND", SKILL_BOUND)
-    )
-    if len(m.skills) > limit:
-        raise SkillBoundExceeded(
-            f"{len(m.skills)} skills exceed the delineation bound {limit}"
-        )
-
-
 def _holders(mins: Sequence[Sequence[int]]) -> dict[int, int]:
     """Each competency of the minimal pool -> mask of the items holding it
     as a minimal competency, so p(R) is the union of the masks whose key
@@ -217,7 +207,7 @@ def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
     a given one (U is at most 2^|S| and at most 2^|pool|), plus a
     2^|S|-byte seen-map. The skill guard is kept as the bound on |S|.
     """
-    _skill_guard(m, bound)
+    _guard(len(m.skills), SKILL_BOUND, "delineation skills", bound, SkillBoundExceeded)
     states = _delineated_masks(_holders(_min_masks(m)), len(m.skills))
     return KnowledgeStructure(m.items, SetFamily.from_masks(m.items, states))
 
@@ -246,7 +236,7 @@ def is_delineated_space(
     from the minimal competencies of all items. Both read one holder
     table; neither uses the other's result.
     """
-    _skill_guard(m, bound)
+    _guard(len(m.skills), SKILL_BOUND, "delineation skills", bound, SkillBoundExceeded)
     holders = _holders(_min_masks(m))
     family = _delineated_masks(holders, len(m.skills))
     return _delineation_report(holders, family, len(m.items))
@@ -286,13 +276,7 @@ def star_condition(m: SkillMultimap, bound: int | None = None) -> bool:
     subfamilies. The pool guard is kept as an API contract.
     """
     pool = m.competency_pool()
-    limit = bound if bound is not None else int(
-        os.environ.get("PRETOPO_BOUND", POOL_BOUND)
-    )
-    if len(pool) > limit:
-        raise CombinatorialBoundExceeded(
-            f"competency pool of {len(pool)} exceeds the bound {limit}"
-        )
+    _guard(len(pool), POOL_BOUND, "competency pool", bound, CombinatorialBoundExceeded)
     return _star([c.mask for c in pool], _min_masks(m))
 
 

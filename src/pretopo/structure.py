@@ -8,7 +8,6 @@ from binary relations and extensional closure operators.
 from __future__ import annotations
 
 import json
-import os
 from collections.abc import Set
 from dataclasses import dataclass
 
@@ -17,6 +16,7 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
+    _guard,
     _irreducible_masks,
     _is_union_closed,
     _item_meets,
@@ -27,19 +27,12 @@ from .core import (
 )
 from .errors import (
     AxiomViolation,
-    BoundExceeded,
     EmptyMemberError,
     NotAPreBase,
     SchemaError,
 )
 
 RELATION_UNIVERSE_BOUND = 20
-
-
-def _guard(size: int, default: int, what: str, bound: int | None = None) -> None:
-    limit = bound if bound is not None else int(os.environ.get("PRETOPO_BOUND", default))
-    if size > limit:
-        raise BoundExceeded(f"{what}: {size} exceeds the configured bound {limit}")
 
 
 @dataclass(frozen=True)

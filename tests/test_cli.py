@@ -301,6 +301,19 @@ def test_bad_json_exits_two(capsys, tmp_path):
     assert err.startswith("JSONDecodeError: line ")
 
 
+@pytest.mark.parametrize(
+    "content, error",
+    [(b"\xff{}", "UnicodeDecodeError"), (b"[" * 100_000, "SchemaError")],
+    ids=["not-utf8", "nested-too-deeply"],
+)
+def test_unreadable_json_exits_two(capsys, tmp_path, content, error):
+    f = tmp_path / "unreadable.json"
+    f.write_bytes(content)
+    code, out, err = run(capsys, "check", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith(error)
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "absent.json"))
     assert code == 2

@@ -4,13 +4,15 @@ A name bound by `import` or `from ... import` in a module under
 `src/pretopo/` must be loaded somewhere in that module or be listed in its
 `__all__`. The base kernels are called only where the base is computed:
 in `core`, which caches it per family, and in `structure._classify`, which
-works on bare masks.
+works on bare masks. Size limits have one mechanism: no module reads the
+environment, and only `core._guard` raises a `BoundExceeded`.
 """
 
 import ast
 from pathlib import Path
 
 import pretopo
+from pretopo import errors
 
 PACKAGE = Path(pretopo.__file__).parent
 
@@ -70,3 +72,56 @@ def test_base_kernels_are_called_only_where_the_base_is_computed():
     assert ("structure.py", "_classify", "_irreducible_masks") in calls
     stray = [c for c in calls if c[0] != "core.py" and c[:2] != ("structure.py", "_classify")]
     assert stray == []
+
+
+ENVIRONMENT = {"os", "environ", "getenv"}
+GUARD_ERRORS = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, errors.BoundExceeded)
+}
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                names = [getattr(node, "attr", getattr(node, "id", None))]
+            else:
+                continue
+            reads += [(path.name, node.lineno, n) for n in names if n in ENVIRONMENT]
+    assert reads == []
+
+
+def raised_names(path):
+    """(module, top-level function or None, name) for each name that a
+    `raise` statement in the module raises or calls."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                found.append((path.name, owner, name))
+    return found
+
+
+def test_size_limits_are_raised_only_by_the_one_guard():
+    raised = [r for path in sorted(PACKAGE.glob("*.py")) for r in raised_names(path)]
+    assert {"BoundExceeded", "SkillBoundExceeded", "CombinatorialBoundExceeded"} <= GUARD_ERRORS
+    assert [r for r in raised if r[2] in GUARD_ERRORS] == []
+    assert [r for r in raised if r[:2] == ("core.py", "_guard")] == [
+        ("core.py", "_guard", "error")
+    ]
+    guard = next(
+        top
+        for top in ast.parse((PACKAGE / "core.py").read_text()).body
+        if isinstance(top, ast.FunctionDef) and top.name == "_guard"
+    )
+    assert "error" in [a.arg for a in guard.args.args]

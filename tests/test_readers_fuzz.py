@@ -6,12 +6,22 @@ a `PretopoError`, such as an `AxiomViolation` for a value of the right
 shape that breaks an axiom (exit 1). A bare ValueError, TypeError or
 KeyError would reach the CLI as a traceback. The values mix arbitrary
 JSON with values of each reader's own shape whose fields are fuzzed, so
-that the checks past the first key test are reached too. Derandomized
-and bounded, so the run is the same every time and takes about 2 s.
+that the checks past the first key test are reached too. The same
+values, written to files, are run through every verb of the CLI, which
+must exit 0, 1 or 2. Universes keep to three labels, so products and
+union closures stay small. Derandomized and bounded, so the run is the
+same every time.
 """
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from pretopo.cli import main
 from pretopo.core import SetFamily
 from pretopo.errors import PretopoError, SchemaError
 from pretopo.order import QuasiOrder
@@ -127,3 +137,48 @@ def test_skill_multimap_reader(obj):
 @given(closure_obj)
 def test_closure_operator_table_reader(obj):
     loads_or_domain_error(ClosureOperatorTable.from_obj, obj)
+
+
+map_obj = (
+    st.fixed_dictionaries({"map": st.dictionaries(LABELS, LABELS | junk, max_size=3)})
+    | junk
+)
+# each verb that reads files: its arguments, with F, M and P standing for a
+# fuzzed family, multimap and point-map file; a file holds JSON or raw bytes
+VERBS = [
+    ["check", "F"],
+    ["base", "F"],
+    ["closure", "F", "a,b"],
+    ["fringe", "F", "-"],
+    ["separation", "F"],
+    ["connectivity", "F"],
+    ["reduce", "F"],
+    ["order", "F"],
+    ["delineate", "M"],
+    ["primary-items", "F", "--method", "greedy"],
+    ["primary-items", "F", "--method", "matrix"],
+    ["primary-items", "F", "--method", "exact"],
+    ["map", "P", "F", "F"],
+    ["product", "F", "F"],
+]
+FILES = {
+    key: value.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=4)
+    for key, value in (("F", family_obj | order_obj), ("M", multimap_obj), ("P", map_obj))
+}
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(VERBS), st.data())
+def test_cli_verbs_exit_with_a_code(verb, data):
+    """Each verb on fuzzed files exits 0, 1 or 2; nothing escapes `main`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = []
+        for i, arg in enumerate(verb):
+            if arg in FILES:
+                path = Path(tmp) / f"{i}.json"
+                path.write_bytes(data.draw(FILES[arg]))
+                arg = str(path)
+            argv.append(arg)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
