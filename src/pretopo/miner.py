@@ -448,12 +448,12 @@ def _chk_union_closure_laws(views, rng):
     for v in views:
         sp = union_closure(irreducible_states(v.space))
         if sp.states.masks() != v.space.states.masks():
-            col.add(v.ser(), "union closure of the minimal pre-base differs")
+            col.add(v.ser, "union closure of the minimal pre-base differs")
             continue
         if not (sp.states.has_mask(0) and sp.states.has_mask(v.full)):
-            col.add(v.ser(), "closure dropped the empty set or the universe")
+            col.add(v.ser, "closure dropped the empty set or the universe")
         if union_closure(sp.states).states.masks() != sp.states.masks():
-            col.add(v.ser(), "union closure is not idempotent")
+            col.add(v.ser, "union closure is not idempotent")
     return len(views), col.stored, None
 
 
@@ -525,7 +525,7 @@ def _chk_minimal_base_containment(views, rng):
             ]
         for pick in picks:
             fam = [nonzero[i] for i in range(k) if pick >> i & 1]
-            col.add(v.ser(), f"pre-base {fam} misses an irreducible state")
+            col.add(v.ser, f"pre-base {fam} misses an irreducible state")
     return checked, col.stored, None
 
 
@@ -558,9 +558,9 @@ def _chk_minimal_pre_base_recognized(views, rng):
     for v in views:
         base = irreducible_states(v.space)
         if not is_pre_base_for(base, v.space):
-            col.add(v.ser(), "irreducible states rejected as a pre-base")
+            col.add(v.ser, "irreducible states rejected as a pre-base")
         if not structure.is_minimal_pre_base(base, v.space):
-            col.add(v.ser(), "irreducible states rejected as the minimal pre-base")
+            col.add(v.ser, "irreducible states rejected as the minimal pre-base")
     return len(views), col.stored, None
 
 
@@ -571,7 +571,7 @@ def _chk_closure_round_trip(views, rng):
         table = structure.ClosureOperatorTable.of_space(v.space)
         back = structure.from_closure_operator(table)
         if back.states.masks() != v.space.states.masks():
-            col.add(v.ser(), "closure-operator round trip changed the family")
+            col.add(v.ser, "closure-operator round trip changed the family")
     return len(_cap(views, CAP_HEAVY)), col.stored, None
 
 
@@ -581,17 +581,17 @@ def _chk_classify_monotone(views, rng):
     for v in views:
         c = structure.classify(v.space.states)
         if not c.is_knowledge_space:
-            col.add(v.ser(), "enumerated family not classified as a space")
+            col.add(v.ser, "enumerated family not classified as a space")
         if c.is_knowledge_space and not c.is_knowledge_structure:
-            col.add(v.ser(), "space flag without structure flag")
+            col.add(v.ser, "space flag without structure flag")
         if c.is_quasi_ordinal and not c.is_knowledge_space:
-            col.add(v.ser(), "quasi-ordinal flag without space flag")
+            col.add(v.ser, "quasi-ordinal flag without space flag")
         masks = v.space.states.masks()
         pairwise = all(
             a & b in masks for i, a in enumerate(v.opens) for b in v.opens[i + 1 :]
         )
         if c.is_quasi_ordinal != pairwise:
-            col.add(v.ser(), "classification disagrees with the intersection test")
+            col.add(v.ser, "classification disagrees with the intersection test")
     return len(views), col.stored, None
 
 
@@ -605,7 +605,7 @@ def _chk_atom_pre_base(views, rng):
     col = _Collector()
     for v in views:
         if not structure.is_atom_pre_base(irreducible_states(v.space), v.space):
-            col.add(v.ser(), "minimal pre-base is not an antichain")
+            col.add(v.ser, "minimal pre-base is not an antichain")
     frac = f"{col.total}/{len(views)} minimal pre-bases are not atom pre-bases"
     return len(views), col.stored, frac
 
@@ -621,19 +621,19 @@ def _chk_closure_axioms(views, rng):
     for v in views:
         cl = v.cl()
         if cl[0] != 0:
-            col.add(v.ser(), "closure of the empty set is nonempty")
+            col.add(v.ser, "closure of the empty set is nonempty")
         for a in range(v.full + 1):
             c = cl[a]
             if a & ~c:
-                col.add(v.ser(), f"not extensive at {a:b}")
+                col.add(v.ser, f"not extensive at {a:b}")
             if cl[c] != c:
-                col.add(v.ser(), f"not idempotent at {a:b}")
+                col.add(v.ser, f"not idempotent at {a:b}")
             rest = v.full & ~a
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if c & ~cl[a | low]:
-                    col.add(v.ser(), f"not monotone at {a:b}+{low:b}")
+                    col.add(v.ser, f"not monotone at {a:b}+{low:b}")
     return len(views), col.stored, None
 
 
@@ -651,7 +651,7 @@ def _chk_closure_point_test(views, rng):
                 if not o & a:
                     miss |= o
             if cl[a] != v.full & ~miss:
-                col.add(v.ser(), f"point test disagrees at {a:b}")
+                col.add(v.ser, f"point test disagrees at {a:b}")
     return len(vs), col.stored, None
 
 
@@ -664,7 +664,7 @@ def _chk_derived_set_definition(views, rng):
         for a in range(v.full + 1):
             got = operators.derived_set(v.space, v.item(a)).mask
             if got != der[a]:
-                col.add(v.ser(), f"derived set disagrees at {a:b}")
+                col.add(v.ser, f"derived set disagrees at {a:b}")
     return len(vs), col.stored, None
 
 
@@ -676,7 +676,7 @@ def _chk_closure_derived_union(views, rng):
         der = v.der()
         for a in range(v.full + 1):
             if cl[a] != a | der[a]:
-                col.add(v.ser(), f"closure != set plus derived set at {a:b}")
+                col.add(v.ser, f"closure != set plus derived set at {a:b}")
     return len(views), col.stored, None
 
 
@@ -690,7 +690,7 @@ def _chk_closure_union_superadditive(views, rng):
             ca = cl[a]
             for b in range(a, v.full + 1):
                 if (ca | cl[b]) & ~cl[a | b]:
-                    col.add(v.ser(), f"union closure too small at {a:b},{b:b}")
+                    col.add(v.ser, f"union closure too small at {a:b},{b:b}")
     return len(vs), col.stored, None
 
 
@@ -703,18 +703,18 @@ def _chk_boundary_formulas(views, rng):
         for a in range(v.full + 1):
             bd = cl[a] & cl[v.full & ~a]
             if bd != cl[a] & ~itr[a]:
-                col.add(v.ser(), f"boundary formulas split at {a:b}")
+                col.add(v.ser, f"boundary formulas split at {a:b}")
             if cl[bd] != bd:
-                col.add(v.ser(), f"boundary not closed at {a:b}")
+                col.add(v.ser, f"boundary not closed at {a:b}")
     for v in _cap(views, CAP_VERY_HEAVY):
         cl = v.cl()
         for a in range(v.full + 1):
             got = operators.boundary(v.space, v.item(a)).mask
             if got != cl[a] & cl[v.full & ~a]:
-                col.add(v.ser(), f"boundary() disagrees at {a:b}")
+                col.add(v.ser, f"boundary() disagrees at {a:b}")
             comp = operators.boundary(v.space, v.item(v.full & ~a)).mask
             if got != comp:
-                col.add(v.ser(), f"boundary not complement-symmetric at {a:b}")
+                col.add(v.ser, f"boundary not complement-symmetric at {a:b}")
     return len(views), col.stored, None
 
 
@@ -726,7 +726,7 @@ def _chk_interior_closure_duality(views, rng):
         itr = v.itr()
         for a in range(v.full + 1):
             if itr[a] != v.full & ~cl[v.full & ~a]:
-                col.add(v.ser(), f"duality fails at {a:b}")
+                col.add(v.ser, f"duality fails at {a:b}")
     return len(views), col.stored, None
 
 
@@ -753,7 +753,7 @@ def _chk_boundary_union_subadditivity(views, rng):
                     bad_pairs += 1
                     if not hit:
                         hit = True
-                        col.add(v.ser(), f"strict at {a:b},{b:b}")
+                        col.add(v.ser, f"strict at {a:b},{b:b}")
     summary = f"{bad_pairs}/{pairs} subset pairs violate subadditivity"
     return len(vs), col.stored, summary
 
@@ -776,16 +776,16 @@ def _chk_fringe_characterizations(views, rng):
                 if not hm & cl[v.full & ~hm]:
                     want_inner |= low
             if inner != want_inner:
-                col.add(v.ser(), f"inner fringe of {h:b} disagrees")
+                col.add(v.ser, f"inner fringe of {h:b} disagrees")
             want_outer = (v.full & ~h) & ~der[v.full & ~h]
             if outer != want_outer:
-                col.add(v.ser(), f"outer fringe of {h:b} disagrees")
+                col.add(v.ser, f"outer fringe of {h:b} disagrees")
             rest = outer
             while rest:
                 low = rest & -rest
                 rest ^= low
                 if not v.space.states.has_mask(h | low):
-                    col.add(v.ser(), f"outer fringe item {low:b} does not extend {h:b}")
+                    col.add(v.ser, f"outer fringe item {low:b} does not extend {h:b}")
     return len(views), col.stored, None
 
 
@@ -817,7 +817,7 @@ def _chk_separation_hierarchy(views, rng):
         sigs = _signatures(v)
         t0 = len(set(sigs)) == v.n
         if separation.is_t0(v.space)[0] != t0:
-            col.add(v.ser(), "T0 disagrees with signature distinctness")
+            col.add(v.ser, "T0 disagrees with signature distinctness")
         bi = all(
             sigs[p] & ~sigs[q] and sigs[q] & ~sigs[p]
             for p in range(v.n)
@@ -825,9 +825,9 @@ def _chk_separation_hierarchy(views, rng):
         )
         t1 = separation.is_t1(v.space)[0]
         if t1 != bi:
-            col.add(v.ser(), "T1 disagrees with bi-discrimination")
+            col.add(v.ser, "T1 disagrees with bi-discrimination")
         if separation.bi_discriminative_via_fringe(v.space) != t1:
-            col.add(v.ser(), "fringe route to bi-discrimination disagrees")
+            col.add(v.ser, "fringe route to bi-discrimination disagrees")
     for v in _cap(views, CAP_HEAVY):
         atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
         apart = all(
@@ -836,13 +836,13 @@ def _chk_separation_hierarchy(views, rng):
             for q in range(p + 1, v.n)
         )
         if separation.is_t2(v.space)[0] != apart:
-            col.add(v.ser(), "T2 disagrees with disjoint minimal states")
+            col.add(v.ser, "T2 disagrees with disjoint minimal states")
     for v in _cap(views, CAP_VERY_HEAVY):
         p = separation.separation_profile(v.space)
         chain = (p.t4, p.t3, p.t2, p.t1, p.t0)
         for hi, lo in zip(chain, chain[1:]):
             if hi and not lo:
-                col.add(v.ser(), "separation hierarchy implication fails")
+                col.add(v.ser, "separation hierarchy implication fails")
                 break
     return len(views), col.stored, None
 
@@ -856,7 +856,7 @@ def _chk_size_weight_bound(views, rng):
             continue
         checked += 1
         if len(v.opens) > 1 << cardinal.weight(v.space):
-            col.add(v.ser(), "family larger than 2^weight on a T0 space")
+            col.add(v.ser, "family larger than 2^weight on a T0 space")
     return checked, col.stored, None
 
 
@@ -879,7 +879,7 @@ def _chk_locally_closed_uniqueness(views, rng):
                 if delta & ~(ia | oa) and delta & ~(ib | ob):
                     continue
                 if ia == ib and oa == ob:
-                    col.add(v.ser(), f"{a:b} and {b:b} share fringes")
+                    col.add(v.ser, f"{a:b} and {b:b} share fringes")
     return len(vs), col.stored, None
 
 
@@ -962,7 +962,7 @@ def _chk_chain_connected_iff_connected(views, rng):
             _cover_chain_connected(fam, v.n) for fam in _covers_for(v, rng)
         )
         if conn != chain:
-            col.add(v.ser(), f"connected={conn} but chain-connected={chain}")
+            col.add(v.ser, f"connected={conn} but chain-connected={chain}")
     labels = None
     for v in _cap(views, 200):
         if labels is None:
@@ -981,7 +981,7 @@ def _chk_chain_connected_iff_connected(views, rng):
                 if x < y
             )
             if fast != slow:
-                col.add(v.ser(), "component route disagrees with chain search")
+                col.add(v.ser, "component route disagrees with chain search")
     return len(views), col.stored, None
 
 
@@ -990,10 +990,10 @@ def _chk_tight1_iff_well_graded(views, rng):
     col = _Collector()
     for v in views:
         if v.tight1() != v.well_graded():
-            col.add(v.ser(), f"tight-1={v.tight1()} well-graded={v.well_graded()}")
+            col.add(v.ser, f"tight-1={v.tight1()} well-graded={v.well_graded()}")
     for v in _cap(views, CAP_VERY_HEAVY):
         if connectivity.is_well_graded(v.space.states) != v.well_graded():
-            col.add(v.ser(), "one-step form disagrees with path lengths")
+            col.add(v.ser, "one-step form disagrees with path lengths")
     return len(views), col.stored, None
 
 
@@ -1021,7 +1021,7 @@ def _chk_tight1_equivalences(views, rng):
                 break
         if not (v.tight1() == cond2 == cond3):
             col.add(
-                v.ser(),
+                v.ser,
                 f"tight1={v.tight1()} fringe-diff={cond2} rigidity={cond3}",
             )
     return len(views), col.stored, None
@@ -1051,15 +1051,15 @@ def _chk_quasi_order_round_trip(views, rng):
         back = order.from_quasi_order(spec)
         masks = back.states.masks()
         if not v.space.states.masks() <= masks:
-            col.add(v.ser(), "an open set is not a down-set of the specialization order")
+            col.add(v.ser, "an open set is not a down-set of the specialization order")
         if order.is_quasi_ordinal(v.space) != (masks == v.space.states.masks()):
-            col.add(v.ser(), "Alexandroff fixed point disagrees with quasi-ordinality")
+            col.add(v.ser, "Alexandroff fixed point disagrees with quasi-ordinality")
         if order.is_quasi_ordinal(v.space):
             qo = order.to_quasi_order(v.space)
             if qo.up != up:
-                col.add(v.ser(), "specialization order disagrees with the intersection route")
+                col.add(v.ser, "specialization order disagrees with the intersection route")
             if order.from_quasi_order(qo).states.masks() != v.space.states.masks():
-                col.add(v.ser(), "quasi-ordinal space does not round trip")
+                col.add(v.ser, "quasi-ordinal space does not round trip")
     checked = len(views)
     for qo in sample_quasi_orders(n, 40, rng.randrange(1 << 30)):
         checked += 1
@@ -1087,7 +1087,7 @@ def _chk_alexandroff_equality(views, rng):
         )
         same_fam = a.space.states.masks() == b.space.states.masks()
         if same_rel != same_fam:
-            col.add(a.ser(), f"versus {b.ser()}")
+            col.add(a.ser, f"versus {b.ser()}")
     return len(pairs), col.stored, None
 
 
@@ -1100,7 +1100,7 @@ def _chk_bi_discriminative_powerset(views, rng):
             continue
         checked += 1
         if len(v.opens) != 1 << v.n:
-            col.add(v.ser(), "bi-discriminative quasi-ordinal family is not the powerset")
+            col.add(v.ser, "bi-discriminative quasi-ordinal family is not the powerset")
     return checked, col.stored, None
 
 
@@ -1120,7 +1120,7 @@ def _chk_quasi_ordinal_regularity(views, rng):
             for t in v.space.universe.labels
         )
         if reg != via_m:
-            col.add(v.ser(), "regularity disagrees with open complements of minimal states")
+            col.add(v.ser, "regularity disagrees with open complements of minimal states")
     return checked, col.stored, None
 
 
@@ -1133,7 +1133,7 @@ def _chk_ordinal_connectivity(views, rng):
             continue
         checked += 1
         if connectivity.is_connected(v.space) != order.m_graph_connected(v.space):
-            col.add(v.ser(), "connectivity disagrees with the minimal-state graph")
+            col.add(v.ser, "connectivity disagrees with the minimal-state graph")
     return checked, col.stored, None
 
 
@@ -1146,9 +1146,9 @@ def _chk_t0_quasi_ordinal_antimatroid(views, rng):
             continue
         checked += 1
         if not order.is_antimatroid(v.space):
-            col.add(v.ser(), "T0 quasi-ordinal space is not an antimatroid")
+            col.add(v.ser, "T0 quasi-ordinal space is not an antimatroid")
         if not v.tight1():
-            col.add(v.ser(), "T0 quasi-ordinal space is not tight 1-connected")
+            col.add(v.ser, "T0 quasi-ordinal space is not tight 1-connected")
     return checked, col.stored, None
 
 
@@ -1173,7 +1173,7 @@ def _chk_regular_atom_complement(views, rng):
                 rest ^= low
                 t = v.space.universe.labels[low.bit_length() - 1]
                 if not v.space.states.has_mask(v.full & ~o) and o in atom_masks[t]:
-                    col.add(v.ser(), f"atom {o:b} at {t} with closed complement missing")
+                    col.add(v.ser, f"atom {o:b} at {t} with closed complement missing")
         fr = v.fr()
         for k in v.opens:
             outer = fr[k][1]
@@ -1184,7 +1184,7 @@ def _chk_regular_atom_complement(views, rng):
                 t = v.space.universe.labels[low.bit_length() - 1]
                 ell = k | low
                 if not v.space.states.has_mask(v.full & ~ell) and ell in atom_masks[t]:
-                    col.add(v.ser(), f"outer-fringe extension {ell:b} at {t} fails")
+                    col.add(v.ser, f"outer-fringe extension {ell:b} at {t} fails")
     return checked, col.stored, None
 
 
@@ -1198,11 +1198,11 @@ def _chk_granular_regular_disconnected(views, rng):
         if not separation.is_regular_property(v.space)[0]:
             continue
         if not order.is_granular(v.space):
-            col.add(v.ser(), "finite space not granular")
+            col.add(v.ser, "finite space not granular")
             continue
         checked += 1
         if connectivity.is_connected(v.space):
-            col.add(v.ser(), "granular regular bi-discriminative space is connected")
+            col.add(v.ser, "granular regular bi-discriminative space is connected")
     return checked, col.stored, None
 
 
@@ -1217,7 +1217,7 @@ def _chk_quasi_ordinal_regular_normal(views, rng):
             continue
         checked += 1
         if not separation.is_normal_property(v.space)[0]:
-            col.add(v.ser(), "regular quasi-ordinal space is not normal")
+            col.add(v.ser, "regular quasi-ordinal space is not normal")
     return checked, col.stored, None
 
 
@@ -1228,11 +1228,11 @@ def _chk_reduction_pre_quotient(views, rng):
     for v in vs:
         red = order.discriminative_reduction(v.space)
         if not separation.is_t0(red.reduced)[0]:
-            col.add(v.ser(), "reduction is not discriminative")
+            col.add(v.ser, "reduction is not discriminative")
         if not structure.classify(red.reduced.states).is_knowledge_space:
-            col.add(v.ser(), "reduction is not a space")
+            col.add(v.ser, "reduction is not a space")
         if not maps.is_pre_quotient(red.projection, v.space, red.reduced):
-            col.add(v.ser(), "reduction projection is not a pre-quotient")
+            col.add(v.ser, "reduction projection is not a pre-quotient")
     return len(vs), col.stored, None
 
 
@@ -1287,7 +1287,7 @@ def _chk_subspace_pre_base_trace(views, rng):
             )
             checked += 1
             if not is_pre_base_for(trace, sub):
-                col.add(v.ser(), f"trace of the minimal pre-base on {ymask:b} fails")
+                col.add(v.ser, f"trace of the minimal pre-base on {ymask:b} fails")
     return checked, col.stored, None
 
 
@@ -1313,7 +1313,7 @@ def _chk_subspace_closed_trace(views, rng):
                 got = operators.closure(sub, ItemSet(sub.universe, fsub)).mask
                 want = _parent_to_sub(cl[fpar] & ymask, parent_bits)
                 if got != want:
-                    col.add(v.ser(), f"closure trace fails on {ymask:b} at {fsub:b}")
+                    col.add(v.ser, f"closure trace fails on {ymask:b} at {fsub:b}")
                     break
         closed_y = [v.full & ~o for o in v.opens if o != v.full]
         closed_y = [c for c in closed_y if c]
@@ -1331,7 +1331,7 @@ def _chk_subspace_closed_trace(views, rng):
                 in_sub = sub.states.has_mask(subfull & ~asub)
                 in_parent = v.space.states.has_mask(v.full & ~apar)
                 if in_sub != in_parent:
-                    col.add(v.ser(), f"closed-in-closed fails on {ymask:b} at {asub:b}")
+                    col.add(v.ser, f"closed-in-closed fails on {ymask:b} at {asub:b}")
                     break
     return checked, col.stored, None
 
@@ -1354,10 +1354,10 @@ def _chk_map_composition(views, rng):
         )
         checked += 1
         if cf != pointwise:
-            col.add(x.ser(), "pointwise continuity disagrees with continuity")
+            col.add(x.ser, "pointwise continuity disagrees with continuity")
         if cf and maps.is_pre_continuous(g, y.space, z.space):
             if not maps.is_pre_continuous(f.then(g), x.space, z.space):
-                col.add(x.ser(), "composition of continuous maps fails")
+                col.add(x.ser, "composition of continuous maps fails")
     for _ in range(min(120, 2 * len(views))):
         x = rng.choice(views)
         cls1 = _random_partition(x.space.universe, rng)
@@ -1369,7 +1369,7 @@ def _chk_map_composition(views, rng):
         comp = p1.then(p2)
         checked += 1
         if not maps.is_pre_quotient(comp, x.space, q2):
-            col.add(x.ser(), "quotient projections do not compose to a quotient")
+            col.add(x.ser, "quotient projections do not compose to a quotient")
         k = rng.randint(1, max(1, x.n - 1))
         target = _random_space(
             Universe([f"w{i + 1}" for i in range(k)]), rng
@@ -1378,13 +1378,13 @@ def _chk_map_composition(views, rng):
         through = maps.is_pre_continuous(comp.then(g), x.space, target)
         direct = maps.is_pre_continuous(g, q2, target)
         if through != direct:
-            col.add(x.ser(), "factoring continuity through a quotient fails")
+            col.add(x.ser, "factoring continuity through a quotient fails")
         onto = g.image_mask((1 << len(q2.universe)) - 1) == (1 << len(target.universe)) - 1
         if onto:
             tq = maps.is_pre_quotient(comp.then(g), x.space, target)
             dq = maps.is_pre_quotient(g, q2, target)
             if tq != dq:
-                col.add(x.ser(), "factoring quotients through a quotient fails")
+                col.add(x.ser, "factoring quotients through a quotient fails")
     return checked, col.stored, None
 
 
@@ -1409,7 +1409,7 @@ def _chk_continuous_open_closed_quotient(views, rng):
             or maps.is_pre_closed(f, x.space, target)
         ):
             if not maps.is_pre_quotient(f, x.space, target):
-                col.add(x.ser(), "continuous open/closed surjection is not a quotient")
+                col.add(x.ser, "continuous open/closed surjection is not a quotient")
     return checked, col.stored, None
 
 
@@ -1432,7 +1432,7 @@ def _chk_bijection_equivalences(views, rng):
         pq = maps.is_pre_quotient(f, x.space, y.space)
         if not (homeo == po == pc == pq):
             col.add(
-                x.ser(),
+                x.ser,
                 f"bijection flags diverge: homeo={homeo} open={po} closed={pc} quotient={pq}",
             )
     return checked, col.stored, None
@@ -1486,7 +1486,7 @@ def _chk_partial_pasting(views, rng):
             continue
         checked += 1
         if not maps.is_pre_continuous(h, v.space, target):
-            col.add(v.ser(), f"pasting over {c:b} and {d:b} fails")
+            col.add(v.ser, f"pasting over {c:b} and {d:b} fails")
     return checked, col.stored, None
 
 
@@ -1512,7 +1512,7 @@ def _chk_product_of_maps(views, rng):
             h1, b.space, x1.space
         ) and maps.is_pre_continuous(h2, b.space, x2.space)
         if joint != split:
-            col.add(b.ser(), f"joint={joint} coordinates={split}")
+            col.add(b.ser, f"joint={joint} coordinates={split}")
     return checked, col.stored, None
 
 
@@ -1544,7 +1544,7 @@ def _chk_product_closure_law(views, rng):
                 operators.closure(v2.space, a2),
             )
             if got != want:
-                col.add(v1.ser(), f"with {v2.ser()}: closure of a box is not the box of closures")
+                col.add(v1.ser, f"with {v2.ser()}: closure of a box is not the box of closures")
     return checked, col.stored, None
 
 
@@ -1557,11 +1557,11 @@ def _chk_quotient_finest(views, rng):
         q = maps.quotient(v.space, cls)
         proj = maps.quotient_projection(v.space, cls)
         if not maps.is_pre_quotient(proj, v.space, q):
-            col.add(v.ser(), "projection onto the quotient is not a quotient")
+            col.add(v.ser, "projection onto the quotient is not a quotient")
         qfull = (1 << len(q.universe)) - 1
         for w in range(qfull + 1):
             if v.space.states.has_mask(proj.preimage_mask(w)) != q.states.has_mask(w):
-                col.add(v.ser(), "quotient family is not the open-preimage family")
+                col.add(v.ser, "quotient family is not the open-preimage family")
                 break
     return len(vs), col.stored, None
 
@@ -1742,9 +1742,9 @@ def _chk_density_exact_minimal(views, rng):
         k, dset = cardinal.density_exact(v.space)
         blocks = [b for b in irreducible_states(v.space).masks() if b]
         if not all(dset.mask & b for b in blocks):
-            col.add(v.ser(), "exact answer is not dense")
+            col.add(v.ser, "exact answer is not dense")
         if not operators.is_dense(v.space, dset):
-            col.add(v.ser(), "is_dense rejects the exact answer")
+            col.add(v.ser, "is_dense rejects the exact answer")
         first = None
         for size in range(k + 1):
             for combo in itertools.combinations(range(v.n), size):
@@ -1757,7 +1757,7 @@ def _chk_density_exact_minimal(views, rng):
             if first:
                 break
         if first != (k, dset.mask):
-            col.add(v.ser(), f"exact density {k} is not the least optimum")
+            col.add(v.ser, f"exact density {k} is not the least optimum")
     return len(vs), col.stored, None
 
 
@@ -1771,7 +1771,7 @@ def _chk_primary_items_dense(views, rng):
         dm, _ = cardinal.matrix_primary_items(irreducible_states(v.space))
         for name, got in (("greedy", tr.result), ("matrix", dm)):
             if not all(got.mask & b for b in blocks):
-                col.add(v.ser(), f"{name} output is not dense")
+                col.add(v.ser, f"{name} output is not dense")
     return len(vs), col.stored, None
 
 
@@ -1792,7 +1792,7 @@ def _chk_greedy_matrix_gap(views, rng):
         hist[key] = hist.get(key, 0) + 1
         if g_gap or m_gap:
             col.add(
-                v.ser(),
+                v.ser,
                 f"greedy={len(tr.result.labels)} matrix={len(dm.labels)} exact={k}",
             )
     summary = "gap distribution: " + "; ".join(
@@ -1808,7 +1808,7 @@ def _chk_dense_ge_cellularity(views, rng):
         k, _ = cardinal.density_exact(v.space)
         c = cardinal.cellularity(v.space)
         if k < c:
-            col.add(v.ser(), f"density {k} below cellularity {c}")
+            col.add(v.ser, f"density {k} below cellularity {c}")
     return len(views), col.stored, None
 
 
@@ -1827,7 +1827,7 @@ def _chk_hausdorff_trace_density_bound(views, rng):
             continue
         checked += 1
         if v.n > 1 << (1 << k):
-            col.add(v.ser(), f"universe exceeds the bound at density {k}")
+            col.add(v.ser, f"universe exceeds the bound at density {k}")
     return checked, col.stored, None
 
 
@@ -1863,7 +1863,7 @@ def _chk_block_disjointness(views, rng):
             for a in range(len(inters)):
                 for b in range(a + 1, len(inters)):
                     if inters[a] != inters[b] and inters[a] & inters[b]:
-                        col.add(v.ser(), "maximum-count intersections overlap partially")
+                        col.add(v.ser, "maximum-count intersections overlap partially")
     return checked, col.stored, None
 
 
@@ -1893,5 +1893,5 @@ def _chk_cover_dense_subfamily(views, rng):
                 if found:
                     break
             if not found:
-                col.add(v.ser(), f"no dense subfamily of size {c} in a {len(fam)}-member cover")
+                col.add(v.ser, f"no dense subfamily of size {c} in a {len(fam)}-member cover")
     return checked, col.stored, None

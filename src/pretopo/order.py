@@ -232,21 +232,35 @@ def discriminative_reduction(structure: KnowledgeStructure) -> Reduction:
     partition, so they map cleanly onto the class universe; the result is
     discriminative (T0). The image of a union-closed family is
     union-closed, so the quotient of a pre-topology needs no validation.
+
+    A state's image is the OR of its items' class bits, read a byte of
+    items at a time: the chunk of up to 8 items from item c has a table
+    of the 2^min(8, m−c) images of its subsets. That is ⌈m/8⌉ lookups
+    per state instead of a test against every class: O(|K|·⌈m/8⌉), after
+    at most 32·m table entries.
     """
     u = structure.universe
     meets = structure.states._base().meets
-    groups: dict[int, int] = {}
-    for i, meet in enumerate(meets):
-        groups[meet] = groups.get(meet, 0) | 1 << i
-    class_masks = list(groups.values())
-    labels = ["+".join(ItemSet(u, m).labels) for m in class_masks]
+    class_of: dict[int, int] = {}
+    item_class = [class_of.setdefault(meet, len(class_of)) for meet in meets]
+    class_masks = [0] * len(class_of)
+    names: list[list[str]] = [[] for _ in class_masks]
+    for i, (t, ci) in enumerate(zip(u.labels, item_class)):
+        class_masks[ci] |= 1 << i
+        names[ci].append(t)
+    labels = ["+".join(ts) for ts in names]
     reduced_universe = Universe(labels)
+    tables = []
+    for shift in range(0, len(u), 8):
+        table = [0]
+        for ci in item_class[shift : shift + 8]:
+            table += [img | 1 << ci for img in table]
+        tables.append((shift, table))
     reduced_states = set()
     for m in structure.states.masks():
         img = 0
-        for ci, cm in enumerate(class_masks):
-            if m & cm:
-                img |= 1 << ci
+        for shift, table in tables:
+            img |= table[m >> shift & 255]
         reduced_states.add(img)
     family = SetFamily.from_masks(reduced_universe, reduced_states)
     reduced: KnowledgeStructure
@@ -254,8 +268,7 @@ def discriminative_reduction(structure: KnowledgeStructure) -> Reduction:
         reduced = PreTopology(reduced_universe, family, _trusted=True)
     else:
         reduced = KnowledgeStructure(reduced_universe, family)
-    class_of = {meet: ci for ci, meet in enumerate(groups)}
-    assignment = {t: labels[class_of[meets[i]]] for i, t in enumerate(u.labels)}
+    assignment = dict(zip(u.labels, [labels[ci] for ci in item_class]))
     projection = PointMap(u, reduced_universe, assignment)
     return Reduction(
         classes=tuple(ItemSet(u, m) for m in class_masks),

@@ -4,6 +4,14 @@ The oracles below are test-local copies of the pairwise scans over states
 (O(|K|²) and worse). They are compared, witnesses included, on every
 family over 3 items (union-closed or not), on every space on 4 points, and
 on seeded random families on up to 12 items, union-closed and perturbed.
+The normal and regular kernels, which read only the reach values R, and
+the reduction's per-chunk item tables are also compared with the scan of
+pairs of closed sets and the per-class image loop they replaced, on
+seeded families on 13-64 items and at the 8-item chunk edges (m = 8, 9,
+16, 17, 64), and on families where normality holds: opens that pairwise
+meet, and sums of two such blocks, which have disjoint opens. The normal
+kernel's table of minimal closed sets is compared with a filter of every
+closed set.
 The per-item meets N(q) (`core._item_meets`) are compared the same way
 with the open scans, state systems and pairwise intersection tests that
 T0, T1, quasi-ordinality, minimal states and the discriminative
@@ -42,6 +50,9 @@ from pretopo.order import (
     to_quasi_order,
 )
 from pretopo.separation import (
+    _closed,
+    _minimal_outside,
+    _separators,
     is_completely_discriminative,
     is_discriminative,
     is_normal_property,
@@ -136,6 +147,26 @@ def oracle_normal(u, opens):
     return True, None
 
 
+def oracle_normal_scan(u, opens):
+    """The scan of pairs of closed sets that `_normal` replaced: for each
+    pair, some open U ⊇ e with f ⊆ reach[U], the largest open disjoint
+    from U. O(|K|³), so it reaches families the pairs-of-opens oracle
+    above cannot."""
+    reach = {w: 0 for w in opens}
+    for w in opens:
+        for m in opens:
+            if not m & w:
+                reach[w] |= m
+    closed = _closed_in_order(u, opens)
+    for idx, e in enumerate(closed):
+        for f in closed[idx + 1 :]:
+            if e & f:
+                continue
+            if not any(not e & ~w and not f & ~reach[w] for w in opens):
+                return False, (u.from_mask(e).labels, u.from_mask(f).labels)
+    return True, None
+
+
 def oracle_discriminative(labels, opens):
     for i, j in itertools.combinations(range(len(labels)), 2):
         if all((m >> i & 1) == (m >> j & 1) for m in opens):
@@ -220,6 +251,34 @@ def oracle_reduction(structure):
     return Reduction(
         classes=tuple(u.from_mask(c) for c in classes),
         reduced=kind(ru, family),
+        projection=PointMap(u, ru, assignment),
+    )
+
+
+def oracle_reduction_by_classes(structure):
+    """The reduction with the per-class image loop it used before the
+    per-chunk item tables: each state is tested against every class."""
+    u = structure.universe
+    meets = oracle_meets(len(u), structure.states.masks())
+    groups = {}
+    for i, meet in enumerate(meets):
+        groups[meet] = groups.get(meet, 0) | 1 << i
+    classes = list(groups.values())
+    labels = ["+".join(u.from_mask(c).labels) for c in classes]
+    ru = Universe(labels)
+    images = set()
+    for m in structure.states.masks():
+        img = 0
+        for k, c in enumerate(classes):
+            if m & c:
+                img |= 1 << k
+        images.add(img)
+    kind = PreTopology if isinstance(structure, PreTopology) else KnowledgeStructure
+    class_of = {meet: k for k, meet in enumerate(groups)}
+    assignment = {t: labels[class_of[meets[i]]] for i, t in enumerate(u.labels)}
+    return Reduction(
+        classes=tuple(u.from_mask(c) for c in classes),
+        reduced=kind(ru, SetFamily.from_masks(ru, images)),
         projection=PointMap(u, ru, assignment),
     )
 
@@ -366,6 +425,105 @@ def random_families(count, seed):
             else:
                 closed.add(rng.getrandbits(m))
         yield u, closed
+
+
+def wide_families(seed):
+    """Pairs (universe, masks) on 13-64 items, and at the edges of the
+    8-item chunks, m = 8, 9, 16, 17 and 64. Each is the sum of two spaces
+    on disjoint items, its opens the unions of one open of each: a space
+    on up to 4 points whose every point is spread over several items (so
+    the items fall into notion classes, and the sum is normal iff this
+    part is), and a union closure of sparse generators on the other
+    items. |K| stays at most 64 for the scan oracles. Every other family
+    has one state removed, for the reduction of a knowledge structure."""
+    rng = random.Random(seed)
+    for k, m in enumerate([8, 9, 16, 17, 64] * 4 + [rng.randint(13, 64) for _ in range(40)]):
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        while True:
+            n = rng.randint(2, 4)
+            points = union_closure_masks(
+                [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+            ) | {0, (1 << n) - 1}
+            cut = rng.randint(n, m)
+            point_of = list(range(n)) + [rng.randrange(n) for _ in range(cut - n)]
+            rng.shuffle(point_of)
+            spread = {
+                sum(1 << i for i, q in enumerate(point_of) if s >> q & 1) for s in points
+            }
+            rest = union_closure_masks(
+                [
+                    sum(1 << i for i in range(cut, m) if rng.random() < 0.2)
+                    for _ in range(rng.randint(0, 3))
+                ]
+            ) | {0, (1 << m) - (1 << cut)}
+            masks = {a | b for a in spread for b in rest}
+            if len(masks) <= 64:
+                break
+        inner = sorted(masks - {0, (1 << m) - 1})
+        if k % 2 and inner:
+            masks.discard(rng.choice(inner))
+        yield u, masks
+
+
+def meeting_opens(rng, items):
+    """Opens on the given items, in order, that pairwise meet unless
+    empty: every generator holds the first item and misses the last, so
+    no two proper opens cover the items and no two nonempty closed sets
+    are disjoint. Normality holds."""
+    first, last = items[0], items[-1]
+    block = sum(1 << i for i in items)
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        g = 0
+        for i in items:
+            if rng.random() < 0.4:
+                g |= 1 << i
+        gens.append((g | 1 << first) & ~(1 << last))
+    return union_closure_masks(gens) | {0, block}
+
+
+def normal_families(seed):
+    """Pairs (universe, masks) where normality holds. One block of
+    opens that pairwise meet, or the sum of two such blocks on disjoint
+    items, whose opens are the unions of one open of each: a sum of
+    normal spaces is normal, and its two blocks are disjoint opens."""
+    rng = random.Random(seed)
+    for k in range(24):
+        m = rng.choice([8, 9, 16, 17, 64]) if k % 3 == 0 else rng.randint(13, 64)
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        if k % 2:
+            masks = meeting_opens(rng, list(range(m)))
+        else:
+            cut = rng.randint(3, m - 3)
+            left = meeting_opens(rng, list(range(cut)))
+            right = meeting_opens(rng, list(range(cut, m)))
+            masks = {a | b for a in left for b in right}
+        yield u, masks
+
+
+def check_wide(u, masks):
+    """Normal and regular verdicts and witnesses against the scans they
+    replaced, and the reduction against the per-class image loop."""
+    family = SetFamily.from_masks(u, masks)
+    if oracle_missing_union(masks) is not None:
+        got = discriminative_reduction(KnowledgeStructure(u, family))
+        assert got.to_obj() == oracle_reduction_by_classes(KnowledgeStructure(u, family)).to_obj()
+        return None
+    space = PreTopology(u, family)
+    opens = sorted(masks)
+    normal = oracle_normal_scan(u, opens)
+    assert is_normal_property(space) == normal
+    assert is_regular_property(space) == oracle_regular(u, opens)
+    profile = separation_profile(space)
+    assert profile.normal_property == normal[0]
+    assert profile.witnesses.get("normal_property") == (
+        None if normal[1] is None else [list(normal[1][0]), list(normal[1][1])]
+    )
+    got = discriminative_reduction(space)
+    want = oracle_reduction_by_classes(space)
+    assert got.to_obj() == want.to_obj()
+    assert type(got.reduced) is type(want.reduced)
+    return normal[0]
 
 
 # -------------------------------------------------------------------- tests
@@ -544,3 +702,42 @@ def test_classify_reads_the_validation_verdict(monkeypatch):
         PreTopology(u, wrong)
     assert not classify(wrong).is_knowledge_space
     assert len(calls) == 1
+
+
+
+def test_seeded_families_on_thirteen_to_sixty_four_items():
+    spaces = normal = 0
+    for u, masks in wide_families(seed=17):
+        verdict = check_wide(u, masks)
+        if verdict is not None:
+            spaces += 1
+            normal += verdict
+    assert spaces >= 30
+    assert 0 < normal < spaces
+
+
+def test_families_where_normality_holds():
+    disjoint = 0
+    for u, masks in normal_families(seed=19):
+        assert check_wide(u, masks) is True
+        disjoint += any(a and b and not a & b for a, b in itertools.combinations(masks, 2))
+    assert disjoint == 12
+
+
+def test_minimal_closed_sets_outside_every_reach():
+    """The table `is_normal_property` keeps per distinct set of reach
+    values: the ⊆-minimal closed sets in none of them, against a filter
+    of every closed set, for every such set the scan meets."""
+    tables = 0
+    for u, masks in wide_families(seed=23):
+        if oracle_missing_union(masks) is not None:
+            continue
+        space = PreTopology(u, SetFamily.from_masks(u, masks))
+        closed = _closed(u, masks)
+        separators = _separators(space)
+        for under in {tuple(r for g, r in separators if not e & ~g) for e in closed}:
+            outside = [f for f in closed if all(f & ~r for r in under)]
+            want = [f for f in outside if not any(o != f and not o & ~f for o in outside)]
+            assert _minimal_outside(closed, under) == want
+            tables += 1
+    assert tables >= 100
