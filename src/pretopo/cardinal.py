@@ -16,7 +16,6 @@ from .core import (
     SetFamily,
     _guard,
     _require_cover,
-    irreducible_states,
 )
 from .errors import NotMinimalPreBase
 from .order import atoms_at
@@ -26,25 +25,8 @@ CELLULARITY_STATES_BOUND = 4096
 
 
 def weight(space: PreTopology) -> int:
-    """Size of the minimal pre-base."""
-    return len(irreducible_states(space).members)
-
-
-def _greedy_hitting(members: list[int], m: int) -> list[int]:
-    """Greedy hitting set over member masks, as item indices."""
-    chosen: list[int] = []
-    left = [b for b in members]
-    while left:
-        best_i, best_n = 0, -1
-        for i in range(m):
-            bit = 1 << i
-            n = sum(1 for b in left if b & bit)
-            if n > best_n:
-                best_i, best_n = i, n
-        chosen.append(best_i)
-        bit = 1 << best_i
-        left = [b for b in left if not b & bit]
-    return sorted(chosen)
+    """Size of the minimal pre-base, counted on the cached base masks."""
+    return len(space.states._base().masks)
 
 
 def _disjoint_lower_bound(members: list[int]) -> int:
@@ -64,7 +46,25 @@ def density_exact(
     """Minimum dense set as a minimum hitting set of the minimal pre-base.
 
     A set is dense iff it meets every member of the minimal pre-base.
-    Returns the lexicographically least optimum.
+    Returns the lexicographically least optimum: of the smallest dense
+    sets, the one whose sorted item indices come first.
+
+    The search branches on the items of the first base member, in base
+    order, that the chosen items miss: the smallest such member b. Every
+    dense set must hit b, so every optimum stays reachable. The child
+    that adds the k-th item of b bans the items before it, so each set is
+    reached once: the children split the dense sets by their first item
+    in b. The nodes number at most the product of the member sizes, not
+    the number of item subsets. The best so far starts as the whole universe, which is dense, and a
+    node whose chosen items plus a count of pairwise disjoint missed
+    members exceed the best size is cut.
+
+    >>> from pretopo.core import SetFamily, Universe, union_closure
+    >>> u = Universe(["a", "b", "c", "d"])
+    >>> space = union_closure(SetFamily.of(u, [["c", "d"], ["a", "b", "c"], ["b", "d"]]))
+    >>> n, dense = density_exact(space)  # {b,c}, {b,d} and {c,d} tie with it
+    >>> n, str(dense)
+    (2, '{a,d}')
     """
     u = space.universe
     m = len(u)
@@ -72,32 +72,34 @@ def density_exact(
     members = list(space.states._base().masks)
     if not members:
         return 0, u.empty
-    best = _greedy_hitting(members, m)
-    best_key = (len(best), tuple(best))
+    best_key = (m, list(range(m)))
 
     # left: the members that chosen misses, in base order; a child
-    # filters its parent's left by the one item it adds
-    def rec(chosen: list[int], start: int, left: list[int]) -> None:
-        nonlocal best_key, best
+    # filters its parent's left by the one item it adds. banned: the items
+    # of earlier siblings, which this subtree may not choose
+    def rec(chosen: list[int], left: list[int], banned: int) -> None:
+        nonlocal best_key
         if not left:
-            key = (len(chosen), tuple(chosen))
+            key = (len(chosen), sorted(chosen))
             if key < best_key:
-                best_key, best = key, list(chosen)
+                best_key = key
             return
         if len(chosen) + _disjoint_lower_bound(left) > best_key[0]:
             return
-        for i in range(start, m):
-            bit = 1 << i
-            if any(b & bit for b in left):
-                chosen.append(i)
-                rec(chosen, i + 1, [b for b in left if not b & bit])
-                chosen.pop()
+        rest = left[0] & ~banned
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            chosen.append(bit.bit_length() - 1)
+            rec(chosen, [b for b in left if not b & bit], banned)
+            chosen.pop()
+            banned |= bit
 
-    rec([], 0, members)
+    rec([], members, 0)
     mask = 0
-    for i in best:
+    for i in best_key[1]:
         mask |= 1 << i
-    return len(best), ItemSet(u, mask)
+    return best_key[0], ItemSet(u, mask)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import json
 from functools import reduce
 from itertools import compress, count
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -381,10 +381,11 @@ class SetFamily:
         return self._derived
 
     def _union_closed(self) -> bool:
-        """Whether the members are closed under union (`_is_union_closed`),
-        tested on the first call and kept with the base. `PreTopology`
-        validation makes that call; a trusted construction does not, so
-        the first `classify` of a trusted family runs the test."""
+        """Whether the members, which must include ∅, are closed under
+        union (`_is_union_closed`), tested on the first call and kept with
+        the base. `PreTopology` validation makes that call; a trusted
+        construction does not, so the first `classify` of a trusted family
+        runs the test."""
         base = self._base()
         if base.union_closed is None:
             base = self._derived = base._replace(
@@ -476,13 +477,14 @@ class PreTopology(KnowledgeStructure):
     """A knowledge space: states closed under arbitrary unions.
 
     For a finite family, closure under binary unions is equivalent.
-    Construction accepts K iff s ∪ b ∈ K for every state s and every
-    member b of the minimal pre-base: every state is a union of base
-    members, so these unions generate every pairwise union. That costs
-    O(|K|·|B|); only a rejected family is scanned pair by pair, to report
-    the first missing union in mask order as the witness. The verdict is
-    kept on the family (`SetFamily._union_closed`), so `classify` of a
-    validated family reads it instead of testing again.
+    Construction accepts K iff the union closure of its minimal pre-base
+    is K (`_is_union_closed`): every state is a union of base members, so
+    K lies in that closure, with equality iff K is union-closed. Closing
+    the base stops once it outgrows |K|, O(|K|·|B|) at worst; only a
+    rejected family is scanned pair by pair, to report the first missing
+    union in mask order as the witness. The verdict is kept on the family
+    (`SetFamily._union_closed`), so `classify` of a validated family
+    reads it instead of testing again.
 
     The specialization order is read from N(q), the meet of the states
     containing q (`_item_meets`): x ⪯ y iff x ∈ N(y). T0 says ⪯ is
@@ -596,17 +598,25 @@ def _item_meets(base: Iterable[int], m: int) -> list[int]:
     return meets
 
 
-def _is_union_closed(masks: frozenset[int], base: Iterable[int]) -> bool:
-    """s ∪ b ∈ K for every member s and every irreducible b of K.
+def _is_union_closed(masks: frozenset[int], base: Sequence[int]) -> bool:
+    """Whether K, a family that holds ∅, is closed under union, given its
+    irreducibles.
 
-    Every member is a union of irreducibles, so adding them one at a time
-    reaches any pairwise union through members of K. O(|K|·|B|); stops at
-    the first miss.
+    Every member is a union of irreducibles, so K ⊆ UC(B), the union
+    closure of the base, and K is union-closed iff UC(B) = K, that is iff
+    UC(B) is no larger than K. The base, given by ascending size, is
+    closed one member at a time, the largest first, since unions of large
+    members are few and the early closures stay small. Each step is a
+    pass over the closure so far, and the test stops as soon as the
+    closure outgrows |K|: O(|K|·|B|) at worst. The closure always holds
+    ∅, so the test needs ∅ ∈ K; every caller checks that first.
     """
-    for b in base:
-        for s in masks:
-            if s | b not in masks:
-                return False
+    limit = len(masks)
+    closed = {0}
+    for b in reversed(base):
+        closed |= {s | b for s in closed}
+        if len(closed) > limit:
+            return False
     return True
 
 

@@ -11,18 +11,22 @@ largest open disjoint from U (`_separators`): an open U ⊇ e may be
 replaced by the member of R that contains it and has the same reach, so
 a point or closed set is separated from a closed set e iff it lies in
 reach[g] for some g ∈ R containing e. R is small (2 to 20 members on
-the benchmark ladder spaces of seeds 0-9), so the normal kernel is
-near-linear in |K| where normality holds, instead of a scan of the
-opens for every pair of closed sets.
+the benchmark ladder spaces of seeds 0-9) and is built from the base
+alone, in O(|B|² + |R|·|B|), so the normal kernel is near-linear in |K|
+where normality holds, instead of a scan of the opens for every pair of
+closed sets. What still grows with |K| is the closed sets, sorted into
+scan order, and the scans over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from collections.abc import Iterable
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import compress
+from operator import and_, or_
 
-from .core import ItemSet, PreTopology, Universe, _canonical_key
+from .core import ItemSet, PreTopology, Universe, _canonical_key, _flags
 from .operators import fringes
 
 
@@ -138,10 +142,34 @@ def _separators(space: PreTopology) -> list[tuple[int, int]]:
     g = reach[reach[U]] ∈ R, which contains U and leaves reach[U]
     unchanged, and a set lies in an open whose reach holds a second set
     iff it lies in such a g. Separation then needs the few pairs of R
-    instead of all |K| opens. O(|K|·|B|) for the reach of every open.
+    instead of all |K| opens.
+
+    R is built from the base B alone. Let D(b) be the base members
+    disjoint from b. A base member misses U iff it misses every base
+    member inside U, so the members disjoint from U are T(U), the
+    intersection of D(b) over the b ⊆ U (all of B for U = ∅), and
+    reach[U] = ∪T(U). The sets T(U) are the ∩-closure of {D(b)} ∪ {B},
+    and T ↦ ∪T is injective on them (T = {b : b ⊆ ∪T}), so the closure
+    has exactly |R| members. reach[g] for g = ∪T is the union of the
+    intersection of D(b) over b ∈ T. Sets of base members are bit masks
+    over base positions: O(|B|² + |R|·|B|), with no pass over the opens.
     """
-    reach = _reach(space.states.masks(), space.states._base().masks)
-    return [(g, reach[g]) for g in set(reach.values())]
+    base = space.states._base().masks
+    every = (1 << len(base)) - 1
+    # D(b) for each base member b, as bits over base positions
+    apart = [
+        sum(1 << k for k, c in enumerate(base) if not b & c) for b in base
+    ]
+    misses = {every}  # the sets T(U)
+    for d in set(apart):
+        misses |= {t & d for t in misses}
+    out = []
+    for t in misses:
+        chosen = _flags(t)
+        g = reduce(or_, compress(base, chosen), 0)
+        far = reduce(and_, compress(apart, chosen), every)
+        out.append((g, reduce(or_, compress(base, _flags(far)), 0)))
+    return out
 
 
 def is_regular_property(
@@ -267,9 +295,10 @@ def separation_profile(space: PreTopology) -> SeparationProfile:
 
     The base and the per-item meets come from the space's cache; the
     closed sets and the pairs (g, reach[g]) over R are computed once and
-    shared by the regular and normal kernels, O(|K|·|B|) to get them and
-    O(|K|·|R|) each when the property holds and the normal kernel's
-    tables are few.
+    shared by the regular and normal kernels. The pairs cost
+    O(|B|² + |R|·|B|), read from the base; the closed sets cost a sort of
+    |K| keys, and each kernel O(|K|·|R|) when the property holds and the
+    normal kernel's tables are few.
     """
     u = space.universe
     closed = _closed(u, space.states.masks())

@@ -58,8 +58,11 @@ def classify(family: SetFamily) -> Classification:
     reduce to closure under binary intersection on top of a knowledge
     space); the two flags are kept separate for reporting.
 
-    Union-closure is the base test of `PreTopology`, O(|K|·|B|); the
-    family keeps its verdict, so a validated family is not tested again
+    Union-closure is the test of `PreTopology`: the union closure of the
+    base must be the family, and closing it stops once it outgrows |K|
+    (`_is_union_closed`, O(|K|·|B|) at worst). It runs only on a
+    structure, which holds ∅ as the test needs. The family keeps its
+    verdict, so a validated family is not tested again
     (`SetFamily._union_closed`). A union-closed family is closed under
     intersection iff, for each item q, the intersection N(q) of the
     states containing q is a state: then A ∩ B is the union of N(q) over

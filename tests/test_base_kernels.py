@@ -11,7 +11,12 @@ seeded families on 13-64 items and at the 8-item chunk edges (m = 8, 9,
 16, 17, 64), and on families where normality holds: opens that pairwise
 meet, and sums of two such blocks, which have disjoint opens. The normal
 kernel's table of minimal closed sets is compared with a filter of every
-closed set.
+closed set. The separators R, built from the base alone, are compared
+with the reach of every open on every space on up to 4 points and on
+the seeded and wide families. The union-closure test, which closes the
+base, is compared with the pairwise scan, witnesses included, on every
+family on up to 4 items that holds ∅ and Q and on wide union closures
+with one state removed.
 The per-item meets N(q) (`core._item_meets`) are compared the same way
 with the open scans, state systems and pairwise intersection tests that
 T0, T1, quasi-ordinality, minimal states and the discriminative
@@ -165,6 +170,29 @@ def oracle_normal_scan(u, opens):
             if not any(not e & ~w and not f & ~reach[w] for w in opens):
                 return False, (u.from_mask(e).labels, u.from_mask(f).labels)
     return True, None
+
+
+def oracle_separators(masks):
+    """The per-open route to R = {reach[U] : U open}: the reach of every
+    open over the base, `_reach(all opens, base)`, O(|K|·|B|), as a map
+    from each g in R to reach[g]."""
+    base = oracle_irreducible(masks)
+    reach = {}
+    for w in masks:
+        r = 0
+        for b in base:
+            if not b & w:
+                r |= b
+        reach[w] = r
+    return {g: reach[g] for g in reach.values()}
+
+
+def check_separators(space):
+    """R and each pair's reach[g], built from the base alone, against
+    the reach of every open; no g is listed twice."""
+    got = _separators(space)
+    assert len({g for g, _ in got}) == len(got)
+    assert dict(got) == oracle_separators(space.states.masks())
 
 
 def oracle_discriminative(labels, opens):
@@ -361,8 +389,10 @@ def check_reduction(structure):
 
 
 def check_meet_routes(space):
-    """Every notion read from the per-item meets, witnesses included."""
+    """Every notion read from the per-item meets, witnesses included,
+    and the separators R, which are read from the base."""
     u = space.universe
+    check_separators(space)
     n = len(u)
     opens = sorted(space.states.masks())
     t0, t1 = oracle_t0(u.labels, opens), oracle_t1(u.labels, opens)
@@ -510,6 +540,7 @@ def check_wide(u, masks):
         assert got.to_obj() == oracle_reduction_by_classes(KnowledgeStructure(u, family)).to_obj()
         return None
     space = PreTopology(u, family)
+    check_separators(space)
     opens = sorted(masks)
     normal = oracle_normal_scan(u, opens)
     assert is_normal_property(space) == normal
@@ -662,6 +693,7 @@ def test_a_family_from_masks_builds_no_member_item_sets():
         interior(space, u.from_mask(a))
     separation_profile(space)
     discriminative_reduction(space)
+    cardinal.weight(space)
     assert family._members is None
     assert family._base().irreducibles._members is None
     assert len(family.members) == len(family)
@@ -741,3 +773,53 @@ def test_minimal_closed_sets_outside_every_reach():
             assert _minimal_outside(closed, under) == want
             tables += 1
     assert tables >= 100
+
+
+def check_union_closure_test(u, masks):
+    """`_is_union_closed` against the pairwise scan, on a family that
+    holds ∅; a rejected family raises the scan's witness."""
+    masks = frozenset(masks)
+    missing = oracle_missing_union(masks)
+    assert core._is_union_closed(masks, _irreducible_masks(masks)) == (missing is None)
+    if missing is not None:
+        with pytest.raises(AxiomViolation) as err:
+            PreTopology(u, SetFamily.from_masks(u, masks))
+        assert err.value.witness == tuple(str(u.from_mask(m)) for m in missing)
+    return missing is None
+
+
+def test_union_closure_test_on_every_structure_up_to_four_items():
+    """Every family on 1 to 4 items that holds ∅ and Q: 1, 4, 64 and
+    16,384 of them, of which 1, 4, 45 and 2,271 are union-closed."""
+    for n, structures, spaces in ((1, 1, 1), (2, 4, 4), (3, 64, 45), (4, 16384, 2271)):
+        u = Universe([f"x{i + 1}" for i in range(n)])
+        full = (1 << n) - 1
+        inner = range(1, full)
+        closed = 0
+        for bits in range(1 << len(inner)):
+            masks = [0, full] + [s for k, s in enumerate(inner) if bits >> k & 1]
+            closed += check_union_closure_test(u, masks)
+        assert (1 << len(inner), closed) == (structures, spaces)
+
+
+def test_union_closure_test_on_wide_families_with_a_state_removed():
+    """Union closures on 13-64 items, and each with one state other than
+    ∅ and Q removed: removing an irreducible state keeps the family
+    union-closed, removing any other breaks it."""
+    rng = random.Random(29)
+    kept = broken = 0
+    for u, masks in wide_families(seed=31):
+        if oracle_missing_union(masks) is not None:
+            continue
+        assert check_union_closure_test(u, masks)
+        full = u.full.mask
+        for _ in range(3):
+            inner = sorted(masks - {0, full})
+            if not inner:
+                break
+            cut = masks - {rng.choice(inner)}
+            if check_union_closure_test(u, cut):
+                kept += 1
+            else:
+                broken += 1
+    assert kept >= 10 and broken >= 10

@@ -82,6 +82,50 @@ def test_density_exact_matches_the_exhaustive_sweep():
         assert is_dense(space, d)
 
 
+def dense_rung_spaces(count, seed):
+    """Union closures on 13 to 20 items with 20 to 40 base members and
+    at most 1,100 states, the shape of the dense benchmark spaces:
+    random generators of one density are added unless they would push
+    the family past 1,100 states, and a family whose base falls outside
+    20-40 members is drawn again."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        m = rng.randint(13, 20)
+        full = (1 << m) - 1
+        p = rng.choice([0.25, 0.35, 0.5])
+        closed = {0, full}
+        for _ in range(rng.randint(25, 60)):
+            g = sum(1 << i for i in range(m) if rng.random() < p)
+            grown = closed | {x | g for x in closed}
+            if len(grown) <= 1100:
+                closed = grown
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        space = PreTopology.from_family(SetFamily.from_masks(u, closed))
+        if 20 <= weight(space) <= 40:
+            made += 1
+            yield space
+
+
+def test_density_exact_matches_the_sweep_on_dense_rung_spaces():
+    """The first hitting combination of the base, by size and then in
+    `itertools.combinations` order, is the lexicographically least
+    optimum; the greedy hitting set is not it on most of these spaces."""
+    sizes, optima, beaten = set(), set(), 0
+    for space in dense_rung_spaces(30, 5):
+        n, d = density_exact(space)
+        bn, combo = brute_density(space)
+        assert (n, d.indices()) == (bn, combo)
+        assert is_dense(space, d)
+        greedy = greedy_primary_items(space).result
+        beaten += len(greedy) > n or greedy.indices() != combo
+        sizes.add(len(space.universe))
+        optima.add(n)
+    assert sizes == set(range(13, 21))
+    assert len(optima) >= 3
+    assert beaten >= 10
+
+
 def test_greedy_construction_on_the_ten_state_space():
     trace = greedy_primary_items(fixtures.alg5())
     assert [p for p, _ in trace.picked] == ["z3", "z1", "z2"]

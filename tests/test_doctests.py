@@ -1,7 +1,10 @@
 """The examples in the module docstrings run as tests."""
 
 import doctest
+import importlib
+import pkgutil
 
+import pretopo
 import pretopo.core
 
 
@@ -9,3 +12,18 @@ def test_core_doctests():
     result = doctest.testmod(pretopo.core)
     assert result.failed == 0
     assert result.attempted >= 7
+
+
+def test_every_module_doctests():
+    """The package and every module in it, found by `pkgutil`, so that a
+    new module's examples run without a change here."""
+    names = ["pretopo"] + [
+        info.name for info in pkgutil.iter_modules(pretopo.__path__, "pretopo.")
+    ]
+    attempted = {}
+    for name in names:
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted[name] = result.attempted
+    assert len(attempted) >= 14
+    assert attempted["pretopo.cardinal"] >= 4
