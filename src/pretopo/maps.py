@@ -2,19 +2,24 @@
 
 Pre-continuity asks for open preimages of opens; since preimages commute
 with unions it suffices to test the minimal pre-base of the codomain,
-which is what the global test does. Subspace, product, quotient, and the
-child pre-topology each build a new validated space.
+which is what the global test does. Subspace, product and quotient
+build their family from masks and mark the space trusted: the traces,
+the union closure of the boxes and the images of the saturated states
+are union-closed by construction, so none is validated again. The child
+pre-topology is a bare `SetFamily`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
     MAX_UNIVERSE,
     ItemSet,
+    KnowledgeStructure,
     PreTopology,
     SetFamily,
     Universe,
@@ -31,10 +36,43 @@ from .errors import (
 )
 
 
-class PointMap:
-    """Total map between two universes, one codomain item per domain item."""
+_Tables = tuple[tuple[int, list[int]], ...]
 
-    __slots__ = ("domain", "codomain", "assignment", "_targets")
+
+def _byte_tables(bit_images: list[int]) -> _Tables:
+    """Per-byte tables of the OR-map sending bit i to `bit_images[i]`.
+
+    The chunk of up to 8 bits from bit c has a table of the 2^min(8, m−c)
+    ORs over its subsets, so a mask is pushed with ⌈m/8⌉ lookups
+    (`_push`) instead of a test of every bit: at most 32·m entries, built
+    by doubling the table once per bit.
+    """
+    tables = []
+    for shift in range(0, len(bit_images), 8):
+        table = [0]
+        for img in bit_images[shift : shift + 8]:
+            table += [t | img for t in table]
+        tables.append((shift, table))
+    return tuple(tables)
+
+
+def _push(tables: _Tables, mask: int) -> int:
+    out = 0
+    for shift, table in tables:
+        out |= table[mask >> shift & 255]
+    return out
+
+
+class PointMap:
+    """Total map between two universes, one codomain item per domain item.
+
+    `image_mask` and `preimage_mask` are the one place where masks cross
+    an item map: each reads per-byte tables (`_byte_tables`), built on
+    first use and kept on the map, at ⌈m/8⌉ lookups a mask for m items
+    on the side it reads.
+    """
+
+    __slots__ = ("domain", "codomain", "assignment", "_targets", "_image", "_preimage")
 
     def __init__(self, domain: Universe, codomain: Universe, assignment: dict[str, str]):
         missing = [t for t in domain.labels if t not in assignment]
@@ -49,6 +87,8 @@ class PointMap:
         self._targets = tuple(
             codomain.index(self.assignment[t]) for t in domain.labels
         )
+        self._image: _Tables | None = None
+        self._preimage: _Tables | None = None
 
     def __call__(self, t: str) -> str:
         return self.assignment[t]
@@ -65,19 +105,29 @@ class PointMap:
         body = ", ".join(f"{a}->{b}" for a, b in self.assignment.items())
         return f"PointMap({body})"
 
+    def _image_tables(self) -> _Tables:
+        if self._image is None:
+            self._image = _byte_tables([1 << j for j in self._targets])
+        return self._image
+
+    def _preimage_tables(self) -> _Tables:
+        if self._preimage is None:
+            fibres = [0] * len(self.codomain)
+            for i, j in enumerate(self._targets):
+                fibres[j] |= 1 << i
+            self._preimage = _byte_tables(fibres)
+        return self._preimage
+
     def image_mask(self, domain_mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self._targets):
-            if domain_mask >> i & 1:
-                out |= 1 << j
-        return out
+        return _push(self._image_tables(), domain_mask)
 
     def preimage_mask(self, codomain_mask: int) -> int:
-        out = 0
-        for i, j in enumerate(self._targets):
-            if codomain_mask >> j & 1:
-                out |= 1 << i
-        return out
+        return _push(self._preimage_tables(), codomain_mask)
+
+    def _image_masks(self, masks: Iterable[int]) -> list[int]:
+        """`image_mask` of each mask, reading the tables once."""
+        tables = self._image_tables()
+        return [_push(tables, m) for m in masks]
 
     def image(self, a: ItemSet) -> ItemSet:
         return ItemSet(self.codomain, self.image_mask(a.mask))
@@ -86,7 +136,7 @@ class PointMap:
         return ItemSet(self.domain, self.preimage_mask(b.mask))
 
     def is_surjective(self) -> bool:
-        return self.image_mask(self.domain._full) == self.codomain._full
+        return len(set(self._targets)) == len(self.codomain)
 
     def is_injective(self) -> bool:
         return len(set(self._targets)) == len(self._targets)
@@ -123,6 +173,9 @@ class PointMap:
     def from_obj(cls, obj: object, domain: Universe, codomain: Universe) -> "PointMap":
         if not isinstance(obj, dict) or "map" not in obj or not isinstance(obj["map"], dict):
             raise SchemaError("point-map JSON needs a 'map' object")
+        bad = [t for t, v in obj["map"].items() if not isinstance(v, str)]
+        if bad:
+            raise SchemaError(f"point-map targets must be labels: {bad}")
         try:
             return cls(domain, codomain, dict(obj["map"]))
         except ValueError as exc:
@@ -186,17 +239,34 @@ def is_pre_closed(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
     return True
 
 
+def _saturated_images(f: PointMap, masks: Iterable[int]) -> set[int]:
+    """f(o) for each o that is the preimage of its own image.
+
+    For a surjective f these images and the sets W with f⁻¹(W) among the
+    masks are the same: W = f(f⁻¹(W)), and f⁻¹(W) is saturated.
+    """
+    images = f._image_tables()
+    fibres = f._preimage_tables()
+    out = set()
+    for o in masks:
+        w = _push(images, o)
+        if _push(fibres, w) == o:
+            out.add(w)
+    return out
+
+
 def is_pre_quotient(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
-    """Surjective, with opens of the codomain exactly the open-preimage sets."""
+    """Surjective, with opens of the codomain exactly the open-preimage sets.
+
+    The sets with an open preimage are the images of the saturated opens
+    of x (`_saturated_images`), so one comparison covers continuity (each
+    open of y is among them) and finality (each of them is open in y):
+    O(|K|·⌈m/8⌉) for the |K| opens of x on m items.
+    """
     _check_map(f, x, y)
     if not f.is_surjective():
         raise NotSurjective("quotient maps must be surjective")
-    if not is_pre_continuous(f, x, y):
-        return False
-    for w in range(1 << len(y.universe)):
-        if x.states.has_mask(f.preimage_mask(w)) and not y.states.has_mask(w):
-            return False
-    return True
+    return _saturated_images(f, x.states.masks()) == y.states.masks()
 
 
 @dataclass(frozen=True)
@@ -283,7 +353,7 @@ def product(xs: list[PreTopology]) -> PreTopology:
     return PreTopology(universe, SetFamily.from_masks(universe, masks), _trusted=True)
 
 
-def _partition_masks(space: PreTopology, classes: list[ItemSet]) -> list[int]:
+def _partition_masks(space: KnowledgeStructure, classes: list[ItemSet]) -> list[int]:
     seen = 0
     for c in classes:
         if c.universe != space.universe:
@@ -301,33 +371,24 @@ def _partition_masks(space: PreTopology, classes: list[ItemSet]) -> list[int]:
 def quotient(space: PreTopology, classes: list[ItemSet]) -> PreTopology:
     """Finest pre-topology on the classes making the projection continuous.
 
-    A class set is open exactly when its preimage is open.
+    A class set is open exactly when its preimage is open. Those sets are
+    the images of the saturated states, the states that are the preimage
+    of their own image, so the quotient is read from the |K| states under
+    `quotient_projection`: O(|K|·⌈m/8⌉) for m items. A union of
+    saturated states is saturated, so the family is union-closed.
     """
-    masks = _partition_masks(space, classes)
-    labels = ["+".join(ItemSet(space.universe, m).labels) for m in masks]
-    q_universe = Universe(labels)
-    opens = []
-    for w in range(1 << len(masks)):
-        pre = 0
-        for ci, cm in enumerate(masks):
-            if w >> ci & 1:
-                pre |= cm
-        if space.states.has_mask(pre):
-            opens.append(w)
-    return PreTopology(
-        q_universe, SetFamily.from_masks(q_universe, opens), _trusted=True
-    )
+    p = quotient_projection(space, classes)
+    family = SetFamily.from_masks(p.codomain, _saturated_images(p, space.states.masks()))
+    return PreTopology(p.codomain, family, _trusted=True)
 
 
-def quotient_projection(space: PreTopology, classes: list[ItemSet]) -> PointMap:
+def quotient_projection(space: KnowledgeStructure, classes: list[ItemSet]) -> PointMap:
+    """Map of each item to its class, labelled by joining its items with '+'."""
     masks = _partition_masks(space, classes)
-    labels = ["+".join(ItemSet(space.universe, m).labels) for m in masks]
-    q_universe = Universe(labels)
-    assignment = {}
-    for ci, cm in enumerate(masks):
-        for t in ItemSet(space.universe, cm).labels:
-            assignment[t] = labels[ci]
-    return PointMap(space.universe, q_universe, assignment)
+    names = [ItemSet(space.universe, m).labels for m in masks]
+    labels = ["+".join(ts) for ts in names]
+    assignment = {t: label for ts, label in zip(names, labels) for t in ts}
+    return PointMap(space.universe, Universe(labels), assignment)
 
 
 @dataclass(frozen=True)
@@ -368,15 +429,11 @@ def child_pretopology(space: PreTopology, b: ItemSet, u: ItemSet) -> ChildPretop
         coarser = True
     else:
         traces = subspace(space, carrier)
-        relabel = {t: i for i, t in enumerate(carrier.labels)}
-        coarser = True
-        for g in family.members:
-            tm = 0
-            for t in g.labels:
-                tm |= 1 << relabel[t]
-            if not traces.states.has_mask(tm):
-                coarser = False
-                break
+        sub = traces.universe
+        tables = _byte_tables(
+            [1 << sub.index(t) if t in sub else 0 for t in space.universe.labels]
+        )
+        coarser = all(traces.states.has_mask(_push(tables, g)) for g in gamma)
     return ChildPretopology(
         family=family, carrier=carrier, coarser_than_subspace=coarser
     )

@@ -5,7 +5,8 @@ The oracles below are test-local copies of the pairwise scans over states
 family over 3 items (union-closed or not), on every space on 4 points, and
 on seeded random families on up to 12 items, union-closed and perturbed.
 The normal and regular kernels, which read only the reach values R, and
-the reduction's per-chunk item tables are also compared with the scan of
+the reduction, which pushes the states through the per-byte tables of
+its projection (`maps.PointMap`), are also compared with the scan of
 pairs of closed sets and the per-class image loop they replaced, on
 seeded families on 13-64 items and at the 8-item chunk edges (m = 8, 9,
 16, 17, 64), and on families where normality holds: opens that pairwise
@@ -285,7 +286,7 @@ def oracle_reduction(structure):
 
 def oracle_reduction_by_classes(structure):
     """The reduction with the per-class image loop it used before the
-    per-chunk item tables: each state is tested against every class."""
+    per-byte tables: each state is tested against every class."""
     u = structure.universe
     meets = oracle_meets(len(u), structure.states.masks())
     groups = {}

@@ -421,6 +421,18 @@ def test_malformed_subset_exits_two(capsys, tmp_path, verb, obj):
     assert err.startswith("SchemaError")
 
 
+@pytest.mark.parametrize(
+    "target", [["z1"], {"z1": "z1"}, 1, None], ids=["array", "object", "number", "null"]
+)
+def test_malformed_point_map_target_exits_two(capsys, tmp_path, target):
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps({"map": {"z1": target, "z2": "z1", "z3": "z1", "z4": "z1"}}))
+    e0 = str(FIX / "e0.json")
+    code, out, err = run(capsys, "map", str(f), e0, e0)
+    assert code == 2 and out == ""
+    assert err.startswith("SchemaError")
+
+
 def test_closure_table_subsets_must_be_arrays():
     # no verb reads a closure table, so the reader is called directly
     from pretopo import ClosureOperatorTable, SchemaError

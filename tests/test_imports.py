@@ -4,8 +4,10 @@ A name bound by `import` or `from ... import` in a module under
 `src/pretopo/` must be loaded somewhere in that module or be listed in its
 `__all__`. The base kernels are called only where the base is computed:
 in `core`, which caches it per family, and in `structure._classify`, which
-works on bare masks. Size limits have one mechanism: no module reads the
-environment, and only `core._guard` raises a `BoundExceeded`.
+works on bare masks. Masks cross an item map in one place: the per-byte
+table kernel is defined and called only in `maps`, so no other module
+knows the table layout. Size limits have one mechanism: no module reads
+the environment, and only `core._guard` raises a `BoundExceeded`.
 """
 
 import ast
@@ -72,6 +74,32 @@ def test_base_kernels_are_called_only_where_the_base_is_computed():
     assert ("structure.py", "_classify", "_irreducible_masks") in calls
     stray = [c for c in calls if c[0] != "core.py" and c[:2] != ("structure.py", "_classify")]
     assert stray == []
+
+
+TABLE_KERNEL = {"_byte_tables", "_push", "_image_tables", "_preimage_tables"}
+
+
+def table_kernel_uses(path):
+    """(module, 'def' or 'call', name) for each definition or call of a
+    table-kernel function in the module."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and node.name in TABLE_KERNEL:
+            uses.append((path.name, "def", node.name))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in TABLE_KERNEL:
+                uses.append((path.name, "call", name))
+    return uses
+
+
+def test_the_table_kernel_lives_only_in_maps():
+    uses = [u for path in sorted(PACKAGE.glob("*.py")) for u in table_kernel_uses(path)]
+    defined = sorted(name for module, kind, name in uses if kind == "def")
+    assert defined == sorted(TABLE_KERNEL)
+    assert {name for module, kind, name in uses if kind == "call"} == TABLE_KERNEL
+    assert [u for u in uses if u[0] != "maps.py"] == []
 
 
 ENVIRONMENT = {"os", "environ", "getenv"}

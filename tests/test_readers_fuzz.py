@@ -22,8 +22,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from pretopo.cli import main
-from pretopo.core import SetFamily
+from pretopo.core import SetFamily, Universe
 from pretopo.errors import PretopoError, SchemaError
+from pretopo.maps import PointMap
 from pretopo.order import QuasiOrder
 from pretopo.skills import SkillMultimap
 from pretopo.structure import ClosureOperatorTable
@@ -93,6 +94,10 @@ multimap_obj = st.one_of(
     ),
     junk,
 )
+map_obj = (
+    st.fixed_dictionaries({"map": st.dictionaries(LABELS, LABELS | junk, max_size=3)})
+    | junk
+)
 closure_obj = st.one_of(
     closure_tables(),
     st.fixed_dictionaries(
@@ -137,12 +142,19 @@ def test_skill_multimap_reader(obj):
 @given(closure_obj)
 def test_closure_operator_table_reader(obj):
     loads_or_domain_error(ClosureOperatorTable.from_obj, obj)
-
-
-map_obj = (
-    st.fixed_dictionaries({"map": st.dictionaries(LABELS, LABELS | junk, max_size=3)})
-    | junk
+# maps with exactly the domain's keys reach the codomain lookups too
+whole_map_obj = st.fixed_dictionaries(
+    {"map": st.fixed_dictionaries({"a": LABELS | junk, "b": LABELS | junk})}
 )
+
+
+@FUZZ
+@given(map_obj | whole_map_obj)
+def test_point_map_reader(obj):
+    domain, codomain = Universe(["a", "b"]), Universe(["a", "b", "c"])
+    loads_or_domain_error(lambda o: PointMap.from_obj(o, domain, codomain), obj)
+
+
 # each verb that reads files: its arguments, with F, M and P standing for a
 # fuzzed family, multimap and point-map file; a file holds JSON or raw bytes
 VERBS = [
