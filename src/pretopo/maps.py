@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import or_
 
 from .core import (
     MAX_UNIVERSE,
@@ -23,6 +25,7 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
+    _byte_tables,
     irreducible_states,
     union_closure_masks,
 )
@@ -39,24 +42,8 @@ from .errors import (
 _Tables = tuple[tuple[int, list[int]], ...]
 
 
-def _byte_tables(bit_images: list[int]) -> _Tables:
-    """Per-byte tables of the OR-map sending bit i to `bit_images[i]`.
-
-    The chunk of up to 8 bits from bit c has a table of the 2^min(8, m−c)
-    ORs over its subsets, so a mask is pushed with ⌈m/8⌉ lookups
-    (`_push`) instead of a test of every bit: at most 32·m entries, built
-    by doubling the table once per bit.
-    """
-    tables = []
-    for shift in range(0, len(bit_images), 8):
-        table = [0]
-        for img in bit_images[shift : shift + 8]:
-            table += [t | img for t in table]
-        tables.append((shift, table))
-    return tuple(tables)
-
-
 def _push(tables: _Tables, mask: int) -> int:
+    """The image of a mask under per-byte OR tables (`core._byte_tables`)."""
     out = 0
     for shift, table in tables:
         out |= table[mask >> shift & 255]
@@ -67,9 +54,9 @@ class PointMap:
     """Total map between two universes, one codomain item per domain item.
 
     `image_mask` and `preimage_mask` are the one place where masks cross
-    an item map: each reads per-byte tables (`_byte_tables`), built on
-    first use and kept on the map, at ⌈m/8⌉ lookups a mask for m items
-    on the side it reads.
+    an item map: each reads per-byte tables (`core._byte_tables`, joined
+    by `|`), built on first use and kept on the map, at ⌈m/8⌉ lookups a
+    mask for m items on the side it reads.
     """
 
     __slots__ = ("domain", "codomain", "assignment", "_targets", "_image", "_preimage")
@@ -107,7 +94,7 @@ class PointMap:
 
     def _image_tables(self) -> _Tables:
         if self._image is None:
-            self._image = _byte_tables([1 << j for j in self._targets])
+            self._image = _byte_tables([1 << j for j in self._targets], or_, 0)
         return self._image
 
     def _preimage_tables(self) -> _Tables:
@@ -115,7 +102,7 @@ class PointMap:
             fibres = [0] * len(self.codomain)
             for i, j in enumerate(self._targets):
                 fibres[j] |= 1 << i
-            self._preimage = _byte_tables(fibres)
+            self._preimage = _byte_tables(fibres, or_, 0)
         return self._preimage
 
     def image_mask(self, domain_mask: int) -> int:
@@ -383,12 +370,36 @@ def quotient(space: PreTopology, classes: list[ItemSet]) -> PreTopology:
 
 
 def quotient_projection(space: KnowledgeStructure, classes: list[ItemSet]) -> PointMap:
-    """Map of each item to its class, labelled by joining its items with '+'."""
+    """Map of each item to its class, labelled by joining its items with
+    '+' (`_class_labels`)."""
     masks = _partition_masks(space, classes)
     names = [ItemSet(space.universe, m).labels for m in masks]
-    labels = ["+".join(ts) for ts in names]
+    labels = _class_labels(names)
     assignment = {t: label for ts, label in zip(names, labels) for t in ts}
     return PointMap(space.universe, Universe(labels), assignment)
+
+
+def _class_labels(names: list[tuple[str, ...]]) -> list[str]:
+    """One distinct label per class, from the item labels of each class.
+
+    A class is labelled by joining its items with '+'. Two classes can
+    get the same label only when an item label holds '+', as {a, b} and
+    {a+b} both give 'a+b'. Then every class whose joined label is shared
+    gets '#k' appended, with the least k ≥ 1 that gives a label no other
+    class has, the classes taken in the given order: 'a+b#1' and 'a+b#2'.
+    Labels that no two classes share are kept as they are.
+    """
+    labels = ["+".join(ts) for ts in names]
+    shared = {label for label, n in Counter(labels).items() if n > 1}
+    taken = set(labels)
+    for i, label in enumerate(labels):
+        if label in shared:
+            k = 1
+            while f"{label}#{k}" in taken:
+                k += 1
+            labels[i] = f"{label}#{k}"
+            taken.add(labels[i])
+    return labels
 
 
 @dataclass(frozen=True)
@@ -431,7 +442,9 @@ def child_pretopology(space: PreTopology, b: ItemSet, u: ItemSet) -> ChildPretop
         traces = subspace(space, carrier)
         sub = traces.universe
         tables = _byte_tables(
-            [1 << sub.index(t) if t in sub else 0 for t in space.universe.labels]
+            [1 << sub.index(t) if t in sub else 0 for t in space.universe.labels],
+            or_,
+            0,
         )
         coarser = all(traces.states.has_mask(_push(tables, g)) for g in gamma)
     return ChildPretopology(

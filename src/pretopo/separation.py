@@ -14,16 +14,17 @@ reach[g] for some g ∈ R containing e. R is small (2 to 20 members on
 the benchmark ladder spaces of seeds 0-9) and is built from the base
 alone, in O(|B|² + |R|·|B|), so the normal kernel is near-linear in |K|
 where normality holds, instead of a scan of the opens for every pair of
-closed sets. What still grows with |K| is the closed sets, sorted into
-scan order, and the scans over them.
+closed sets. What still grows with |K| is the closed sets, grouped by
+size with one C-level sort, and the scans over them. The scan order
+within a size is read only as far as a scan reaches (`_closed`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
+from itertools import chain, compress, groupby, takewhile
 from operator import and_, or_
 
 from .core import ItemSet, PreTopology, Universe, _canonical_key, _flags
@@ -181,8 +182,30 @@ def is_regular_property(
 
 
 def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
-    """The closed sets in witness scan order: by size, then by indices."""
-    return sorted((u._full & ~m for m in opens), key=_canonical_key)
+    """The closed sets grouped by size, smallest first: one C-level sort
+    by `int.bit_count`.
+
+    The witness scan order, by size and then by `_canonical_key`, is
+    produced lazily: a scan reads the list one size class at a time and
+    sorts a class by the key only when it reaches it. `_regular` sorts
+    no class; it reads the key only on the failing members of the first
+    class where it fails.
+    """
+    return sorted(map(u._full.__xor__, opens), key=int.bit_count)
+
+
+def _first_in_scan_order(masks: Iterable[int]) -> int | None:
+    """The first of the masks in witness scan order, given them grouped
+    by size, smallest first: the least `_canonical_key` among those of
+    the first size, or None when there are none. Reads the masks only up
+    to the first one of a larger size."""
+    masks = iter(masks)
+    first = next(masks, None)
+    if first is None:
+        return None
+    size = first.bit_count()
+    same = takewhile(lambda f: f.bit_count() == size, masks)
+    return min(chain((first,), same), key=_canonical_key)
 
 
 def _regular(
@@ -190,22 +213,33 @@ def _regular(
 ) -> tuple[bool, tuple[str, tuple[str, ...]] | None]:
     """A point i ∉ f is separated from the closed set f iff some g ∈ R
     has f ⊆ g and i ∈ reach[g]. Fails at the least such i that is not,
-    then the first f in scan order. The points separated from each f are
-    computed once, as far as the scan reaches: O(|K|·|R| + m·|K|).
+    then the first f in scan order.
+
+    near(f), f and the points separated from it, is computed one size
+    class at a time, and the points missing from some near(f) are
+    gathered as the classes are read. Item 0 is the least point, so the
+    scan stops at the first class that misses it; otherwise it reads
+    every class, O(|K|·|R|). The key is read only on the members of the
+    first class that misses the failing point.
     """
-    near: list[int] = []  # per closed set f: f and the points separated from it
-    for i, label in enumerate(u.labels):
-        bit = 1 << i
-        for k, f in enumerate(closed):
-            if k == len(near):
-                reached = f
-                for g, r in separators:
-                    if not f & ~g:
-                        reached |= r
-                near.append(reached)
-            if not near[k] & bit:
-                return False, (label, ItemSet(u, f).labels)
-    return True, None
+    full = u._full
+    near: list[int] = []  # per closed set read, in list order
+    missing = 0  # the points missing from some near(f) read so far
+    for _, members in groupby(closed, int.bit_count):
+        for f in members:
+            reached = f
+            for g, r in separators:
+                if not f & ~g:
+                    reached |= r
+            near.append(reached)
+            missing |= full & ~reached
+        if missing & 1:
+            break
+    if not missing:
+        return True, None
+    bit = missing & -missing
+    f = _first_in_scan_order(f for f, n in zip(closed, near) if not n & bit)
+    return False, (u.labels[bit.bit_length() - 1], ItemSet(u, f).labels)
 
 
 def is_normal_property(
@@ -229,38 +263,51 @@ def _normal(
     """Fails at the first pair (e, f) of the scan of pairs e before f.
 
     under(e) holds reach[g] for each g ∈ R with e ⊆ g; f fails with e iff
-    f is disjoint from e and lies in no member of under(e). The closed
-    sets in no member are closed upward, so e has a failing partner iff
-    it is disjoint from one of their ⊆-minimal members, kept in a table
-    per distinct under(e). Failing is symmetric, so the first e with any
-    failing partner has it later in the scan, and a scan of the later
-    closed sets finds the witness's f. A table is built the second time
-    its under(e) is seen; the first time, the later closed sets are
-    scanned directly.
+    f is disjoint from e and lies in no member of under(e) (`_partners`).
+    The closed sets in no member are closed upward, so e has a failing
+    partner iff it is disjoint from one of their ⊆-minimal members, kept
+    in a table per distinct under(e). Failing is symmetric, so the first
+    e with any failing partner has them all later in the scan: they lie
+    in e's size class or after it, and the first of them in scan order is
+    the witness's f. A table is built the second time its under(e) is
+    seen; the first time, those closed sets are scanned directly. The
+    scan sorts each size class by the key when it reaches it.
     """
     tables: dict[tuple[int, ...], list[int] | None] = {}
-    for idx, e in enumerate(closed):
-        under = tuple([r for g, r in separators if not e & ~g])
-        if under in tables:
-            mins = tables[under]
-            if mins is None:
-                mins = tables[under] = _minimal_outside(closed, under)
-            for f in mins:
-                if not e & f:
-                    break
+    start = 0  # where the current size class begins in `closed`
+    for _, members in groupby(closed, int.bit_count):
+        members = sorted(members, key=_canonical_key)
+        for e in members:
+            under = tuple([r for g, r in separators if not e & ~g])
+            if under in tables:
+                mins = tables[under]
+                if mins is None:
+                    mins = tables[under] = _minimal_outside(closed, under)
+                for f in mins:
+                    if not e & f:
+                        break
+                else:
+                    continue
             else:
-                continue
-        else:
-            tables[under] = None
-        for f in closed[idx + 1 :]:
-            if e & f:
-                continue
-            for r in under:
-                if not f & ~r:
-                    break
-            else:
+                tables[under] = None
+            f = _first_in_scan_order(_partners(e, under, closed[start:]))
+            if f is not None:
                 return False, (ItemSet(u, e).labels, ItemSet(u, f).labels)
+        start += len(members)
     return True, None
+
+
+def _partners(e: int, under: tuple[int, ...], closed: list[int]) -> Iterator[int]:
+    """The closed sets, in list order, that fail with e: disjoint from e
+    and in no member of under."""
+    for f in closed:
+        if e & f:
+            continue
+        for r in under:
+            if not f & ~r:
+                break
+        else:
+            yield f
 
 
 def _minimal_outside(closed: list[int], under: tuple[int, ...]) -> list[int]:
@@ -296,9 +343,11 @@ def separation_profile(space: PreTopology) -> SeparationProfile:
     The base and the per-item meets come from the space's cache; the
     closed sets and the pairs (g, reach[g]) over R are computed once and
     shared by the regular and normal kernels. The pairs cost
-    O(|B|² + |R|·|B|), read from the base; the closed sets cost a sort of
-    |K| keys, and each kernel O(|K|·|R|) when the property holds and the
-    normal kernel's tables are few.
+    O(|B|² + |R|·|B|), read from the base; the closed sets cost one
+    C-level sort by size, and the scan order within a size is read only
+    as far as a kernel's scan reaches (`_closed`). Each kernel costs
+    O(|K|·|R|) when the property holds and the normal kernel's tables
+    are few.
     """
     u = space.universe
     closed = _closed(u, space.states.masks())

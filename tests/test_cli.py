@@ -139,6 +139,22 @@ def test_reduce_verb(capsys):
     assert lines[-1] == "{z1+z3,z2,z4,z5+z6}"
 
 
+def test_reduce_tells_apart_class_labels_that_collide(capsys, tmp_path):
+    """The classes {a, b} and {a+b} would both be labelled 'a+b'."""
+    f = tmp_path / "collide.json"
+    f.write_text(
+        json.dumps(
+            {"universe": ["a", "b", "a+b"], "states": [[], ["a", "b"], ["a", "b", "a+b"]]}
+        )
+    )
+    code, out, err = run(capsys, "reduce", str(f), "--format", "json")
+    assert code == 0 and err == ""
+    reduced = json.loads(out)["reduced"]
+    assert reduced["universe"] == ["a+b#1", "a+b#2"]
+    assert len(set(reduced["universe"])) == len(reduced["universe"])
+    assert reduced["states"] == [[], ["a+b#1"], ["a+b#1", "a+b#2"]]
+
+
 def test_order_verb_on_a_space(capsys):
     code, out, _ = run(capsys, "order", str(FIX / "ord6.json"))
     assert code == 0

@@ -4,10 +4,13 @@ A name bound by `import` or `from ... import` in a module under
 `src/pretopo/` must be loaded somewhere in that module or be listed in its
 `__all__`. The base kernels are called only where the base is computed:
 in `core`, which caches it per family, and in `structure._classify`, which
-works on bare masks. Masks cross an item map in one place: the per-byte
-table kernel is defined and called only in `maps`, so no other module
-knows the table layout. Size limits have one mechanism: no module reads
-the environment, and only `core._guard` raises a `BoundExceeded`.
+works on bare masks. The per-byte tables have one builder,
+`core._byte_tables`, called only by `core` (the label tables that
+serialize a family) and by `maps`, where masks cross an item map: the
+readers of the mask tables, `_push` and the `PointMap` table methods, are
+defined and called only in `maps`. Size limits have one mechanism: no
+module reads the environment, and only `core._guard` raises a
+`BoundExceeded`.
 """
 
 import ast
@@ -76,7 +79,9 @@ def test_base_kernels_are_called_only_where_the_base_is_computed():
     assert stray == []
 
 
-TABLE_KERNEL = {"_byte_tables", "_push", "_image_tables", "_preimage_tables"}
+TABLE_BUILDER = "_byte_tables"
+TABLE_READERS = {"_push", "_image_tables", "_preimage_tables"}
+TABLE_KERNEL = {TABLE_BUILDER} | TABLE_READERS
 
 
 def table_kernel_uses(path):
@@ -94,12 +99,16 @@ def table_kernel_uses(path):
     return uses
 
 
-def test_the_table_kernel_lives_only_in_maps():
+def test_the_table_builder_lives_in_core_and_the_table_readers_in_maps():
     uses = [u for path in sorted(PACKAGE.glob("*.py")) for u in table_kernel_uses(path)]
-    defined = sorted(name for module, kind, name in uses if kind == "def")
-    assert defined == sorted(TABLE_KERNEL)
-    assert {name for module, kind, name in uses if kind == "call"} == TABLE_KERNEL
-    assert [u for u in uses if u[0] != "maps.py"] == []
+    defined = sorted((module, name) for module, kind, name in uses if kind == "def")
+    assert defined == sorted(
+        [("core.py", TABLE_BUILDER)] + [("maps.py", name) for name in TABLE_READERS]
+    )
+    called = {(module, name) for module, kind, name in uses if kind == "call"}
+    assert called == {("core.py", TABLE_BUILDER), ("maps.py", TABLE_BUILDER)} | {
+        ("maps.py", name) for name in TABLE_READERS
+    }
 
 
 ENVIRONMENT = {"os", "environ", "getenv"}

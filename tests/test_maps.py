@@ -27,6 +27,7 @@ from pretopo import (
     quotient,
     quotient_projection,
     subspace,
+    union_closure,
 )
 from pretopo import fixtures
 
@@ -186,6 +187,26 @@ def test_quotient_merging_two_items():
     assert q.states.masks() == expected
     proj = quotient_projection(space, classes)
     assert is_pre_quotient(proj, space, q)
+
+
+def test_quotient_labels_classes_whose_joined_labels_collide():
+    """{a, b} and {a+b} both join to 'a+b': the two take the least free
+    suffixes in class order. With an item 'a+b#1' as well, the suffix 1
+    is taken, and the label of the item's own class is kept."""
+    for labels, want in (
+        (["a", "b", "a+b"], ("a+b#1", "a+b#2")),
+        (["a", "b", "a+b", "a+b#1"], ("a+b#2", "a+b#3", "a+b#1")),
+    ):
+        u = Universe(labels)
+        space = union_closure(SetFamily.of(u, [["a", "b"], ["a", "b", "a+b"], labels]))
+        classes = [u.subset(["a", "b"])] + [u.subset([t]) for t in labels[2:]]
+        q = quotient(space, classes)
+        assert q.universe.labels == want
+        proj = quotient_projection(space, classes)
+        assert [proj(t) for t in labels] == [want[0], *want]
+        # every state is a union of classes, so each is its own saturation
+        assert q.states.masks() == {proj.image_mask(m) for m in space.states.masks()}
+        assert is_pre_quotient(proj, space, q)
 
 
 def test_quotient_by_reduction_classes_matches_the_reduction():
