@@ -338,7 +338,12 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    suite = "all" if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
+    suite = "all"
+    if args.suite != "all":
+        suite = [s.strip() for s in args.suite.split(",")]
+        for ident in suite:
+            if ident not in miner.available_theorems():
+                raise SchemaError(f"unknown theorem id: {ident!r}")
     reports = miner.audit(suite, args.n, seed=args.seed, bound=args.bound)
     text = miner.reports_to_json(reports)
     if args.out:

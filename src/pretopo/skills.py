@@ -26,7 +26,7 @@ from .core import (
     union_closure_masks,
 )
 from .errors import CombinatorialBoundExceeded, SchemaError, SkillBoundExceeded
-from .structure import _classify
+from .structure import classify
 
 SKILL_BOUND = 20
 POOL_BOUND = 16
@@ -247,7 +247,8 @@ def _delineation_report(
 ) -> DelineationReport:
     """Both routes of `is_delineated_space` on the delineated family, as
     masks, of the multimap over n_items items whose holder table is given."""
-    space = _classify(family, n_items).is_knowledge_space
+    universe = Universe(map(str, range(n_items)))
+    space = classify(SetFamily.from_masks(universe, family)).is_knowledge_space
     images = []
     for d in holders:
         pd = 0

@@ -8,7 +8,6 @@ from binary relations and extensional closure operators.
 from __future__ import annotations
 
 import json
-from collections.abc import Set
 from dataclasses import dataclass
 
 from .core import (
@@ -17,9 +16,6 @@ from .core import (
     SetFamily,
     Universe,
     _guard,
-    _irreducible_masks,
-    _is_union_closed,
-    _item_meets,
     _read_labels,
     _read_universe,
     irreducible_states,
@@ -75,17 +71,6 @@ def classify(family: SetFamily) -> Classification:
     structure = 0 in masks and (1 << len(family.universe)) - 1 in masks
     space = structure and family._union_closed()
     quasi = space and all(meet in masks for meet in family._base().meets)
-    return Classification(structure, space, quasi, quasi)
-
-
-def _classify(masks: Set[int], m: int) -> Classification:
-    """`classify` on the member masks of a family over m items. The
-    multimap sweep has no family to cache on, so the base and, when
-    needed, the meets are computed here."""
-    structure = 0 in masks and (1 << m) - 1 in masks
-    base = _irreducible_masks(masks)
-    space = structure and _is_union_closed(masks, base)
-    quasi = space and all(meet in masks for meet in _item_meets(base, m))
     return Classification(structure, space, quasi, quasi)
 
 

@@ -31,8 +31,9 @@ from pretopo import (
     subspace,
     to_quasi_order,
 )
-from pretopo import fixtures
 from pretopo.miner import enumerate_spaces, run_skills_suite, sample_quasi_orders
+
+import fixture_files as fixtures
 
 PROPERTY_SUITE = [
     "closure-axioms",
@@ -67,8 +68,8 @@ def sub(space, labels):
 
 def test_criterion_1_primary_items_golden():
     failures = []
-    space = fixtures.alg5()
-    base = fixtures.alg5_base()
+    space = fixtures.space("alg5")
+    base = fixtures.family("alg5")
     started = time.time()
     greedy = greedy_primary_items(space).result
     matrix_d, state = matrix_primary_items(base)
@@ -119,7 +120,7 @@ def test_criterion_1_primary_items_golden():
 
 def test_criterion_2_operator_goldens():
     failures = []
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     r = sub(space, ["z2", "z3"])
     t = sub(space, ["z3", "z4"])
     full = space.universe.full
@@ -140,17 +141,17 @@ def test_criterion_2_operator_goldens():
 
 def test_criterion_3_separation_goldens():
     failures = []
-    p = separation_profile(fixtures.e0())
+    p = separation_profile(fixtures.space("e0"))
     need(failures, p.t0 and not p.t1, "e0 not (T0 and not T1)")
-    need(failures, separation_profile(fixtures.e1_tau()).t2, "e1_tau not T2")
-    p = separation_profile(fixtures.t2nr())
+    need(failures, separation_profile(fixtures.space("e1_tau")).t2, "e1_tau not T2")
+    p = separation_profile(fixtures.space("t2nr"))
     need(failures, p.t2 and not p.regular_property, "t2nr not (T2 and not regular)")
-    p = separation_profile(fixtures.rnn())
+    p = separation_profile(fixtures.space("rnn"))
     need(failures, p.regular_property and not p.normal_property,
          "rnn not (regular and not normal)")
-    need(failures, not separation_profile(fixtures.ord6()).t0,
+    need(failures, not separation_profile(fixtures.space("ord6")).t0,
          "six-point family is T0")
-    t1c = fixtures.t1c()
+    t1c = fixtures.space("t1c")
     need(failures, separation_profile(t1c).t1 and is_connected(t1c),
          "t1c not (T1 and connected)")
     gate(3, "separation goldens across the six families", failures)
@@ -158,7 +159,7 @@ def test_criterion_3_separation_goldens():
 
 def test_criterion_4_connectivity_goldens():
     failures = []
-    tight = fixtures.tight()
+    tight = fixtures.space("tight")
     need(failures, is_tight_n_connected(tight, 1), "tight fixture not tight-1")
     report = connectedness(tight)
     need(failures, not report.connected, "tight fixture connected")
@@ -166,7 +167,7 @@ def test_criterion_4_connectivity_goldens():
          report.separation is not None
          and sorted(report.separation[0].labels) == ["z1", "z2"],
          "witness clopen != {z1,z2}")
-    conn = fixtures.conn()
+    conn = fixtures.space("conn")
     need(failures, is_connected(conn), "conn fixture disconnected")
     need(failures, not is_tight_n_connected(conn, 1), "conn fixture tight-1")
     gate(4, "tight-1 versus connected on the two witnesses", failures)
@@ -174,8 +175,8 @@ def test_criterion_4_connectivity_goldens():
 
 def test_criterion_5_pre_continuity_golden():
     failures = []
-    tau = fixtures.e1_tau()
-    delta = fixtures.e1_delta()
+    tau = fixtures.space("e1_tau")
+    delta = fixtures.space("e1_delta")
     ident = PointMap(tau.universe, delta.universe,
                      {t: t for t in tau.universe.labels})
     need(failures, not is_pre_continuous(ident, tau, delta),
@@ -295,9 +296,9 @@ def test_criterion_9_audit_only_reports():
     need(failures, gap.summary is not None and "gap" in gap.summary,
          "gap distribution missing")
 
-    vc = fixtures.vertex_cover()
+    vc = fixtures.space("vertex_cover")
     greedy_n = len(greedy_primary_items(vc).result)
-    matrix_n = len(matrix_primary_items(fixtures.vertex_cover_base())[0])
+    matrix_n = len(matrix_primary_items(fixtures.family("vertex_cover"))[0])
     exact_n = density_exact(vc)[0]
     need(failures, greedy_n == matrix_n == exact_n == 2,
          "vertex-cover sizes diverge from the optimum")

@@ -20,8 +20,9 @@ from pretopo import (
     matrix_primary_items,
     weight,
 )
-from pretopo import fixtures
 from pretopo.core import union_closure_masks
+
+import fixture_files as fixtures
 
 UNI3 = Universe(["a1", "a2", "a3"])
 TWO = PreTopology.from_family(SetFamily.from_masks(UNI3, [0, 7]))
@@ -43,15 +44,15 @@ def brute_density(space):
 
 
 def test_weight_examples():
-    assert weight(fixtures.e1_tau()) == 6
+    assert weight(fixtures.space("e1_tau")) == 6
     assert weight(TWO) == 1
-    assert weight(fixtures.alg5()) == 5
+    assert weight(fixtures.space("alg5")) == 5
 
 
 def test_density_exact_examples():
-    n, d = density_exact(fixtures.e1_tau())
+    n, d = density_exact(fixtures.space("e1_tau"))
     assert n == 3 and sorted(d.labels) == ["z1", "z2", "z3"]
-    n, d = density_exact(fixtures.alg5())
+    n, d = density_exact(fixtures.space("alg5"))
     assert n == 2 and sorted(d.labels) == ["z1", "z2"]
     n, d = density_exact(TWO)
     assert n == 1 and list(d.labels) == ["a1"]
@@ -70,7 +71,7 @@ def seeded_spaces(count, seed):
 
 
 def test_density_exact_matches_the_exhaustive_sweep():
-    spaces = [fn() for fn in (fixtures.tight, fixtures.conn, fixtures.e0, fixtures.e1_delta)]
+    spaces = [fixtures.space(name) for name in ("tight", "conn", "e0", "e1_delta")]
     spaces += [s for n in range(1, 5) for s in enumerate_spaces(n)]
     spaces += seeded_spaces(200, 4)
     assert max(len(s.universe) for s in spaces) == 12
@@ -127,15 +128,15 @@ def test_density_exact_matches_the_sweep_on_dense_rung_spaces():
 
 
 def test_greedy_construction_on_the_ten_state_space():
-    trace = greedy_primary_items(fixtures.alg5())
+    trace = greedy_primary_items(fixtures.space("alg5"))
     assert [p for p, _ in trace.picked] == ["z3", "z1", "z2"]
     assert [len(blk) for _, blk in trace.picked] == [3, 1, 1]
     assert sorted(trace.result.labels) == ["z1", "z2"]
 
 
 def test_greedy_result_is_always_dense():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         trace = greedy_primary_items(space)
         base = [s.mask for s in irreducible_states(space).members]
         assert all(b & trace.result.mask for b in base), name
@@ -144,8 +145,8 @@ def test_greedy_result_is_always_dense():
 
 
 def test_greedy_blocks_partition_the_base():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         trace = greedy_primary_items(space)
         base = {s.mask for s in irreducible_states(space).members}
         seen = []
@@ -155,13 +156,13 @@ def test_greedy_blocks_partition_the_base():
 
 
 def test_greedy_matches_the_optimum_on_small_fixtures():
-    for fn in (fixtures.alg5, fixtures.e1_tau, fixtures.tight):
-        space = fn()
+    for name in ("alg5", "e1_tau", "tight"):
+        space = fixtures.space(name)
         assert len(greedy_primary_items(space).result) == density_exact(space)[0]
 
 
 def test_matrix_construction_on_the_ten_state_space():
-    d, state = matrix_primary_items(fixtures.alg5_base())
+    d, state = matrix_primary_items(fixtures.family("alg5"))
     assert sorted(d.labels) == ["z1", "z2"]
     assert state.rows == ("z3", "z1", "z2", "z4", "z5")
     assert state.block_sizes == (3, 1, 1)
@@ -181,7 +182,7 @@ def test_matrix_on_a_single_block():
 
 
 def test_matrix_on_the_vertex_cover_base():
-    d, state = matrix_primary_items(fixtures.vertex_cover_base())
+    d, state = matrix_primary_items(fixtures.family("vertex_cover"))
     assert len(d) == 2
     assert sum(state.block_sizes) == len(state.cols)
 
@@ -194,8 +195,8 @@ def test_matrix_rejects_non_minimal_bases():
 
 
 def test_matrix_agrees_with_greedy_on_every_fixture():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         base = irreducible_states(space)
         d, state = matrix_primary_items(base)
         assert d.mask == greedy_primary_items(space).result.mask, name
@@ -203,20 +204,20 @@ def test_matrix_agrees_with_greedy_on_every_fixture():
 
 
 def test_cellularity_examples():
-    assert cellularity(fixtures.e1_tau()) == 2
+    assert cellularity(fixtures.space("e1_tau")) == 2
     assert cellularity(TWO) == 1
     assert cellularity(POW3) == 3
 
 
 def test_character_examples():
     assert character(POW3) == 1
-    assert character(fixtures.e1_tau(), "z1") == 3
-    ord6 = fixtures.ord6()
+    assert character(fixtures.space("e1_tau"), "z1") == 3
+    ord6 = fixtures.space("ord6")
     assert all(character(ord6, z) == 1 for z in ord6.universe.labels)
 
 
 def test_density_at_least_cellularity_and_at_most_weight():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         d = density_exact(space)[0]
         assert cellularity(space) <= d <= max(1, weight(space)), name

@@ -299,6 +299,17 @@ def test_mine_verb_json_and_out_file(capsys, tmp_path):
     assert json.loads(out)[0]["theorem"] == "closure-axioms"
 
 
+@pytest.mark.parametrize(
+    "suite, ident",
+    [("nope", "'nope'"), ("closure-axioms,", "''")],
+    ids=["unknown-id", "empty-id"],
+)
+def test_mine_unknown_theorem_id_exits_two(capsys, suite, ident):
+    code, out, err = run(capsys, "mine", "-n", "2", "--suite", suite)
+    assert code == 2 and out == ""
+    assert err == f"SchemaError: unknown theorem id: {ident}\n"
+
+
 def test_json_format_is_parseable(capsys):
     code, out, _ = run(
         capsys, "closure", str(FIX / "e0.json"), "z2,z3", "--format", "json"
@@ -355,13 +366,15 @@ def test_installed_entry_point_matches_in_process_output(capsys):
 def test_bound_lasts_for_one_command(capsys, monkeypatch):
     import os
 
-    from pretopo import cardinal, fixtures, miner
+    import fixture_files as fixtures
+
+    from pretopo import cardinal, miner
 
     monkeypatch.delenv("PRETOPO_BOUND", raising=False)
     main(["mine", "-n", "2", "--suite", "closure-axioms", "--bound", "3"])
     capsys.readouterr()
     assert "PRETOPO_BOUND" not in os.environ
-    assert cardinal.cellularity(fixtures.e0()) >= 1
+    assert cardinal.cellularity(fixtures.space("e0")) >= 1
     assert len(miner.enumerate_spaces(4)) == 2271
     monkeypatch.setenv("PRETOPO_BOUND", "5")
     main(["mine", "-n", "2", "--suite", "closure-axioms", "--bound", "3"])

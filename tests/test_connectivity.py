@@ -12,12 +12,14 @@ from pretopo import (
     clopen_sets,
     connectedness,
     find_simple_chain,
+    irreducible_states,
     is_connected,
     is_tight_n_connected,
     is_well_graded,
 )
-from pretopo import fixtures, irreducible_states
 from pretopo.miner import enumerate_spaces
+
+import fixture_files as fixtures
 
 
 def family_of(space, label_sets):
@@ -33,7 +35,7 @@ def chain_space(n):
 
 
 def test_tight_fixture_is_disconnected_with_balanced_witness():
-    report = connectedness(fixtures.tight())
+    report = connectedness(fixtures.space("tight"))
     assert not report.connected
     a, b = report.separation
     assert set(a.labels) == {"z1", "z2"}
@@ -41,9 +43,9 @@ def test_tight_fixture_is_disconnected_with_balanced_witness():
 
 
 def test_conn_fixture_is_connected():
-    report = connectedness(fixtures.conn())
+    report = connectedness(fixtures.space("conn"))
     assert report.connected and report.separation is None
-    assert is_connected(fixtures.conn())
+    assert is_connected(fixtures.space("conn"))
 
 
 def test_indiscrete_is_connected():
@@ -53,7 +55,7 @@ def test_indiscrete_is_connected():
 
 
 def test_clopen_sets_of_tight():
-    got = [set(s.labels) for s in clopen_sets(fixtures.tight())]
+    got = [set(s.labels) for s in clopen_sets(fixtures.space("tight"))]
     assert got == [
         {"z1"},
         {"z4"},
@@ -65,7 +67,7 @@ def test_clopen_sets_of_tight():
 
 
 def test_simple_chain_through_minimal_pre_base():
-    space = fixtures.conn()
+    space = fixtures.space("conn")
     base = irreducible_states(space)
     w = find_simple_chain(space, base, "z2", "z5")
     assert isinstance(w, ChainWitness)
@@ -78,13 +80,13 @@ def test_simple_chain_through_minimal_pre_base():
 
 
 def test_no_chain_across_the_gap():
-    space = fixtures.tight()
+    space = fixtures.space("tight")
     cover = family_of(space, [["z1", "z2"], ["z3", "z4"]])
     assert find_simple_chain(space, cover, "z1", "z3") is NoChain
 
 
 def test_single_set_cover_chain():
-    space = fixtures.conn()
+    space = fixtures.space("conn")
     cover = family_of(space, [list(space.universe.labels)])
     w = find_simple_chain(space, cover, "z1", "z5")
     assert isinstance(w, ChainWitness)
@@ -92,23 +94,23 @@ def test_single_set_cover_chain():
 
 
 def test_chain_requires_a_cover():
-    space = fixtures.conn()
+    space = fixtures.space("conn")
     partial = family_of(space, [["z1", "z2", "z3"]])
     with pytest.raises(NotACover):
         find_simple_chain(space, partial, "z1", "z5")
 
 
 def test_tight_one_connected_examples():
-    assert is_tight_n_connected(fixtures.tight(), 1)
-    assert not is_tight_n_connected(fixtures.conn(), 1)
+    assert is_tight_n_connected(fixtures.space("tight"), 1)
+    assert not is_tight_n_connected(fixtures.space("conn"), 1)
     uni = Universe(["z1", "z2"])
     power = PreTopology.from_family(SetFamily.from_masks(uni, [0, 1, 2, 3]))
     assert is_tight_n_connected(power, 1)
 
 
 def test_well_gradedness_examples():
-    assert is_well_graded(fixtures.tight().states)
-    assert not is_well_graded(fixtures.conn().states)
+    assert is_well_graded(fixtures.space("tight").states)
+    assert not is_well_graded(fixtures.space("conn").states)
     assert is_well_graded(chain_space(3).states)
 
 
@@ -118,8 +120,8 @@ def test_tight_one_iff_well_graded_exhaustively():
 
 
 def test_separation_witness_is_a_clopen_partition():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         report = connectedness(space)
         if report.connected:
             assert report.separation is None

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import pathlib
 import random
 
 import pytest
@@ -22,8 +21,9 @@ from pretopo import (
     is_pre_base_for,
     union_closure,
 )
-from pretopo import fixtures
 from pretopo.core import _canonical_key
+
+import fixture_files as fixtures
 
 
 def u(n):
@@ -99,7 +99,7 @@ def test_family_canonical_order_and_dedup():
 
 
 def test_family_json_round_trip_is_byte_stable():
-    f = fixtures.e0().states
+    f = fixtures.space("e0").states
     text = f.to_json()
     again = SetFamily.from_json(text)
     assert again == f
@@ -202,7 +202,7 @@ def test_union_closure_alg5_frozen_against_brute_force():
             expected.add(frozenset().union(*combo) if combo else frozenset())
     assert len(expected) == 10
 
-    space = fixtures.alg5()
+    space = fixtures.space("alg5")
     got = {frozenset(int(l[1]) for l in m.labels) for m in space.states.members}
     assert got == expected
     assert frozenset({1, 2, 3}) in got and frozenset({1, 2, 3, 4, 5}) in got
@@ -215,8 +215,8 @@ def test_union_closure_cover_error():
 
 
 def test_union_closure_idempotent_and_contains_generators():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         again = union_closure(space.states)
         assert again.states == space.states, name
         assert space.states.has_mask(0)
@@ -237,13 +237,13 @@ def test_union_closure_monotone(masks):
 
 
 def test_irreducibles_of_e1_tau_are_the_pairs():
-    base = irreducible_states(fixtures.e1_tau())
+    base = irreducible_states(fixtures.space("e1_tau"))
     assert all(len(m.labels) == 2 for m in base.members)
     assert len(base.members) == 6
 
 
 def test_irreducibles_of_alg5_are_the_generators():
-    assert irreducible_states(fixtures.alg5()) == fixtures.alg5_base()
+    assert irreducible_states(fixtures.space("alg5")) == fixtures.family("alg5")
 
 
 def test_irreducibles_of_indiscrete():
@@ -255,14 +255,14 @@ def test_irreducibles_of_indiscrete():
 
 
 def test_irreducibles_regenerate_every_fixture():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         assert union_closure(irreducible_states(space)).states == space.states, name
 
 
 def test_minimal_base_inside_every_generating_family():
     # the minimal base is contained in every pre-base
-    space = fixtures.e1_tau()
+    space = fixtures.space("e1_tau")
     irr = set(irreducible_states(space).masks())
     gens = SetFamily.from_masks(
         space.universe, [m for m in space.states.masks() if m]
@@ -274,13 +274,13 @@ def test_minimal_base_inside_every_generating_family():
 
 
 def test_is_pre_base_for_examples():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     uni = tau.universe
     assert not is_pre_base_for(fam(uni, [["z1", "z2"], ["z3", "z4"]]), tau)
     pairs = fam(uni, [list(c) for c in itertools.combinations(uni.labels, 2)])
     assert is_pre_base_for(pairs, tau)
-    for fn in fixtures.ALL.values():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         assert is_pre_base_for(irreducible_states(space), space)
 
 
@@ -318,19 +318,22 @@ def test_notcover_fixture_payload():
 
 # ------------------------------------------------------- shipped fixtures
 
-FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
-FIXTURE_BUILDERS = {
-    **fixtures.ALL,
-    "alg5": fixtures.alg5_base,
-    "vertex_cover": fixtures.vertex_cover_base,
-}
+GENERATOR_FILES = {"alg5", "vertex_cover"}
 
 
-@pytest.mark.parametrize(
-    "name", sorted(p.stem for p in FIXTURE_DIR.glob("*.json") if p.stem != "notcover")
-)
-def test_fixture_file_matches_its_builder(name):
-    """Each fixtures/*.json but the malformed notcover.json is the
-    `.to_obj()` of its builder in pretopo.fixtures."""
-    obj = json.loads((FIXTURE_DIR / f"{name}.json").read_text())
-    assert obj == FIXTURE_BUILDERS[name]().to_obj()
+@pytest.mark.parametrize("name", sorted(p.stem for p in fixtures.DIR.glob("*.json")))
+def test_fixture_file_loads_as_the_verbs_read_it(name):
+    """notcover.json is not a cover; alg5.json and vertex_cover.json
+    generate their spaces, so they hold no ∅ and are closed; every other
+    file is a space as given."""
+    if name == "notcover":
+        with pytest.raises(CoverError):
+            fixtures.space(name)
+        return
+    written = fixtures.family(name)
+    space = fixtures.space(name)
+    if name in GENERATOR_FILES:
+        assert not written.has_mask(0)
+        assert space.states == union_closure(written).states
+    else:
+        assert space.states == PreTopology.from_family(written).states == written

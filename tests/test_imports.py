@@ -3,8 +3,7 @@
 A name bound by `import` or `from ... import` in a module under
 `src/pretopo/` must be loaded somewhere in that module or be listed in its
 `__all__`. The base kernels are called only where the base is computed:
-in `core`, which caches it per family, and in `structure._classify`, which
-works on bare masks. The per-byte tables have one builder,
+in `core`, which caches it per family. The per-byte tables have one builder,
 `core._byte_tables`, called only by `core` (the label tables that
 serialize a family) and by `maps`, where masks cross an item map: the
 readers of the mask tables, `_push` and the `PointMap` table methods, are
@@ -74,9 +73,8 @@ def base_kernel_calls(path):
 
 def test_base_kernels_are_called_only_where_the_base_is_computed():
     calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in base_kernel_calls(path)]
-    assert ("structure.py", "_classify", "_irreducible_masks") in calls
-    stray = [c for c in calls if c[0] != "core.py" and c[:2] != ("structure.py", "_classify")]
-    assert stray == []
+    assert {kernel for _, _, kernel in calls} == BASE_KERNELS
+    assert [c for c in calls if c[0] != "core.py"] == []
 
 
 TABLE_BUILDER = "_byte_tables"

@@ -13,6 +13,7 @@ from pretopo import (
     NotSurjective,
     PointMap,
     PreTopology,
+    QuasiOrder,
     SchemaError,
     SetFamily,
     Universe,
@@ -20,6 +21,7 @@ from pretopo import (
     classify_map,
     closure,
     discriminative_reduction,
+    from_quasi_order,
     is_pre_continuous,
     is_pre_quotient,
     pre_continuity_witness,
@@ -27,9 +29,11 @@ from pretopo import (
     quotient,
     quotient_projection,
     subspace,
+    to_quasi_order,
     union_closure,
 )
-from pretopo import fixtures
+
+import fixture_files as fixtures
 
 
 def item_set(space, labels):
@@ -38,8 +42,8 @@ def item_set(space, labels):
 
 
 def test_identity_between_the_two_four_point_structures_fails():
-    tau = fixtures.e1_tau()
-    delta = fixtures.e1_delta()
+    tau = fixtures.space("e1_tau")
+    delta = fixtures.space("e1_delta")
     f = PointMap(tau.universe, delta.universe, {t: t for t in tau.universe.labels})
     assert not is_pre_continuous(f, tau, delta)
     witness = pre_continuity_witness(f, tau, delta)
@@ -47,8 +51,8 @@ def test_identity_between_the_two_four_point_structures_fails():
 
 
 def test_inclusions_of_the_two_point_traces_are_continuous():
-    tau = fixtures.e1_tau()
-    delta = fixtures.e1_delta()
+    tau = fixtures.space("e1_tau")
+    delta = fixtures.space("e1_delta")
     for pair in (["z1", "z2"], ["z3", "z4"]):
         sub = subspace(tau, item_set(tau, pair))
         inc = PointMap(sub.universe, delta.universe, {t: t for t in pair})
@@ -57,7 +61,7 @@ def test_inclusions_of_the_two_point_traces_are_continuous():
 
 
 def test_identity_classification_is_all_true():
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     f = PointMap.identity(space.universe)
     c = classify_map(f, space, space)
     assert c.pre_continuous and c.pre_open and c.pre_closed
@@ -88,13 +92,13 @@ def test_quotient_flag_is_none_for_non_surjective_maps():
 
 
 def test_reduction_projection_is_a_pre_quotient():
-    space = fixtures.ord6()
+    space = fixtures.space("ord6")
     red = discriminative_reduction(space)
     assert is_pre_quotient(red.projection, space, red.reduced)
 
 
 def test_subspace_traces():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     sub = subspace(tau, item_set(tau, ["z1", "z2"]))
     assert sub.universe.labels == ("z1", "z2")
     assert sub.states.masks() == {0, 1, 2, 3}
@@ -106,7 +110,7 @@ def test_subspace_traces():
 
 def test_closed_carrier_relative_closure_law():
     # for a closed carrier H, the trace closure of F equals H ∩ cl(F)
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     h_labels = ["z2", "z3"]
     h = item_set(space, h_labels)
     assert space.states.has_mask(space.universe.full.mask & ~h.mask)
@@ -159,8 +163,27 @@ def test_product_states_match_the_box_closure_oracle():
     assert len(p.states) == 6
 
 
+def test_product_of_the_six_point_space_with_itself():
+    """ord6 is quasi-ordinal, so the opens of ord6 × ord6 are the down-sets
+    of the product preorder: (a, b) ⪯ (c, d) iff a ⪯ c and b ⪯ d. The box
+    closure once ran for minutes on these 36 items."""
+    space = fixtures.space("ord6")
+    order = to_quasi_order(space)
+    labels = space.universe.labels
+    uni = Universe(f"({a},{b})" for a, b in itertools.product(labels, repeat=2))
+    pairs = [
+        (f"({a},{b})", f"({c},{d})")
+        for a, b, c, d in itertools.product(labels, repeat=4)
+        if order.leq(a, c) and order.leq(b, d)
+    ]
+    got = product([space, space])
+    assert got.universe == uni
+    assert got.states == from_quasi_order(QuasiOrder.from_pairs(uni, pairs)).states
+    assert len(got.states) == 7776
+
+
 def test_quotient_by_singletons_is_the_space_itself():
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     classes = [item_set(space, [t]) for t in space.universe.labels]
     q = quotient(space, classes)
     assert q.universe.labels == space.universe.labels
@@ -168,7 +191,7 @@ def test_quotient_by_singletons_is_the_space_itself():
 
 
 def test_quotient_merging_two_items():
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     classes = [
         item_set(space, ["z1"]),
         item_set(space, ["z2"]),
@@ -210,7 +233,7 @@ def test_quotient_labels_classes_whose_joined_labels_collide():
 
 
 def test_quotient_by_reduction_classes_matches_the_reduction():
-    space = fixtures.ord6()
+    space = fixtures.space("ord6")
     red = discriminative_reduction(space)
     q = quotient(space, list(red.classes))
     assert q.universe.labels == red.reduced.universe.labels
@@ -218,7 +241,7 @@ def test_quotient_by_reduction_classes_matches_the_reduction():
 
 
 def test_partition_validation():
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     with pytest.raises(NotAPartition):
         quotient(space, [item_set(space, ["z1", "z2"]), item_set(space, ["z2", "z3", "z4"])])
     with pytest.raises(NotAPartition):
@@ -228,7 +251,7 @@ def test_partition_validation():
 
 
 def test_child_family_of_the_four_point_structure():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     child = child_pretopology(tau, item_set(tau, ["z1", "z2"]), item_set(tau, ["z1", "z3"]))
     assert isinstance(child, ChildPretopology)
     assert set(child.carrier.labels) == {"z3", "z4"}
@@ -238,7 +261,7 @@ def test_child_family_of_the_four_point_structure():
 
 
 def test_child_family_can_degenerate_to_the_empty_family():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     full = item_set(tau, list(tau.universe.labels))
     child = child_pretopology(tau, full, item_set(tau, ["z1", "z2"]))
     assert child.carrier.is_empty()
@@ -247,7 +270,7 @@ def test_child_family_can_degenerate_to_the_empty_family():
 
 
 def test_child_requires_a_state():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     with pytest.raises(NotAState):
         child_pretopology(tau, item_set(tau, ["z1", "z2"]), item_set(tau, ["z1"]))
 

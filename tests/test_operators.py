@@ -17,9 +17,10 @@ from pretopo import (
     interior,
     is_dense,
 )
-from pretopo import fixtures
 
-E0 = fixtures.e0()
+import fixture_files as fixtures
+
+E0 = fixtures.space("e0")
 
 
 def s(space, labels):
@@ -63,7 +64,7 @@ def test_boundary_goldens_on_e0():
 
 
 def test_boundary_of_clopen_is_empty():
-    tight = fixtures.tight()
+    tight = fixtures.space("tight")
     assert boundary(tight, s(tight, ["z1", "z2"])) == tight.universe.empty
 
 
@@ -78,8 +79,8 @@ def test_boundary_symmetric_in_complement_and_closed():
 
 
 def test_boundary_equals_closure_minus_interior():
-    for fn in (fixtures.e0, fixtures.tight, fixtures.t2nr):
-        space = fn()
+    for name in ("e0", "tight", "t2nr"):
+        space = fixtures.space(name)
         for m in range(1 << len(space.universe)):
             a = space.universe.from_mask(m)
             assert (
@@ -94,21 +95,21 @@ def test_derived_set_golden_on_e0():
 
 
 def test_closure_is_set_plus_derived_set():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     for m in range(16):
         a = tau.universe.from_mask(m)
         assert closure(tau, a) == a | derived_set(tau, a)
 
 
 def test_is_dense_examples():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     assert is_dense(tau, s(tau, ["z1", "z2", "z3"]))
     assert not is_dense(tau, s(tau, ["z1", "z2"]))
     assert is_dense(tau, tau.universe.full)
 
 
 def test_fringes_tight_golden():
-    tight = fixtures.tight()
+    tight = fixtures.space("tight")
     rep = fringes(tight, s(tight, ["z1", "z2"]))
     assert rep.inner == s(tight, ["z2"])
     assert rep.outer == s(tight, ["z3", "z4"])
@@ -116,12 +117,12 @@ def test_fringes_tight_golden():
 
 
 def test_fringes_full_universe_on_t1c():
-    t1c = fixtures.t1c()
+    t1c = fixtures.space("t1c")
     assert fringes(t1c, t1c.universe.full).inner == t1c.universe.full
 
 
 def test_fringes_of_empty_set():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     rep = fringes(tau, tau.universe.empty)
     assert rep.inner == tau.universe.empty
     assert rep.outer == tau.universe.empty  # no singleton is open
@@ -133,7 +134,7 @@ def test_fringes_of_empty_set():
 
 @given(st.integers(0, 15))
 def test_fringe_invariants_on_tight(mask):
-    tight = fixtures.tight()
+    tight = fixtures.space("tight")
     w = tight.universe.from_mask(mask)
     rep = fringes(tight, w)
     assert rep.inner.mask & ~w.mask == 0
@@ -149,8 +150,8 @@ def test_closure_monotone_on_e0(a, b):
 
 
 def test_closure_idempotent_on_fixture_subsets():
-    for fn in (fixtures.e0, fixtures.e1_tau, fixtures.tight):
-        space = fn()
+    for name in ("e0", "e1_tau", "tight"):
+        space = fixtures.space(name)
         for m in range(1 << len(space.universe)):
             a = space.universe.from_mask(m)
             c = closure(space, a)

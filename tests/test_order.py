@@ -25,8 +25,9 @@ from pretopo import (
     to_quasi_order,
     union_closure,
 )
-from pretopo import fixtures
 from pretopo.miner import enumerate_spaces, sample_quasi_orders
+
+import fixture_files as fixtures
 
 ABC = Universe(["a1", "a2", "a3"])
 CHAIN = PreTopology.from_family(SetFamily.from_masks(ABC, [0b000, 0b001, 0b011, 0b111]))
@@ -54,7 +55,7 @@ def test_chain_space_gives_the_chain_order():
 
 def test_non_quasi_ordinal_space_is_rejected():
     with pytest.raises(NotQuasiOrdinal):
-        to_quasi_order(fixtures.e1_tau())
+        to_quasi_order(fixtures.space("e1_tau"))
 
 
 def test_from_equality_order_is_the_powerset():
@@ -95,28 +96,28 @@ def test_round_trip_order_to_space_to_order():
 def test_minimal_state_examples():
     assert minimal_state(CHAIN, "a2").mask == 0b011
     assert minimal_state(POWER, "a3").mask == 0b100
-    assert minimal_state(fixtures.e1_tau(), "z1") is None
+    assert minimal_state(fixtures.space("e1_tau"), "z1") is None
 
 
 def test_atoms_at_examples():
-    got = [sorted(m.labels) for m in atoms_at(fixtures.e1_tau(), "z1").members]
+    got = [sorted(m.labels) for m in atoms_at(fixtures.space("e1_tau"), "z1").members]
     assert got == [["z1", "z2"], ["z1", "z3"], ["z1", "z4"]]
     assert [m.mask for m in atoms_at(POWER, "a2").members] == [0b010]
 
 
 def test_every_fixture_is_granular():
-    for name, fn in fixtures.ALL.items():
-        assert is_granular(fn()), name
+    for name in fixtures.NAMES:
+        assert is_granular(fixtures.space(name)), name
 
 
 def test_antimatroid_examples():
     assert is_antimatroid(CHAIN)
     assert is_antimatroid(POWER)
-    assert not is_antimatroid(fixtures.conn())
+    assert not is_antimatroid(fixtures.space("conn"))
 
 
 def test_reduction_of_the_six_point_space():
-    space = fixtures.ord6()
+    space = fixtures.space("ord6")
     red = discriminative_reduction(space)
     assert [list(c.labels) for c in red.classes] == [
         ["z1", "z3"],
@@ -131,7 +132,7 @@ def test_reduction_of_the_six_point_space():
 
 
 def test_reduction_of_a_discriminative_space_is_the_identity():
-    space = fixtures.e1_tau()
+    space = fixtures.space("e1_tau")
     red = discriminative_reduction(space)
     assert all(len(c) == 1 for c in red.classes)
     assert red.reduced.states.masks() == space.states.masks()

@@ -14,7 +14,8 @@ from pretopo import (
     separation_profile,
 )
 from pretopo.separation import bi_discriminative_via_fringe
-from pretopo import fixtures
+
+import fixture_files as fixtures
 
 
 def co_small_space(n, k):
@@ -26,39 +27,57 @@ def co_small_space(n, k):
 
 
 def test_e0_is_t0_not_t1():
-    p = separation_profile(fixtures.e0())
+    p = separation_profile(fixtures.space("e0"))
     assert p.t0 and p.discriminative
     assert not p.t1 and not p.bi_discriminative
 
 
 def test_e1_tau_is_t2():
-    p = separation_profile(fixtures.e1_tau())
+    p = separation_profile(fixtures.space("e1_tau"))
     assert p.t2 and p.t1 and p.t0
 
 
 def test_t2nr_is_t2_not_regular():
-    p = separation_profile(fixtures.t2nr())
+    p = separation_profile(fixtures.space("t2nr"))
     assert p.t2
     assert not p.regular_property and not p.t3
 
 
 def test_rnn_is_t3_not_normal():
-    p = separation_profile(fixtures.rnn())
+    p = separation_profile(fixtures.space("rnn"))
     assert p.t3 and p.regular_property and p.t1
     assert not p.normal_property and not p.t4
 
 
 def test_six_point_family_is_not_t0():
-    ok, witness = is_t0(fixtures.ord6())
+    ok, witness = is_t0(fixtures.space("ord6"))
     assert not ok
     assert witness == ("z1", "z3")
 
 
 def test_six_point_literal_family_notions():
-    # the family exactly as printed, loaded without the union-closure repair
+    # The ord6 family exactly as printed in its source. It misses the unions
+    # {z1,z3,z4,z5,z6} and {z1,z2,z3,z5,z6}, so it is a structure but not a
+    # space; fixtures/ord6.json holds its union closure.
     from pretopo import KnowledgeStructure
 
-    ks = KnowledgeStructure.from_family(fixtures.ord6_generators())
+    u = Universe([f"z{i}" for i in range(1, 7)])
+    printed = SetFamily.of(
+        u,
+        [
+            [],
+            ["z4"],
+            ["z1", "z3"],
+            ["z5", "z6"],
+            ["z1", "z3", "z4"],
+            ["z1", "z2", "z3"],
+            ["z4", "z5", "z6"],
+            ["z1", "z3", "z5", "z6"],
+            ["z1", "z2", "z3", "z4"],
+            ["z1", "z2", "z3", "z4", "z5", "z6"],
+        ],
+    )
+    ks = KnowledgeStructure.from_family(printed)
     red = discriminative_reduction(ks)
     assert [list(c.labels) for c in red.classes] == [
         ["z1", "z3"],
@@ -69,7 +88,7 @@ def test_six_point_literal_family_notions():
 
 
 def test_t1c_is_t1():
-    p = separation_profile(fixtures.t1c())
+    p = separation_profile(fixtures.space("t1c"))
     assert p.t1 and p.bi_discriminative
 
 
@@ -81,20 +100,20 @@ def test_completely_discriminative_co_2_and_co_3():
 
 
 def test_bi_discriminative_via_fringe_examples():
-    assert bi_discriminative_via_fringe(fixtures.t1c())
-    assert not bi_discriminative_via_fringe(fixtures.e0())
+    assert bi_discriminative_via_fringe(fixtures.space("t1c"))
+    assert not bi_discriminative_via_fringe(fixtures.space("e0"))
     assert bi_discriminative_via_fringe(co_small_space(2, 2))
 
 
 def test_fringe_route_agrees_with_profile_t1():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         assert bi_discriminative_via_fringe(space) == separation_profile(space).t1, name
 
 
 def test_hierarchy_implications_across_fixtures():
-    for name, fn in fixtures.ALL.items():
-        p = separation_profile(fn())
+    for name in fixtures.NAMES:
+        p = separation_profile(fixtures.space(name))
         assert not p.t4 or p.t3, name
         assert not p.t3 or p.t2, name
         assert not p.t2 or p.t1, name
@@ -105,21 +124,21 @@ def test_hierarchy_implications_across_fixtures():
 
 
 def test_t3_t4_definitions():
-    for fn in (fixtures.rnn, fixtures.t2nr, fixtures.t1c):
-        p = separation_profile(fn())
+    for name in ("rnn", "t2nr", "t1c"):
+        p = separation_profile(fixtures.space(name))
         assert p.t3 == (p.t1 and p.regular_property)
         assert p.t4 == (p.t1 and p.normal_property)
 
 
 def test_witnesses_are_least_failing_pairs():
-    ok, w = is_t1(fixtures.e0())
+    ok, w = is_t1(fixtures.space("e0"))
     assert not ok and w == ("z2", "z1")
-    ok, w = is_t2(fixtures.e0())
+    ok, w = is_t2(fixtures.space("e0"))
     assert not ok and w == ("z1", "z2")
 
 
 def test_profile_serialization_keys():
-    obj = separation_profile(fixtures.e0()).to_obj()
+    obj = separation_profile(fixtures.space("e0")).to_obj()
     for key in (
         "t0",
         "t1",

@@ -19,7 +19,8 @@ from pretopo import (
     is_minimal_pre_base,
     union_closure,
 )
-from pretopo import fixtures
+
+import fixture_files as fixtures
 
 
 def powerset_space(labels):
@@ -38,7 +39,7 @@ def test_classify_space_that_is_not_a_topology():
 
 
 def test_classify_e1_tau_not_quasi_ordinal():
-    c = classify(fixtures.e1_tau().states)
+    c = classify(fixtures.space("e1_tau").states)
     assert c.is_knowledge_space and not c.is_quasi_ordinal
 
 
@@ -127,13 +128,13 @@ def test_from_closure_operator_indiscrete():
 
 
 def test_from_closure_operator_round_trips_e0():
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     assert from_closure_operator(_closure_table(space)).states == space.states
 
 
 def test_from_closure_operator_round_trips_all_fixtures():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         if len(space.universe) > 6:
             continue
         assert from_closure_operator(_closure_table(space)).states == space.states, name
@@ -171,26 +172,26 @@ def test_atom_pre_base_nested_counterexample():
 
 def test_atom_pre_base_alg5_literal_reading_fails():
     # {z1} sits inside {z1,z3} at z1, so the per-point condition fails
-    assert not is_atom_pre_base(fixtures.alg5_base(), fixtures.alg5())
+    assert not is_atom_pre_base(fixtures.family("alg5"), fixtures.space("alg5"))
 
 
 def test_atom_pre_base_requires_a_pre_base():
-    space = fixtures.e0()
+    space = fixtures.space("e0")
     cand = SetFamily.of(space.universe, [["z1", "z2"]])
     with pytest.raises(NotAPreBase):
         is_atom_pre_base(cand, space)
 
 
 def test_minimal_pre_base_examples():
-    tau = fixtures.e1_tau()
+    tau = fixtures.space("e1_tau")
     assert is_minimal_pre_base(irreducible_states(tau), tau)
-    e0 = fixtures.e0()
+    e0 = fixtures.space("e0")
     nonmin = SetFamily.from_masks(e0.universe, [m for m in e0.states.masks() if m])
     assert not is_minimal_pre_base(nonmin, e0)
-    assert is_minimal_pre_base(fixtures.alg5_base(), fixtures.alg5())
+    assert is_minimal_pre_base(fixtures.family("alg5"), fixtures.space("alg5"))
 
 
 def test_minimal_pre_base_unique_across_fixtures():
-    for name, fn in fixtures.ALL.items():
-        space = fn()
+    for name in fixtures.NAMES:
+        space = fixtures.space(name)
         assert is_minimal_pre_base(irreducible_states(space), space), name
