@@ -338,6 +338,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    if args.n < 1:
+        raise SchemaError(f"-n must be at least 1, got {args.n}")
     suite = "all"
     if args.suite != "all":
         suite = [s.strip() for s in args.suite.split(",")]

@@ -15,7 +15,7 @@ import itertools
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import or_
 
 from .core import (
@@ -265,13 +265,7 @@ class MapClassification:
     pre_homeomorphism: bool
 
     def to_obj(self) -> dict:
-        return {
-            "pre_continuous": self.pre_continuous,
-            "pre_open": self.pre_open,
-            "pre_closed": self.pre_closed,
-            "pre_quotient": self.pre_quotient,
-            "pre_homeomorphism": self.pre_homeomorphism,
-        }
+        return asdict(self)
 
 
 def classify_map(f: PointMap, x: PreTopology, y: PreTopology) -> MapClassification:

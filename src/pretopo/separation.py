@@ -22,7 +22,7 @@ within a size is read only as far as a scan reaches (`_closed`).
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from itertools import chain, compress, groupby, takewhile
 from operator import and_, or_
@@ -46,20 +46,7 @@ class SeparationProfile:
     witnesses: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        out = {
-            "t0": self.t0,
-            "t1": self.t1,
-            "t2": self.t2,
-            "regular_property": self.regular_property,
-            "t3": self.t3,
-            "normal_property": self.normal_property,
-            "t4": self.t4,
-            "discriminative": self.discriminative,
-            "bi_discriminative": self.bi_discriminative,
-            "completely_discriminative": self.completely_discriminative,
-        }
-        out["witnesses"] = self.witnesses
-        return out
+        return asdict(self)
 
 
 def is_t0(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:

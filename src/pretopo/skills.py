@@ -12,7 +12,7 @@ import json
 from array import array
 from collections import defaultdict
 from collections.abc import Iterable, Sequence, Set
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import (
     ItemSet,
@@ -219,11 +219,7 @@ class DelineationReport:
     agree: bool
 
     def to_obj(self) -> dict:
-        return {
-            "space": self.space,
-            "via_characterization": self.via_characterization,
-            "agree": self.agree,
-        }
+        return asdict(self)
 
 
 def is_delineated_space(

@@ -8,7 +8,7 @@ from binary relations and extensional closure operators.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .core import (
     ItemSet,
@@ -39,12 +39,7 @@ class Classification:
     is_quasi_ordinal: bool
 
     def to_obj(self) -> dict:
-        return {
-            "is_knowledge_structure": self.is_knowledge_structure,
-            "is_knowledge_space": self.is_knowledge_space,
-            "is_topology": self.is_topology,
-            "is_quasi_ordinal": self.is_quasi_ordinal,
-        }
+        return asdict(self)
 
 
 def classify(family: SetFamily) -> Classification:

@@ -1,0 +1,134 @@
+"""Every per-space check can still fail.
+
+Each entry monkeypatches one library function, or one table of the
+miner's `_View`, so that it breaks the statement one check audits. The
+check must report `fails` under the mutant and `holds` without it, at
+the smallest universe size where the mutant shows. A test body that no
+longer ran, or whose violations were no longer collected, would leave
+the check at `holds`.
+"""
+
+import dataclasses
+
+import pytest
+
+from pretopo import audit, cardinal, connectivity, maps, miner, operators
+from pretopo import order, separation, structure
+from pretopo.core import ItemSet, SetFamily, union_closure
+
+
+def _powerset_of(universe):
+    return union_closure(
+        SetFamily.from_masks(universe, [1 << i for i in range(len(universe))])
+    )
+
+
+def _closure_of_universe_empty(real):
+    def closure(space, a):
+        got = real(space, a)
+        return ItemSet(a.universe, 0) if a == a.universe.full else got
+
+    return closure
+
+
+def _closure_drops_lowest_item(real):
+    return lambda space, a: ItemSet(a.universe, real(space, a).mask & ~1)
+
+
+def _flip_low_bit(real):
+    return lambda self: [x ^ 1 for x in real(self)]
+
+
+def _swap_fringes(real):
+    return lambda self: {o: (outer, inner) for o, (inner, outer) in real(self).items()}
+
+
+def _full_fringes(real):
+    return lambda self: {o: (self.full, self.full) for o in real(self)}
+
+
+def _forced(value):
+    return lambda real: lambda *args: value
+
+
+def _negated(real):
+    return lambda *args: not real(*args)
+
+
+def _flag_negated(real):
+    return lambda *args: (not real(*args)[0], None)
+
+
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+# check id -> (owner, attribute, mutant factory taking the real attribute, n)
+MUTANTS = {
+    "union-closure-laws": (
+        miner, "union_closure", lambda real: lambda base: _powerset_of(base.universe), 2
+    ),
+    "minimal-pre-base-recognized": (structure, "is_minimal_pre_base", _forced(False), 1),
+    "closure-operator-round-trip": (
+        structure, "from_closure_operator",
+        lambda real: lambda table: _powerset_of(table.universe), 2,
+    ),
+    "classify-monotone": (
+        structure, "classify",
+        lambda real: lambda fam: dataclasses.replace(
+            real(fam), is_quasi_ordinal=not real(fam).is_quasi_ordinal
+        ), 1,
+    ),
+    "closure-axioms": (operators, "closure", _closure_drops_lowest_item, 1),
+    "closure-point-test": (operators, "closure", _closure_of_universe_empty, 1),
+    "derived-set-definition": (
+        operators, "derived_set",
+        lambda real: lambda space, a: ItemSet(
+            a.universe, a.universe.full.mask & ~real(space, a).mask
+        ), 1,
+    ),
+    "closure-derived-union": (miner._View, "der", _flip_low_bit, 1),
+    "closure-union-superadditive": (operators, "closure", _closure_of_universe_empty, 2),
+    "interior-closure-duality": (
+        operators, "interior", lambda real: lambda space, a: ItemSet(a.universe, 0), 1
+    ),
+    "fringe-characterizations": (miner._View, "fr", _swap_fringes, 1),
+    "size-weight-bound": (cardinal, "weight", lambda real: lambda sp: real(sp) - 1, 1),
+    "locally-closed-uniqueness": (miner._View, "fr", _full_fringes, 1),
+    "tight1-equivalences": (connectivity, "is_tight_n_connected", _forced(False), 1),
+    "bi-discriminative-quasi-ordinal-powerset": (
+        separation, "is_t1", _forced((True, None)), 2
+    ),
+    "quasi-ordinal-regularity": (
+        separation, "is_regular_property", _forced((False, None)), 1
+    ),
+    "ordinal-connectivity": (order, "m_graph_connected", _negated, 1),
+    "t0-quasi-ordinal-antimatroid-tight1": (order, "is_antimatroid", _forced(False), 1),
+    "regular-atom-complement": (
+        separation, "is_regular_property", _forced((True, None)), 2
+    ),
+    "quasi-ordinal-regular-normal": (
+        separation, "is_normal_property", _forced((False, None)), 1
+    ),
+    "reduction-pre-quotient": (separation, "is_t0", _flag_negated, 1),
+    "quotient-finest": (maps, "is_pre_quotient", _forced(False), 1),
+    "density-exact-minimal": (
+        cardinal, "density_exact", lambda real: lambda sp: (real(sp)[0] + 1, real(sp)[1]), 1
+    ),
+    "primary-items-dense": (
+        cardinal, "matrix_primary_items",
+        lambda real: lambda base: (ItemSet(base.universe, 0), real(base)[1]), 1,
+    ),
+    "dense-ge-cellularity": (cardinal, "cellularity", _plus_one, 1),
+}
+
+
+@pytest.mark.parametrize("ident", list(MUTANTS))
+def test_a_mutant_fails_the_check(monkeypatch, ident):
+    owner, name, mutant, n = MUTANTS[ident]
+    (report,) = audit(ident, n)
+    assert report.status == "holds" and report.checked > 0
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    (report,) = audit(ident, n)
+    assert report.status == "fails"
+    assert report.violations

@@ -310,6 +310,13 @@ def test_mine_unknown_theorem_id_exits_two(capsys, suite, ident):
     assert err == f"SchemaError: unknown theorem id: {ident}\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_mine_universe_size_below_one_exits_two(capsys, n):
+    code, out, err = run(capsys, "mine", "-n", n)
+    assert code == 2 and out == ""
+    assert err == f"SchemaError: -n must be at least 1, got {n}\n"
+
+
 def test_json_format_is_parseable(capsys):
     code, out, _ = run(
         capsys, "closure", str(FIX / "e0.json"), "z2,z3", "--format", "json"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import pathlib
 import random
 
 import pytest
@@ -436,3 +437,20 @@ def test_the_sweep_runs_each_pool_free_kernel_once_per_profile(monkeypatch):
     assert calls["_star"] == results["star-implies-space"][0] == 261
     assert calls["_delineation_report"] == calls["_refinement_route"] == len(profiles)
     assert len(profiles) < 261
+
+
+GOLDEN_REPORTS = pathlib.Path(__file__).resolve().parent / "goldens" / "miner_reports.json"
+GOLDEN_RUNS = {
+    "n=1": {"n": 1},
+    "n=2": {"n": 2},
+    "n=3": {"n": 3},
+    "n=4": {"n": 4},
+    "n=5 samples=500": {"n": 5, "samples": 500},
+}
+
+
+@pytest.mark.parametrize("run", list(GOLDEN_RUNS))
+def test_audit_reports_match_their_goldens(run):
+    golden = json.loads(GOLDEN_REPORTS.read_text())[run]
+    text = reports_to_json(audit("all", seed=0, **GOLDEN_RUNS[run]))
+    assert text == json.dumps(golden, indent=2) + "\n"
