@@ -8,14 +8,17 @@ reading, greedy optimality, boundary-union subadditivity) run in
 audit-only mode: their reports carry witnesses and frequencies without
 a pass/fail verdict.
 
-A check that tests one space at a time registers with `_per_space` and
-states only its test: the registry walks the views, keeps the first
-`cap` of them (a deterministic prefix, for heavy checks), skips the
-spaces outside the hypothesis, counts the rest and collects the
-witnesses. The other checks register a runner over all the views with
-`_register`: those that count sub-families, pairs, covers or maps,
-sample across spaces, run two caps, keep an audit-only summary, or read
-the multimap sweep.
+A check that tests one space at a time is a step: a generator
+`test(v, rng)` registered with `_per_space(ident, cap, when)`. It yields
+a witness for each violation on that view and may `return` the units it
+checked there; returning nothing counts the space once. `audit` alone
+walks the views for the steps: it keeps the prefix `views[:cap]` (a
+deterministic prefix, for heavy checks), skips the views outside the
+hypothesis `when`, adds up the units and collects the witnesses. The
+checks that need the whole list register a runner with `_register`:
+those that sample across spaces, run phases whose witnesses would
+interleave, or write a summary after the loop. The four skill checks
+read their reports from one multimap sweep, `run_skills_suite`.
 
 Fast in-loop formulas are tied back to the public operators by
 dedicated definition checks so the audited statements always rest on
@@ -29,7 +32,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator
 
 from . import cardinal, connectivity, maps, operators, order, separation, skills, structure
 from .core import (
@@ -272,30 +275,33 @@ class _View:
 
 _RunResult = tuple[int, list[tuple[str, str]], str | None]
 _Runner = Callable[[list[_View], random.Random], _RunResult]
-# a skill check reads its result from the shared multimap sweep
-_SweepRunner = Callable[[dict[str, _RunResult]], _RunResult]
+# a step yields the witnesses it finds on one view and may return its units
+_Test = Callable[[_View, random.Random], Generator[str, None, int | None]]
 
 
 @dataclass(frozen=True)
 class _Check:
+    """A registered check: a step on one view, driven by `audit` over the
+    prefix `views[:cap]` where `when` holds; a runner over every view;
+    or neither, for a skill check read from the multimap sweep."""
+
     ident: str
-    audit_only: bool
-    run: _Runner | _SweepRunner
-    on_multimaps: bool
+    audit_only: bool = False
+    run: _Runner | None = None
+    step: _Test | None = None
+    cap: int | None = None
+    when: Callable[[_View], bool] | None = None
 
 
 _REGISTRY: dict[str, _Check] = {}
 
 
-def _register(ident: str, audit_only: bool = False, on_multimaps: bool = False):
-    def deco(fn: _Runner | _SweepRunner) -> _Runner | _SweepRunner:
-        _REGISTRY[ident] = _Check(ident, audit_only, fn, on_multimaps)
+def _register(ident: str, audit_only: bool = False):
+    def deco(fn: _Runner) -> _Runner:
+        _REGISTRY[ident] = _Check(ident, audit_only, run=fn)
         return fn
 
     return deco
-
-
-_Test = Callable[[_View, random.Random], Iterable[str]]
 
 
 def _per_space(
@@ -303,27 +309,34 @@ def _per_space(
 ):
     """Register a check that tests each space on its own.
 
-    The decorated `test(v, rng)` yields the violations it finds on one
-    view. The runner walks the first `cap` views (all of them when cap
-    is None), skips a view where `when(v)` is false, counts the others
-    as checked and stores each violation with its space.
+    The decorated step `test(v, rng)` yields a witness for each violation
+    it finds on one view. It may `return` the number of units it checked
+    there; returning nothing counts the space once. `audit` drives the
+    step over the prefix `views[:cap]` (every view when cap is None) and
+    skips a view outside the hypothesis, where `when(v)` is false.
     """
 
     def deco(test: _Test) -> _Test:
-        def run(views: list[_View], rng: random.Random) -> _RunResult:
-            col = _Collector()
-            checked = 0
-            for v in views[:cap]:
-                if when is None or when(v):
-                    checked += 1
-                    for witness in test(v, rng):
-                        col.add(v.ser, witness)
-            return checked, col.stored, None
-
-        _register(ident)(run)
+        _REGISTRY[ident] = _Check(ident, step=test, cap=cap, when=when)
         return test
 
     return deco
+
+
+def _walk(chk: _Check, views: list[_View], rng: random.Random) -> _RunResult:
+    """Drive a step over its views: store each witness with its space and
+    add up the units the step returns."""
+    col = _Collector()
+    checked = 0
+    for v in views[: chk.cap]:
+        if chk.when is None or chk.when(v):
+            witnesses = chk.step(v, rng)
+            try:
+                while True:
+                    col.add(v.ser, next(witnesses))
+            except StopIteration as done:
+                checked += 1 if done.value is None else done.value
+    return checked, col.stored, None
 
 
 def _t0(v: _View) -> bool:
@@ -463,13 +476,15 @@ def audit(
     reports = []
     for ident in idents:
         chk = _REGISTRY[ident]
-        if chk.on_multimaps:
+        rng = random.Random(f"{seed}:{ident}")
+        if chk.step is not None:
+            checked, stored, summary = _walk(chk, views, rng)
+        elif chk.run is not None:
+            checked, stored, summary = chk.run(views, rng)
+        else:
             if sweep is None:
                 sweep = run_skills_suite()
-            checked, stored, summary = chk.run(sweep)
-        else:
-            rng = random.Random(f"{seed}:{ident}")
-            checked, stored, summary = chk.run(views, rng)
+            checked, stored, summary = sweep[ident]
         if chk.audit_only:
             status = "audit-only"
         else:
@@ -501,10 +516,20 @@ def _chk_union_closure_laws(v, rng):
         yield "union closure is not idempotent"
 
 
-@_register("minimal-base-in-every-pre-base")
-def _chk_minimal_base_containment(views, rng):
+@functools.cache
+def _pick_columns(k: int) -> tuple[int, ...]:
+    """Per member i of k, the picks of members that hold it, as a
+    2^k-bit int over the picks."""
+    return tuple(
+        sum(1 << pick for pick in range(1 << k) if pick >> i & 1) for i in range(k)
+    )
+
+
+@_per_space("minimal-base-in-every-pre-base")
+def _chk_minimal_base_containment(v, rng):
     """The union-irreducible states sit inside every generating
-    subfamily, so the minimal pre-base really is minimum.
+    subfamily, so the minimal pre-base really is minimum. Unit:
+    sub-families.
 
     Cover lemma: a subfamily F of the nonzero states generates K exactly
     when, for every nonzero state s and every item x in s, F has a member
@@ -519,58 +544,49 @@ def _chk_minimal_base_containment(views, rng):
     O(|K|·m·k) operations on 2^k-bit ints, where a union closure per pick
     costs 2^k·O(|K|·k).
     """
-    col = _Collector()
-    checked = 0
-    columns: dict[int, list[int]] = {}
-    for v in views:
-        irr_masks = set(irreducible_states(v.space).masks()) - {0}
-        nonzero = [m for m in v.opens if m]
-        k = len(nonzero)
-        pairs = set()
-        for s in nonzero:
-            inside = [(i, b) for i, b in enumerate(nonzero) if b | s == s]
-            rest = s
-            while rest:
-                x = rest & -rest
-                rest ^= x
-                pairs.add(sum(1 << i for i, b in inside if b & x))
-        if k <= 10:
-            if k not in columns:
-                columns[k] = [
-                    sum(1 << pick for pick in range(1 << k) if pick >> i & 1)
-                    for i in range(k)
-                ]
-            cols = columns[k]
-            generates = (1 << (1 << k)) - 2  # every pick but the empty one
-            for need in pairs:
-                met = 0
-                for i in range(k):
-                    if need >> i & 1:
-                        met |= cols[i]
-                generates &= met
-            keeps = generates
-            for b in irr_masks:
-                keeps &= cols[nonzero.index(b)] if b in nonzero else 0
-            checked += (1 << k) - 1
-            bad = generates & ~keeps
-            picks = []
-            while bad:
-                low = bad & -bad
-                bad ^= low
-                picks.append(low.bit_length() - 1)
-        else:
-            sampled = [rng.randrange(1, 1 << k) for _ in range(200)]
-            checked += len(sampled)
-            picks = [
-                pick
-                for pick in sampled
-                if all(need & pick for need in pairs)
-                and not irr_masks <= {nonzero[i] for i in range(k) if pick >> i & 1}
-            ]
-        for pick in picks:
-            fam = [nonzero[i] for i in range(k) if pick >> i & 1]
-            col.add(v.ser, f"pre-base {fam} misses an irreducible state")
-    return checked, col.stored, None
+    irr_masks = set(irreducible_states(v.space).masks()) - {0}
+    nonzero = [m for m in v.opens if m]
+    k = len(nonzero)
+    pairs = set()
+    for s in nonzero:
+        inside = [(i, b) for i, b in enumerate(nonzero) if b | s == s]
+        rest = s
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            pairs.add(sum(1 << i for i, b in inside if b & x))
+    if k <= 10:
+        cols = _pick_columns(k)
+        generates = (1 << (1 << k)) - 2  # every pick but the empty one
+        for need in pairs:
+            met = 0
+            for i in range(k):
+                if need >> i & 1:
+                    met |= cols[i]
+            generates &= met
+        keeps = generates
+        for b in irr_masks:
+            keeps &= cols[nonzero.index(b)] if b in nonzero else 0
+        checked = (1 << k) - 1
+        bad = generates & ~keeps
+        picks = []
+        while bad:
+            low = bad & -bad
+            bad ^= low
+            picks.append(low.bit_length() - 1)
+    else:
+        sampled = [rng.randrange(1, 1 << k) for _ in range(200)]
+        checked = len(sampled)
+        picks = [
+            pick
+            for pick in sampled
+            if all(need & pick for need in pairs)
+            and not irr_masks <= {nonzero[i] for i in range(k) if pick >> i & 1}
+        ]
+    for pick in picks:
+        fam = [nonzero[i] for i in range(k) if pick >> i & 1]
+        yield f"pre-base {fam} misses an irreducible state"
+    return checked
 
 
 @_register("distance-metric")
@@ -1152,22 +1168,17 @@ def _chk_regular_atom_complement(v, rng):
                 yield f"outer-fringe extension {ell:b} at {t} fails"
 
 
-@_register("granular-regular-disconnected")
-def _chk_granular_regular_disconnected(views, rng):
-    col = _Collector()
-    checked = 0
-    for v in views[:CAP_HEAVY]:
-        if v.n < 2 or not separation.is_t1(v.space)[0]:
-            continue
-        if not _regular(v):
-            continue
-        if not order.is_granular(v.space):
-            col.add(v.ser, "finite space not granular")
-            continue
-        checked += 1
-        if connectivity.is_connected(v.space):
-            col.add(v.ser, "granular regular bi-discriminative space is connected")
-    return checked, col.stored, None
+@_per_space(
+    "granular-regular-disconnected",
+    cap=CAP_HEAVY,
+    when=lambda v: v.n >= 2 and separation.is_t1(v.space)[0] and _regular(v),
+)
+def _chk_granular_regular_disconnected(v, rng):
+    if not order.is_granular(v.space):
+        yield "finite space not granular"
+        return 0
+    if connectivity.is_connected(v.space):
+        yield "granular regular bi-discriminative space is connected"
 
 
 @_per_space(
@@ -1221,72 +1232,63 @@ def _parent_to_sub(mask: int, parent_bits: list[int]) -> int:
     return acc
 
 
-@_register("subspace-pre-base-trace")
-def _chk_subspace_pre_base_trace(views, rng):
-    """Traces of a pre-base generate the subspace."""
-    col = _Collector()
-    checked = 0
-    for v in views[:CAP_HEAVY]:
-        for _ in range(2):
-            ymask = rng.randint(1, v.full)
-            sub = maps.subspace(v.space, v.item(ymask))
-            parent_bits = [
-                1 << v.space.universe.index(label)
-                for label in sub.universe.labels
-            ]
-            base = irreducible_states(v.space).masks()
-            trace = SetFamily.from_masks(
-                sub.universe, {_parent_to_sub(b & ymask, parent_bits) for b in base}
-            )
-            checked += 1
-            if not is_pre_base_for(trace, sub):
-                col.add(v.ser, f"trace of the minimal pre-base on {ymask:b} fails")
-    return checked, col.stored, None
+@_per_space("subspace-pre-base-trace", cap=CAP_HEAVY)
+def _chk_subspace_pre_base_trace(v, rng):
+    """Traces of a pre-base generate the subspace. Unit: (space, subset)
+    pairs."""
+    for _ in range(2):
+        ymask = rng.randint(1, v.full)
+        sub = maps.subspace(v.space, v.item(ymask))
+        parent_bits = [
+            1 << v.space.universe.index(label)
+            for label in sub.universe.labels
+        ]
+        base = irreducible_states(v.space).masks()
+        trace = SetFamily.from_masks(
+            sub.universe, {_parent_to_sub(b & ymask, parent_bits) for b in base}
+        )
+        if not is_pre_base_for(trace, sub):
+            yield f"trace of the minimal pre-base on {ymask:b} fails"
+    return 2
 
 
-@_register("subspace-closed-trace")
-def _chk_subspace_closed_trace(views, rng):
+@_per_space("subspace-closed-trace", cap=CAP_VERY_HEAVY)
+def _chk_subspace_closed_trace(v, rng):
     """Closure inside a subspace is the trace of the parent closure;
-    inside a closed subspace, closed means closed in the parent."""
-    col = _Collector()
-    checked = 0
-    for v in views[:CAP_VERY_HEAVY]:
-        cl = v.cl()
-        for _ in range(2):
-            ymask = rng.randint(1, v.full)
-            sub = maps.subspace(v.space, v.item(ymask))
-            parent_bits = [
-                1 << v.space.universe.index(label)
-                for label in sub.universe.labels
-            ]
-            subfull = (1 << len(sub.universe)) - 1
-            checked += 1
-            for fsub in range(subfull + 1):
-                fpar = _sub_to_parent(fsub, parent_bits)
-                got = operators.closure(sub, ItemSet(sub.universe, fsub)).mask
-                want = _parent_to_sub(cl[fpar] & ymask, parent_bits)
-                if got != want:
-                    col.add(v.ser, f"closure trace fails on {ymask:b} at {fsub:b}")
-                    break
-        closed_y = [v.full & ~o for o in v.opens if o != v.full]
-        closed_y = [c for c in closed_y if c]
-        if closed_y:
-            ymask = rng.choice(closed_y)
-            sub = maps.subspace(v.space, v.item(ymask))
-            parent_bits = [
-                1 << v.space.universe.index(label)
-                for label in sub.universe.labels
-            ]
-            subfull = (1 << len(sub.universe)) - 1
-            checked += 1
-            for asub in range(subfull + 1):
-                apar = _sub_to_parent(asub, parent_bits)
-                in_sub = sub.states.has_mask(subfull & ~asub)
-                in_parent = v.space.states.has_mask(v.full & ~apar)
-                if in_sub != in_parent:
-                    col.add(v.ser, f"closed-in-closed fails on {ymask:b} at {asub:b}")
-                    break
-    return checked, col.stored, None
+    inside a closed subspace, closed means closed in the parent. Unit:
+    (space, subset) pairs, two random subsets and one closed one, which
+    always exists: the complement of the empty open is the universe."""
+    cl = v.cl()
+    for _ in range(2):
+        ymask = rng.randint(1, v.full)
+        sub = maps.subspace(v.space, v.item(ymask))
+        parent_bits = [
+            1 << v.space.universe.index(label)
+            for label in sub.universe.labels
+        ]
+        subfull = (1 << len(sub.universe)) - 1
+        for fsub in range(subfull + 1):
+            fpar = _sub_to_parent(fsub, parent_bits)
+            got = operators.closure(sub, ItemSet(sub.universe, fsub)).mask
+            want = _parent_to_sub(cl[fpar] & ymask, parent_bits)
+            if got != want:
+                yield f"closure trace fails on {ymask:b} at {fsub:b}"
+                break
+    ymask = rng.choice([v.full & ~o for o in v.opens if o != v.full])
+    sub = maps.subspace(v.space, v.item(ymask))
+    parent_bits = [
+        1 << v.space.universe.index(label)
+        for label in sub.universe.labels
+    ]
+    subfull = (1 << len(sub.universe)) - 1
+    for asub in range(subfull + 1):
+        apar = _sub_to_parent(asub, parent_bits)
+        in_sub = sub.states.has_mask(subfull & ~asub)
+        in_parent = v.space.states.has_mask(v.full & ~apar)
+        if in_sub != in_parent:
+            yield f"closed-in-closed fails on {ymask:b} at {asub:b}"
+            break
+    return 3
 
 
 @_register("map-composition")
@@ -1518,12 +1520,25 @@ def _chk_quotient_finest(v, rng):
 # -------------------------------------------------------------------- skills
 
 
+# The skill checks read their reports from one `run_skills_suite` sweep;
+# `checked` counts multimaps. What each audits:
+# - p-monotone-union: p grows with the skill set, p of a union of minimal
+#   competencies holds the p's of its members, and equals their union
+#   under the star condition;
+# - delineation-theorem-agree: the two routes of `is_delineated_space`
+#   agree, and the delineated family is p over every skill set;
+# - star-implies-space: the star condition makes the delineated family a
+#   knowledge space;
+# - cd-thm-agrees: the competency route to complete discrimination agrees
+#   with the delineated family's disjoint states.
 _SKILLS_IDS = (
     "p-monotone-union",
     "delineation-theorem-agree",
     "star-implies-space",
     "cd-thm-agrees",
 )
+_REGISTRY.update((ident, _Check(ident)) for ident in _SKILLS_IDS)
+
 
 def run_skills_suite(
     max_items: int = 2, max_skills: int = 2, max_comps: int = 2
@@ -1649,35 +1664,6 @@ def _multimap_ser(comps: tuple[_Masks, ...], n_skills: int) -> str:
     return json.dumps(_multimap(comps, n_skills).to_obj(), separators=(",", ":"))
 
 
-@_register("p-monotone-union", on_multimaps=True)
-def _chk_p_monotone_union(sweep):
-    """p grows with the skill set, p of a union of minimal competencies
-    holds the p's of its members, and equals their union under the star
-    condition. Unit: multimaps."""
-    return sweep["p-monotone-union"]
-
-
-@_register("delineation-theorem-agree", on_multimaps=True)
-def _chk_delineation_theorem_agree(sweep):
-    """The two routes of `is_delineated_space` agree, and the delineated
-    family is p over every skill set. Unit: multimaps."""
-    return sweep["delineation-theorem-agree"]
-
-
-@_register("star-implies-space", on_multimaps=True)
-def _chk_star_implies_space(sweep):
-    """The star condition makes the delineated family a knowledge space.
-    Unit: multimaps."""
-    return sweep["star-implies-space"]
-
-
-@_register("cd-thm-agrees", on_multimaps=True)
-def _chk_cd_thm_agrees(sweep):
-    """The competency route to complete discrimination agrees with the
-    delineated family's disjoint states. Unit: multimaps."""
-    return sweep["cd-thm-agrees"]
-
-
 # ------------------------------------------------------------------ cardinal
 
 
@@ -1750,59 +1736,51 @@ def _chk_dense_ge_cellularity(v, rng):
         yield f"density {k} below cellularity {c}"
 
 
-@_register("hausdorff-trace-density-bound")
-def _chk_hausdorff_trace_density_bound(views, rng):
+@_per_space(
+    "hausdorff-trace-density-bound",
+    cap=CAP_HEAVY,
+    when=lambda v: separation.is_t2(v.space)[0],
+)
+def _chk_hausdorff_trace_density_bound(v, rng):
     """Complete discrimination plus a dense set whose trace preserves
     state closures caps the universe by a double exponential."""
-    col = _Collector()
-    checked = 0
-    for v in views[:CAP_HEAVY]:
-        if not separation.is_t2(v.space)[0]:
-            continue
-        k, dset = cardinal.density_exact(v.space)
-        cl = v.cl()
-        if not all(cl[h & dset.mask] == cl[h] for h in v.opens):
-            continue
-        checked += 1
-        if v.n > 1 << (1 << k):
-            col.add(v.ser, f"universe exceeds the bound at density {k}")
-    return checked, col.stored, None
+    k, dset = cardinal.density_exact(v.space)
+    cl = v.cl()
+    if not all(cl[h & dset.mask] == cl[h] for h in v.opens):
+        return 0
+    if v.n > 1 << (1 << k):
+        yield f"universe exceeds the bound at density {k}"
 
 
-@_register("block-disjointness")
-def _chk_block_disjointness(views, rng):
+@_per_space("block-disjointness", cap=CAP_HEAVY)
+def _chk_block_disjointness(v, rng):
     """Items hit by the maximum number of members of a subfamily have
-    pairwise equal or disjoint intersections of their members."""
-    col = _Collector()
-    checked = 0
-    for v in views[:CAP_HEAVY]:
-        nonzero = [m for m in v.opens if m]
-        for _ in range(3):
-            fam = rng.sample(nonzero, rng.randint(1, min(6, len(nonzero))))
-            counts = [0] * v.n
-            for m in fam:
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    counts[low.bit_length() - 1] += 1
-            best = max(counts)
-            if best == 0:
-                continue
-            checked += 1
-            inters = []
-            for i in range(v.n):
-                if counts[i] == best:
-                    inter = v.full
-                    for m in fam:
-                        if m >> i & 1:
-                            inter &= m
-                    inters.append(inter)
-            for a in range(len(inters)):
-                for b in range(a + 1, len(inters)):
-                    if inters[a] != inters[b] and inters[a] & inters[b]:
-                        col.add(v.ser, "maximum-count intersections overlap partially")
-    return checked, col.stored, None
+    pairwise equal or disjoint intersections of their members. Unit:
+    sub-families."""
+    nonzero = [m for m in v.opens if m]
+    for _ in range(3):
+        fam = rng.sample(nonzero, rng.randint(1, min(6, len(nonzero))))
+        counts = [0] * v.n
+        for m in fam:
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                counts[low.bit_length() - 1] += 1
+        best = max(counts)
+        inters = []
+        for i in range(v.n):
+            if counts[i] == best:
+                inter = v.full
+                for m in fam:
+                    if m >> i & 1:
+                        inter &= m
+                inters.append(inter)
+        for a in range(len(inters)):
+            for b in range(a + 1, len(inters)):
+                if inters[a] != inters[b] and inters[a] & inters[b]:
+                    yield "maximum-count intersections overlap partially"
+    return 3
 
 
 @_register("cover-dense-subfamily")

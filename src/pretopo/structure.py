@@ -155,9 +155,12 @@ class ClosureOperatorTable:
 
     @classmethod
     def of_space(cls, space: PreTopology) -> "ClosureOperatorTable":
+        """The closure of every subset: 2^m entries, so the universe is
+        guarded by the bound of `from_relation`."""
         from .operators import closure
 
         u = space.universe
+        _guard(len(u), RELATION_UNIVERSE_BOUND, "closure table universe", None)
         table = {
             m: closure(space, ItemSet(u, m)).mask for m in range(1 << len(u))
         }

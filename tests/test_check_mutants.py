@@ -5,7 +5,8 @@ miner's `_View`, so that it breaks the statement one check audits. The
 check must report `fails` under the mutant and `holds` without it, at
 the smallest universe size where the mutant shows. A test body that no
 longer ran, or whose violations were no longer collected, would leave
-the check at `holds`.
+the check at `holds`. Every check registered as a step has a mutant here
+or a reason in `NO_MUTANT`.
 """
 
 import dataclasses
@@ -63,11 +64,18 @@ def _plus_one(real):
     return lambda *args: real(*args) + 1
 
 
+def _every_nonzero_state(real):
+    return lambda space: SetFamily.from_masks(
+        space.universe, [m for m in space.states.masks() if m]
+    )
+
+
 # check id -> (owner, attribute, mutant factory taking the real attribute, n)
 MUTANTS = {
     "union-closure-laws": (
         miner, "union_closure", lambda real: lambda base: _powerset_of(base.universe), 2
     ),
+    "minimal-base-in-every-pre-base": (miner, "irreducible_states", _every_nonzero_state, 2),
     "minimal-pre-base-recognized": (structure, "is_minimal_pre_base", _forced(False), 1),
     "closure-operator-round-trip": (
         structure, "from_closure_operator",
@@ -107,10 +115,13 @@ MUTANTS = {
     "regular-atom-complement": (
         separation, "is_regular_property", _forced((True, None)), 2
     ),
+    "granular-regular-disconnected": (connectivity, "is_connected", _forced(True), 2),
     "quasi-ordinal-regular-normal": (
         separation, "is_normal_property", _forced((False, None)), 1
     ),
     "reduction-pre-quotient": (separation, "is_t0", _flag_negated, 1),
+    "subspace-pre-base-trace": (miner, "is_pre_base_for", _forced(False), 1),
+    "subspace-closed-trace": (operators, "closure", _closure_drops_lowest_item, 2),
     "quotient-finest": (maps, "is_pre_quotient", _forced(False), 1),
     "density-exact-minimal": (
         cardinal, "density_exact", lambda real: lambda sp: (real(sp)[0] + 1, real(sp)[1]), 1
@@ -120,7 +131,24 @@ MUTANTS = {
         lambda real: lambda base: (ItemSet(base.universe, 0), real(base)[1]), 1,
     ),
     "dense-ge-cellularity": (cardinal, "cellularity", _plus_one, 1),
+    "hausdorff-trace-density-bound": (
+        cardinal, "density_exact", lambda real: lambda sp: (0, sp.universe.full), 3
+    ),
 }
+
+# Steps that no library mutant can fail, each with the reason.
+NO_MUTANT = {
+    # A lemma about any finite family: items i and j of the maximal count
+    # c whose intersections share an item k would give k a count of at
+    # least |S_i ∪ S_j| > c, where S_i is the set of members holding i.
+    "block-disjointness",
+}
+
+
+def test_every_step_has_a_mutant_or_a_reason():
+    steps = {ident for ident, chk in miner._REGISTRY.items() if chk.step is not None}
+    assert not set(MUTANTS) & NO_MUTANT
+    assert steps == set(MUTANTS) | NO_MUTANT
 
 
 @pytest.mark.parametrize("ident", list(MUTANTS))

@@ -115,6 +115,14 @@ def test_guard_raises_past_its_default(name):
     )
 
 
+def test_closure_table_of_a_space_past_the_relation_bound_raises_at_once():
+    n = structure.RELATION_UNIVERSE_BOUND + 1
+    u = universe(n)
+    chain = PreTopology(u, SetFamily.from_masks(u, {(1 << i) - 1 for i in range(n + 1)}))
+    with pytest.raises(BoundExceeded, match=f": {n} exceeds the configured bound {n - 1}$"):
+        structure.ClosureOperatorTable.of_space(chain)
+
+
 @pytest.mark.parametrize("name", list(GUARDED))
 def test_guard_takes_the_bound_of_its_call(name):
     # the full 2^m kernels past the defaults are too slow for a unit

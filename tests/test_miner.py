@@ -150,6 +150,19 @@ def test_report_serialization_schema():
     assert parsed[0]["theorem"] == "closure-axioms"
 
 
+def test_a_report_does_not_depend_on_the_other_checks_of_its_call():
+    """No rng, collector or count is shared across checks or repeats: each
+    check reports in a selection with every id, in reverse order, or twice
+    what it reports alone."""
+    ids = list(available_theorems())
+    alone = {ident: audit(ident, 3)[0].to_obj() for ident in ids}
+    for selection in (ids, ids[::-1], ids * 2):
+        reports = audit(selection, 3)
+        assert [r.theorem for r in reports] == selection
+        for report in reports:
+            assert report.to_obj() == alone[report.theorem]
+
+
 def per_pick_minimal_base_check(views, rng):
     """The minimal-base audit by its definition: one union closure per
     pick of nonzero states, every pick up to 10 states, else 200 drawn."""
@@ -180,7 +193,8 @@ def minimal_base_views():
 
 
 def both_minimal_base_routes(views):
-    checked, stored, _ = miner._chk_minimal_base_containment(views, random.Random(5))
+    check = miner._REGISTRY["minimal-base-in-every-pre-base"]
+    checked, stored, _ = miner._walk(check, views, random.Random(5))
     return (checked, stored), per_pick_minimal_base_check(views, random.Random(5))
 
 
