@@ -3,7 +3,9 @@
 Weight, density, cellularity and character of a finite space, the
 greedy max-coverage construction of a dense item set with its prune
 pass, the row/column matrix formulation of the same procedure, and an
-exact branch-and-bound density oracle.
+exact branch-and-bound density oracle. The greedy selection runs once,
+in `_greedy_picks`: the greedy trace reports its picks, and the matrix
+is those picks laid out as rows and columns.
 """
 
 from __future__ import annotations
@@ -121,22 +123,16 @@ class PrimaryItemsTrace:
         }
 
 
-def _select(
-    masks: list[int],
-    m: int,
-    consumed_items: int,
-    order: list[int] | None = None,
-) -> int:
+def _select(masks: list[int], m: int, consumed_items: int) -> int:
     """One greedy pick over the remaining base members.
 
     Maximum hit count; when that count is 1 prefer items outside every
     already consumed member; then maximum covered-item count, then the
-    first in `order` (universe order when absent).
+    first in universe order.
     """
-    ranks = order if order is not None else list(range(m))
-    counts = {i: sum(1 for b in masks if b >> i & 1) for i in ranks}
-    top = max(counts.values())
-    cand = [i for i in ranks if counts[i] == top]
+    counts = [sum(1 for b in masks if b >> i & 1) for i in range(m)]
+    top = max(counts)
+    cand = [i for i in range(m) if counts[i] == top]
     if top == 1:
         outside = [i for i in cand if not consumed_items >> i & 1]
         if outside:
@@ -152,6 +148,23 @@ def _select(
         if cov_n > best_cov:
             best_i, best_cov = i, cov_n
     return best_i
+
+
+def _greedy_picks(base: list[int], m: int) -> list[tuple[int, list[int]]]:
+    """The greedy run over the nonempty base masks: (item, block) pairs,
+    a block being the members the item hits among those that no earlier
+    pick hit, in base order. The blocks partition the base."""
+    remaining = base
+    consumed = 0
+    picks: list[tuple[int, list[int]]] = []
+    while remaining:
+        i = _select(remaining, m, consumed)
+        block = [b for b in remaining if b >> i & 1]
+        remaining = [b for b in remaining if not b >> i & 1]
+        for b in block:
+            consumed |= b
+        picks.append((i, block))
+    return picks
 
 
 def _prune(
@@ -173,18 +186,8 @@ def _prune(
 def greedy_primary_items(space: PreTopology) -> PrimaryItemsTrace:
     """Greedy dense-set construction over the minimal pre-base."""
     u = space.universe
-    m = len(u)
     base = list(space.states._base().masks)
-    remaining = list(base)
-    consumed = 0
-    picks: list[tuple[int, list[int]]] = []
-    while remaining:
-        i = _select(remaining, m, consumed)
-        block = [b for b in remaining if b >> i & 1]
-        remaining = [b for b in remaining if not b >> i & 1]
-        for b in block:
-            consumed |= b
-        picks.append((i, block))
+    picks = _greedy_picks(base, len(u))
     pruned, result = _prune(u, picks, base)
     picked = tuple(
         (u.labels[i], SetFamily.from_masks(u, blk)) for i, blk in picks
@@ -218,9 +221,11 @@ class MatrixState:
 def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
     """Row/column form of the greedy construction plus prune.
 
-    Selected rows move to the front, their block columns move to the
-    front of the unconsumed column range; both moves keep the relative
-    order of everything else.
+    The matrix is the greedy run laid out: the rows are the picked items
+    in pick order, then the other items in universe order; the columns
+    are the picks' blocks joined in pick order, and `block_sizes` are the
+    block lengths. The result is the pruned pick set, as in
+    `greedy_primary_items`.
 
     The base must cover the universe (CoverError) and be the minimal
     pre-base of the space it generates (NotMinimalPreBase): no nonempty
@@ -233,28 +238,10 @@ def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
     if len(base._base().masks) != len(base_masks):
         raise NotMinimalPreBase("base is not the minimal pre-base of its space")
     m = len(u)
-    rows = list(range(m))
-    cols = base_masks
-    picks: list[tuple[int, list[int]]] = []
-    block_sizes: list[int] = []
-    done = 0
-    consumed = 0
-    k = 0
-    while done < len(cols):
-        rest = cols[done:]
-        sub_order = rows[k:]
-        i = _select(rest, m, consumed, order=sub_order)
-        block = [b for b in rest if b >> i & 1]
-        keep = [b for b in rest if not b >> i & 1]
-        for b in block:
-            consumed |= b
-        cols = cols[:done] + block + keep
-        rows.remove(i)
-        rows.insert(k, i)
-        picks.append((i, block))
-        block_sizes.append(len(block))
-        done += len(block)
-        k += 1
+    picks = _greedy_picks(base_masks, m)
+    picked = [i for i, _ in picks]
+    rows = picked + sorted(set(range(m)).difference(picked))
+    cols = [b for _, block in picks for b in block]
     t = tuple(
         tuple(1 if c >> r & 1 else 0 for c in cols) for r in rows
     )
@@ -262,7 +249,7 @@ def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
         rows=tuple(u.labels[r] for r in rows),
         cols=tuple(ItemSet(u, c) for c in cols),
         t=t,
-        block_sizes=tuple(block_sizes),
+        block_sizes=tuple(len(block) for _, block in picks),
     )
     _, result = _prune(u, picks, base_masks)
     return result, state

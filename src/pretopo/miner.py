@@ -1015,26 +1015,18 @@ def _chk_tight1_iff_well_graded(views, rng):
 
 @_per_space("tight1-equivalences")
 def _chk_tight1_equivalences(v, rng):
-    """Chain form, fringe-difference form, and the rigidity form
-    (inner fringe inside W, outer fringe outside W forces U = W) all
-    agree."""
+    """The chain form agrees with the rigidity form: no two distinct
+    opens U and W have the inner fringe of U inside W and its outer
+    fringe outside W. (The fringe-difference form is the formula that
+    `is_tight_n_connected` evaluates, so it is not compared.)"""
     fr = v.fr()
-    cond2 = True
-    cond3 = True
-    for u in v.opens:
-        iu, ou = fr[u]
-        lc = iu | ou
-        for w in v.opens:
-            if u == w:
-                continue
-            if not (u ^ w) & lc:
-                cond2 = False
-            if not (iu & ~w) and not (ou & w):
-                cond3 = False
-        if not (cond2 or cond3):
-            break
-    if not (v.tight1() == cond2 == cond3):
-        yield f"tight1={v.tight1()} fringe-diff={cond2} rigidity={cond3}"
+    rigid = not any(
+        u != w and not fr[u][0] & ~w and not fr[u][1] & w
+        for u in v.opens
+        for w in v.opens
+    )
+    if v.tight1() != rigid:
+        yield f"tight1={v.tight1()} rigidity={rigid}"
 
 
 # --------------------------------------------------------------------- order

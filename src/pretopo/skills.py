@@ -80,17 +80,13 @@ class SkillMultimap:
 
     def competency_pool(self) -> tuple[ItemSet, ...]:
         """Deduplicated union of all competencies, canonical order."""
-        seen: dict[int, ItemSet] = {}
-        for t in self.items.labels:
-            for c in self.mu[t]:
-                seen[c.mask] = c
-        return tuple(seen[c] for c in sorted(seen, key=_canonical_key))
+        return self._pool(self.mu)
 
     def minimal_pool(self) -> tuple[ItemSet, ...]:
-        seen: dict[int, ItemSet] = {}
-        for t in self.items.labels:
-            for c in self.mu_min[t]:
-                seen[c.mask] = c
+        return self._pool(self.mu_min)
+
+    def _pool(self, comps: dict[str, tuple[ItemSet, ...]]) -> tuple[ItemSet, ...]:
+        seen = {c.mask: c for t in self.items.labels for c in comps[t]}
         return tuple(seen[c] for c in sorted(seen, key=_canonical_key))
 
     def to_obj(self) -> dict:

@@ -1,4 +1,12 @@
-"""Weight, density, primary-items constructions, cellularity, character."""
+"""Weight, density, primary-items constructions, cellularity, character.
+
+The greedy trace and the matrix are compared with test-local copies of
+the two selection loops they replaced, the matrix loop permuting rows
+and columns as it picked, on every space on up to 4 points, every
+fixture (and the two fixture files that give the minimal pre-base
+itself), and the seeded wide and normal families of
+`test_base_kernels`.
+"""
 
 import itertools
 import random
@@ -20,9 +28,11 @@ from pretopo import (
     matrix_primary_items,
     weight,
 )
-from pretopo.core import union_closure_masks
+from pretopo.cardinal import MatrixState, PrimaryItemsTrace, _prune
+from pretopo.core import ItemSet, union_closure, union_closure_masks
 
 import fixture_files as fixtures
+from test_base_kernels import normal_families, wide_families
 
 UNI3 = Universe(["a1", "a2", "a3"])
 TWO = PreTopology.from_family(SetFamily.from_masks(UNI3, [0, 7]))
@@ -201,6 +211,110 @@ def test_matrix_agrees_with_greedy_on_every_fixture():
         d, state = matrix_primary_items(base)
         assert d.mask == greedy_primary_items(space).result.mask, name
         assert sum(state.block_sizes) == len(base.members), name
+
+
+def oracle_select(masks, m, consumed_items, order=None):
+    ranks = order if order is not None else list(range(m))
+    counts = {i: sum(1 for b in masks if b >> i & 1) for i in ranks}
+    top = max(counts.values())
+    cand = [i for i in ranks if counts[i] == top]
+    if top == 1:
+        outside = [i for i in cand if not consumed_items >> i & 1]
+        if outside:
+            cand = outside
+    best_i = cand[0]
+    best_cov = -1
+    for i in cand:
+        cov = 0
+        for b in masks:
+            if b >> i & 1:
+                cov |= b
+        cov_n = bin(cov).count("1")
+        if cov_n > best_cov:
+            best_i, best_cov = i, cov_n
+    return best_i
+
+
+def oracle_greedy(space):
+    """The greedy loop as it stood in `greedy_primary_items`."""
+    u = space.universe
+    base = list(space.states._base().masks)
+    remaining = list(base)
+    consumed = 0
+    picks = []
+    while remaining:
+        i = oracle_select(remaining, len(u), consumed)
+        block = [b for b in remaining if b >> i & 1]
+        remaining = [b for b in remaining if not b >> i & 1]
+        for b in block:
+            consumed |= b
+        picks.append((i, block))
+    pruned, result = _prune(u, picks, base)
+    picked = tuple((u.labels[i], SetFamily.from_masks(u, blk)) for i, blk in picks)
+    return PrimaryItemsTrace(picked=picked, pruned=pruned, result=result)
+
+
+def oracle_matrix(base):
+    """The matrix loop as it stood in `matrix_primary_items`: the picked
+    row moves to the front of the unpicked rows and its block columns to
+    the front of the unconsumed columns, each move keeping the order of
+    the rest; the pick reads the unpicked rows in their current order."""
+    u = base.universe
+    base_masks = [s.mask for s in base.nonempty_members()]
+    m = len(u)
+    rows = list(range(m))
+    cols = base_masks
+    picks = []
+    block_sizes = []
+    done = consumed = k = 0
+    while done < len(cols):
+        rest = cols[done:]
+        i = oracle_select(rest, m, consumed, order=rows[k:])
+        block = [b for b in rest if b >> i & 1]
+        keep = [b for b in rest if not b >> i & 1]
+        for b in block:
+            consumed |= b
+        cols = cols[:done] + block + keep
+        rows.remove(i)
+        rows.insert(k, i)
+        picks.append((i, block))
+        block_sizes.append(len(block))
+        done += len(block)
+        k += 1
+    state = MatrixState(
+        rows=tuple(u.labels[r] for r in rows),
+        cols=tuple(ItemSet(u, c) for c in cols),
+        t=tuple(tuple(1 if c >> r & 1 else 0 for c in cols) for r in rows),
+        block_sizes=tuple(block_sizes),
+    )
+    return _prune(u, picks, base_masks)[1], state
+
+
+def check_against_the_loops(space):
+    assert greedy_primary_items(space).to_obj() == oracle_greedy(space).to_obj()
+    base = irreducible_states(space)
+    d, state = matrix_primary_items(base)
+    want_d, want_state = oracle_matrix(base)
+    assert d == want_d
+    assert state.to_obj() == want_state.to_obj()
+
+
+def test_primary_items_match_the_replaced_loops():
+    spaces = [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    spaces += [fixtures.space(name) for name in fixtures.NAMES]
+    for u, masks in [*wide_families(seed=17), *normal_families(seed=19)]:
+        spaces.append(union_closure(SetFamily.from_masks(u, masks)))
+    assert len(spaces) == 2321 + len(fixtures.NAMES) + 60 + 24
+    assert max(len(s.universe) for s in spaces) == 64
+    for space in spaces:
+        check_against_the_loops(space)
+    given = 0
+    for name in fixtures.NAMES:
+        fam = fixtures.family(name)
+        if fam.masks() - {0} == irreducible_states(fixtures.space(name)).masks():
+            given += 1
+            assert matrix_primary_items(fam) == oracle_matrix(fam), name
+    assert given == 2
 
 
 def test_cellularity_examples():

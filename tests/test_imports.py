@@ -3,7 +3,10 @@
 A name bound by `import` or `from ... import` in a module under
 `src/pretopo/` must be loaded somewhere in that module or be listed in its
 `__all__`. The base kernels are called only where the base is computed:
-in `core`, which caches it per family. The per-byte tables have one builder,
+in `core`, which caches it per family. The greedy selection of the
+primary-items algorithms, `cardinal._select`, is defined once and called
+only by `cardinal._greedy_picks`, the one greedy run that the greedy trace
+and the matrix both read. The per-byte tables have one builder,
 `core._byte_tables`, called only by `core` (the label tables that
 serialize a family) and by `maps`, where masks cross an item map: the
 readers of the mask tables, `_push` and the `PointMap` table methods, are
@@ -55,9 +58,9 @@ def test_every_import_is_used_or_exported():
 BASE_KERNELS = {"_irreducible_masks", "_item_meets"}
 
 
-def base_kernel_calls(path):
-    """(module, top-level function or None, kernel) for each call of a
-    base kernel in the module."""
+def kernel_calls(path, kernels):
+    """(module, top-level function or None, kernel) for each call of one
+    of the kernels in the module."""
     calls = []
     for top in ast.parse(path.read_text()).body:
         owner = top.name if isinstance(top, ast.FunctionDef) else None
@@ -66,15 +69,29 @@ def base_kernel_calls(path):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in BASE_KERNELS:
+            if name in kernels:
                 calls.append((path.name, owner, name))
     return calls
 
 
 def test_base_kernels_are_called_only_where_the_base_is_computed():
-    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in base_kernel_calls(path)]
+    calls = [
+        c for path in sorted(PACKAGE.glob("*.py")) for c in kernel_calls(path, BASE_KERNELS)
+    ]
     assert {kernel for _, _, kernel in calls} == BASE_KERNELS
     assert [c for c in calls if c[0] != "core.py"] == []
+
+
+def test_the_greedy_selection_runs_only_in_the_one_greedy_run():
+    defined = [
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_select"
+    ]
+    assert defined == [("cardinal.py", "_select")]
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in kernel_calls(path, {"_select"})]
+    assert calls == [("cardinal.py", "_greedy_picks", "_select")]
 
 
 TABLE_BUILDER = "_byte_tables"

@@ -12,6 +12,7 @@ from pretopo import (
     Universe,
     classify,
     closure,
+    enumerate_spaces,
     from_closure_operator,
     from_relation,
     irreducible_states,
@@ -138,6 +139,21 @@ def test_from_closure_operator_round_trips_all_fixtures():
         if len(space.universe) > 6:
             continue
         assert from_closure_operator(_closure_table(space)).states == space.states, name
+
+
+def test_from_closure_operator_reproduces_every_table_up_to_four_points():
+    """Every valid table is the closure table of exactly one space, so
+    this covers every valid table on 1-4 items: the space built from it
+    is the one it came from, and its closure is the table."""
+    spaces = [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    assert len(spaces) == 2321
+    for space in spaces:
+        table = ClosureOperatorTable.of_space(space)
+        back = from_closure_operator(table)
+        assert back.states == space.states
+        uni = space.universe
+        for b, c in table.assignment.items():
+            assert closure(back, uni.from_mask(b)).mask == c
 
 
 def test_closure_table_axiom_violations():
