@@ -11,6 +11,8 @@ is those picks laid out as rows and columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .core import (
     ItemSet,
@@ -123,16 +125,22 @@ class PrimaryItemsTrace:
         }
 
 
-def _select(masks: list[int], m: int, consumed_items: int) -> int:
+def _select(masks: list[int], consumed_items: int) -> int:
     """One greedy pick over the remaining base members.
 
     Maximum hit count; when that count is 1 prefer items outside every
     already consumed member; then maximum covered-item count, then the
-    first in universe order.
+    first in universe order. Only the items of the remaining members are
+    counted: any other item hits none, below the top count.
     """
-    counts = [sum(1 for b in masks if b >> i & 1) for i in range(m)]
-    top = max(counts)
-    cand = [i for i in range(m) if counts[i] == top]
+    union = reduce(or_, masks)
+    counts = {
+        i: sum(1 for b in masks if b >> i & 1)
+        for i in range(union.bit_length())
+        if union >> i & 1
+    }
+    top = max(counts.values())
+    cand = [i for i, count in counts.items() if count == top]
     if top == 1:
         outside = [i for i in cand if not consumed_items >> i & 1]
         if outside:
@@ -150,7 +158,7 @@ def _select(masks: list[int], m: int, consumed_items: int) -> int:
     return best_i
 
 
-def _greedy_picks(base: list[int], m: int) -> list[tuple[int, list[int]]]:
+def _greedy_picks(base: list[int]) -> list[tuple[int, list[int]]]:
     """The greedy run over the nonempty base masks: (item, block) pairs,
     a block being the members the item hits among those that no earlier
     pick hit, in base order. The blocks partition the base."""
@@ -158,7 +166,7 @@ def _greedy_picks(base: list[int], m: int) -> list[tuple[int, list[int]]]:
     consumed = 0
     picks: list[tuple[int, list[int]]] = []
     while remaining:
-        i = _select(remaining, m, consumed)
+        i = _select(remaining, consumed)
         block = [b for b in remaining if b >> i & 1]
         remaining = [b for b in remaining if not b >> i & 1]
         for b in block:
@@ -187,7 +195,7 @@ def greedy_primary_items(space: PreTopology) -> PrimaryItemsTrace:
     """Greedy dense-set construction over the minimal pre-base."""
     u = space.universe
     base = list(space.states._base().masks)
-    picks = _greedy_picks(base, len(u))
+    picks = _greedy_picks(base)
     pruned, result = _prune(u, picks, base)
     picked = tuple(
         (u.labels[i], SetFamily.from_masks(u, blk)) for i, blk in picks
@@ -238,7 +246,7 @@ def matrix_primary_items(base: SetFamily) -> tuple[ItemSet, MatrixState]:
     if len(base._base().masks) != len(base_masks):
         raise NotMinimalPreBase("base is not the minimal pre-base of its space")
     m = len(u)
-    picks = _greedy_picks(base_masks, m)
+    picks = _greedy_picks(base_masks)
     picked = [i for i, _ in picks]
     rows = picked + sorted(set(range(m)).difference(picked))
     cols = [b for _, block in picks for b in block]

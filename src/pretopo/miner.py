@@ -11,14 +11,17 @@ a pass/fail verdict.
 A check that tests one space at a time is a step: a generator
 `test(v, rng)` registered with `_per_space(ident, cap, when)`. It yields
 a witness for each violation on that view and may `return` the units it
-checked there; returning nothing counts the space once. `audit` alone
-walks the views for the steps: it keeps the prefix `views[:cap]` (a
-deterministic prefix, for heavy checks), skips the views outside the
-hypothesis `when`, adds up the units and collects the witnesses. The
-checks that need the whole list register a runner with `_register`:
-those that sample across spaces, run phases whose witnesses would
-interleave, or write a summary after the loop. The four skill checks
-read their reports from one multimap sweep, `run_skills_suite`.
+checked there; returning nothing counts the space once. A second
+`_per_space` on the same id adds a pass to the check. `audit` alone
+walks the views for the steps: it runs the passes in registration
+order, each over its deterministic prefix `views[:cap]` (for heavy
+checks), skips the views outside a pass's hypothesis `when` and
+collects the witnesses. `checked` adds up the units of the first pass;
+later passes re-examine a prefix of the same spaces and count nothing.
+The checks that need the whole list register a runner with `_register`:
+those that sample across spaces, run at the level of the universe, or
+write a summary or skip with a message after the loop. The four skill
+checks read their reports from one multimap sweep, `run_skills_suite`.
 
 Fast in-loop formulas are tied back to the public operators by
 dedicated definition checks so the audited statements always rest on
@@ -31,7 +34,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Generator, Iterable, Iterator
 
 from . import cardinal, connectivity, maps, operators, order, separation, skills, structure
@@ -277,20 +280,20 @@ _RunResult = tuple[int, list[tuple[str, str]], str | None]
 _Runner = Callable[[list[_View], random.Random], _RunResult]
 # a step yields the witnesses it finds on one view and may return its units
 _Test = Callable[[_View, random.Random], Generator[str, None, int | None]]
+# a pass: a step, the prefix `views[:cap]` it reads and its hypothesis
+_Pass = tuple[_Test, int | None, Callable[[_View], bool] | None]
 
 
 @dataclass(frozen=True)
 class _Check:
-    """A registered check: a step on one view, driven by `audit` over the
-    prefix `views[:cap]` where `when` holds; a runner over every view;
-    or neither, for a skill check read from the multimap sweep."""
+    """A registered check: passes of steps driven by `audit`; a runner
+    over every view; or neither, for a skill check read from the
+    multimap sweep."""
 
     ident: str
     audit_only: bool = False
     run: _Runner | None = None
-    step: _Test | None = None
-    cap: int | None = None
-    when: Callable[[_View], bool] | None = None
+    passes: tuple[_Pass, ...] = ()
 
 
 _REGISTRY: dict[str, _Check] = {}
@@ -298,6 +301,8 @@ _REGISTRY: dict[str, _Check] = {}
 
 def _register(ident: str, audit_only: bool = False):
     def deco(fn: _Runner) -> _Runner:
+        if ident in _REGISTRY:
+            raise ValueError(f"check id registered twice: {ident}")
         _REGISTRY[ident] = _Check(ident, audit_only, run=fn)
         return fn
 
@@ -307,36 +312,47 @@ def _register(ident: str, audit_only: bool = False):
 def _per_space(
     ident: str, cap: int | None = None, when: Callable[[_View], bool] | None = None
 ):
-    """Register a check that tests each space on its own.
+    """Register a check that tests each space on its own, or add a pass
+    to one registered so.
 
     The decorated step `test(v, rng)` yields a witness for each violation
     it finds on one view. It may `return` the number of units it checked
     there; returning nothing counts the space once. `audit` drives the
     step over the prefix `views[:cap]` (every view when cap is None) and
-    skips a view outside the hypothesis, where `when(v)` is false.
+    skips a view outside the hypothesis, where `when(v)` is false. The
+    passes of one id run in registration order, and `checked` counts the
+    units of the first pass only.
     """
 
     def deco(test: _Test) -> _Test:
-        _REGISTRY[ident] = _Check(ident, step=test, cap=cap, when=when)
+        chk = _REGISTRY.get(ident)
+        if chk is None:
+            chk = _Check(ident)
+        elif not chk.passes:
+            raise ValueError(f"check id registered without passes: {ident}")
+        _REGISTRY[ident] = replace(chk, passes=(*chk.passes, (test, cap, when)))
         return test
 
     return deco
 
 
 def _walk(chk: _Check, views: list[_View], rng: random.Random) -> _RunResult:
-    """Drive a step over its views: store each witness with its space and
-    add up the units the step returns."""
+    """Drive the passes of a check over their views: store each witness
+    with its space, and add up the units the first pass returns."""
     col = _Collector()
-    checked = 0
-    for v in views[: chk.cap]:
-        if chk.when is None or chk.when(v):
-            witnesses = chk.step(v, rng)
-            try:
-                while True:
-                    col.add(v.ser, next(witnesses))
-            except StopIteration as done:
-                checked += 1 if done.value is None else done.value
-    return checked, col.stored, None
+    units = []
+    for test, cap, when in chk.passes:
+        checked = 0
+        for v in views[:cap]:
+            if when is None or when(v):
+                witnesses = test(v, rng)
+                try:
+                    while True:
+                        col.add(v.ser, next(witnesses))
+                except StopIteration as done:
+                    checked += 1 if done.value is None else done.value
+        units.append(checked)
+    return units[0], col.stored, None
 
 
 def _t0(v: _View) -> bool:
@@ -477,7 +493,7 @@ def audit(
     for ident in idents:
         chk = _REGISTRY[ident]
         rng = random.Random(f"{seed}:{ident}")
-        if chk.step is not None:
+        if chk.passes:
             checked, stored, summary = _walk(chk, views, rng)
         elif chk.run is not None:
             checked, stored, summary = chk.run(views, rng)
@@ -727,28 +743,31 @@ def _chk_closure_union_superadditive(v, rng):
                 yield f"union closure too small at {a:b},{b:b}"
 
 
-@_register("boundary-formulas")
-def _chk_boundary_formulas(views, rng):
-    col = _Collector()
-    for v in views:
-        cl = v.cl()
-        itr = v.itr()
-        for a in range(v.full + 1):
-            bd = cl[a] & cl[v.full & ~a]
-            if bd != cl[a] & ~itr[a]:
-                col.add(v.ser, f"boundary formulas split at {a:b}")
-            if cl[bd] != bd:
-                col.add(v.ser, f"boundary not closed at {a:b}")
-    for v in views[:CAP_VERY_HEAVY]:
-        cl = v.cl()
-        for a in range(v.full + 1):
-            got = operators.boundary(v.space, v.item(a)).mask
-            if got != cl[a] & cl[v.full & ~a]:
-                col.add(v.ser, f"boundary() disagrees at {a:b}")
-            comp = operators.boundary(v.space, v.item(v.full & ~a)).mask
-            if got != comp:
-                col.add(v.ser, f"boundary not complement-symmetric at {a:b}")
-    return len(views), col.stored, None
+@_per_space("boundary-formulas")
+def _chk_boundary_formulas(v, rng):
+    cl = v.cl()
+    itr = v.itr()
+    for a in range(v.full + 1):
+        bd = cl[a] & cl[v.full & ~a]
+        if bd != cl[a] & ~itr[a]:
+            yield f"boundary formulas split at {a:b}"
+        if cl[bd] != bd:
+            yield f"boundary not closed at {a:b}"
+
+
+@_per_space("boundary-formulas", cap=CAP_VERY_HEAVY)
+def _chk_boundary_operator(v, rng):
+    """`operators.boundary` against the closure-minus-interior route,
+    which it does not evaluate, and its complement symmetry."""
+    cl = v.cl()
+    itr = v.itr()
+    for a in range(v.full + 1):
+        got = operators.boundary(v.space, v.item(a)).mask
+        if got != cl[a] & ~itr[a]:
+            yield f"boundary() disagrees at {a:b}"
+        comp = operators.boundary(v.space, v.item(v.full & ~a)).mask
+        if got != comp:
+            yield f"boundary not complement-symmetric at {a:b}"
 
 
 @_per_space("interior-closure-duality")
@@ -833,45 +852,49 @@ def _signatures(v: _View) -> list[int]:
     return sigs
 
 
-@_register("separation-hierarchy")
-def _chk_separation_hierarchy(views, rng):
+@_per_space("separation-hierarchy")
+def _chk_separation_hierarchy(v, rng):
     """T0 against signature distinctness, T1 against the
-    bi-discriminative signatures and the inner fringe of the universe,
-    T2 against disjoint ⊆-minimal states at the two points, and the
-    implication chain of the profile flags."""
-    col = _Collector()
-    for v in views:
-        sigs = _signatures(v)
-        t0 = len(set(sigs)) == v.n
-        if separation.is_t0(v.space)[0] != t0:
-            col.add(v.ser, "T0 disagrees with signature distinctness")
-        bi = all(
-            sigs[p] & ~sigs[q] and sigs[q] & ~sigs[p]
-            for p in range(v.n)
-            for q in range(p + 1, v.n)
-        )
-        t1 = separation.is_t1(v.space)[0]
-        if t1 != bi:
-            col.add(v.ser, "T1 disagrees with bi-discrimination")
-        if separation.bi_discriminative_via_fringe(v.space) != t1:
-            col.add(v.ser, "fringe route to bi-discrimination disagrees")
-    for v in views[:CAP_HEAVY]:
-        atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
-        apart = all(
-            any(not a & b for a in atoms[p] for b in atoms[q])
-            for p in range(v.n)
-            for q in range(p + 1, v.n)
-        )
-        if separation.is_t2(v.space)[0] != apart:
-            col.add(v.ser, "T2 disagrees with disjoint minimal states")
-    for v in views[:CAP_VERY_HEAVY]:
-        p = separation.separation_profile(v.space)
-        chain = (p.t4, p.t3, p.t2, p.t1, p.t0)
-        for hi, lo in zip(chain, chain[1:]):
-            if hi and not lo:
-                col.add(v.ser, "separation hierarchy implication fails")
-                break
-    return len(views), col.stored, None
+    bi-discriminative signatures and the inner fringe of the universe;
+    the next two passes test T2 and the implication chain of the
+    profile flags."""
+    sigs = _signatures(v)
+    t0 = len(set(sigs)) == v.n
+    if separation.is_t0(v.space)[0] != t0:
+        yield "T0 disagrees with signature distinctness"
+    bi = all(
+        sigs[p] & ~sigs[q] and sigs[q] & ~sigs[p]
+        for p in range(v.n)
+        for q in range(p + 1, v.n)
+    )
+    t1 = separation.is_t1(v.space)[0]
+    if t1 != bi:
+        yield "T1 disagrees with bi-discrimination"
+    if separation.bi_discriminative_via_fringe(v.space) != t1:
+        yield "fringe route to bi-discrimination disagrees"
+
+
+@_per_space("separation-hierarchy", cap=CAP_HEAVY)
+def _chk_t2_minimal_states(v, rng):
+    """T2 against disjoint ⊆-minimal states at the two points."""
+    atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
+    apart = all(
+        any(not a & b for a in atoms[p] for b in atoms[q])
+        for p in range(v.n)
+        for q in range(p + 1, v.n)
+    )
+    if separation.is_t2(v.space)[0] != apart:
+        yield "T2 disagrees with disjoint minimal states"
+
+
+@_per_space("separation-hierarchy", cap=CAP_VERY_HEAVY)
+def _chk_separation_chain(v, rng):
+    p = separation.separation_profile(v.space)
+    chain = (p.t4, p.t3, p.t2, p.t1, p.t0)
+    for hi, lo in zip(chain, chain[1:]):
+        if hi and not lo:
+            yield "separation hierarchy implication fails"
+            break
 
 
 @_per_space("size-weight-bound", when=_t0)
@@ -969,48 +992,45 @@ def _cover_chain_connected(fam: list[int], n: int) -> bool:
     )
 
 
-@_register("chain-connected-iff-connected")
-def _chk_chain_connected_iff_connected(views, rng):
-    col = _Collector()
-    for v in views:
-        conn = connectivity.is_connected(v.space)
-        chain = all(
-            _cover_chain_connected(fam, v.n) for fam in _covers_for(v, rng)
-        )
-        if conn != chain:
-            col.add(v.ser, f"connected={conn} but chain-connected={chain}")
-    labels = None
-    for v in views[:200]:
-        if labels is None:
-            labels = v.space.universe.labels
-        covers = _covers_for(v, rng)[:2]
-        for fam in covers:
-            family = SetFamily.from_masks(v.space.universe, fam)
-            fast = _cover_chain_connected(fam, v.n)
-            slow = all(
-                not isinstance(
-                    connectivity.find_simple_chain(v.space, family, x, y),
-                    connectivity._NoChain,
-                )
-                for x in labels
-                for y in labels
-                if x < y
+@_per_space("chain-connected-iff-connected")
+def _chk_chain_connected_iff_connected(v, rng):
+    conn = connectivity.is_connected(v.space)
+    chain = all(_cover_chain_connected(fam, v.n) for fam in _covers_for(v, rng))
+    if conn != chain:
+        yield f"connected={conn} but chain-connected={chain}"
+
+
+@_per_space("chain-connected-iff-connected", cap=200)
+def _chk_cover_components(v, rng):
+    """The component route of `_cover_chain_connected` against a chain
+    search for every item pair."""
+    labels = v.space.universe.labels
+    for fam in _covers_for(v, rng)[:2]:
+        family = SetFamily.from_masks(v.space.universe, fam)
+        fast = _cover_chain_connected(fam, v.n)
+        slow = all(
+            not isinstance(
+                connectivity.find_simple_chain(v.space, family, x, y),
+                connectivity._NoChain,
             )
-            if fast != slow:
-                col.add(v.ser, "component route disagrees with chain search")
-    return len(views), col.stored, None
+            for x in labels
+            for y in labels
+            if x < y
+        )
+        if fast != slow:
+            yield "component route disagrees with chain search"
 
 
-@_register("tight1-iff-well-graded")
-def _chk_tight1_iff_well_graded(views, rng):
-    col = _Collector()
-    for v in views:
-        if v.tight1() != v.well_graded():
-            col.add(v.ser, f"tight-1={v.tight1()} well-graded={v.well_graded()}")
-    for v in views[:CAP_VERY_HEAVY]:
-        if connectivity.is_well_graded(v.space.states) != v.well_graded():
-            col.add(v.ser, "one-step form disagrees with path lengths")
-    return len(views), col.stored, None
+@_per_space("tight1-iff-well-graded")
+def _chk_tight1_iff_well_graded(v, rng):
+    if v.tight1() != v.well_graded():
+        yield f"tight-1={v.tight1()} well-graded={v.well_graded()}"
+
+
+@_per_space("tight1-iff-well-graded", cap=CAP_VERY_HEAVY)
+def _chk_well_graded_path_lengths(v, rng):
+    if connectivity.is_well_graded(v.space.states) != v.well_graded():
+        yield "one-step form disagrees with path lengths"
 
 
 @_per_space("tight1-equivalences")
@@ -1205,23 +1225,9 @@ def _random_partition(u: Universe, rng: random.Random) -> list[ItemSet]:
     return [u.subset(b) for b in blocks if b]
 
 
-def _sub_to_parent(mask: int, parent_bits: list[int]) -> int:
-    acc = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            acc |= parent_bits[i]
-        mask >>= 1
-        i += 1
-    return acc
-
-
-def _parent_to_sub(mask: int, parent_bits: list[int]) -> int:
-    acc = 0
-    for i, pb in enumerate(parent_bits):
-        if mask & pb:
-            acc |= 1 << i
-    return acc
+def _inclusion(sub: PreTopology, v: _View) -> maps.PointMap:
+    """The inclusion of a subspace's universe into the view's."""
+    return maps.PointMap(sub.universe, v.space.universe, {t: t for t in sub.universe.labels})
 
 
 @_per_space("subspace-pre-base-trace", cap=CAP_HEAVY)
@@ -1231,14 +1237,9 @@ def _chk_subspace_pre_base_trace(v, rng):
     for _ in range(2):
         ymask = rng.randint(1, v.full)
         sub = maps.subspace(v.space, v.item(ymask))
-        parent_bits = [
-            1 << v.space.universe.index(label)
-            for label in sub.universe.labels
-        ]
+        inc = _inclusion(sub, v)
         base = irreducible_states(v.space).masks()
-        trace = SetFamily.from_masks(
-            sub.universe, {_parent_to_sub(b & ymask, parent_bits) for b in base}
-        )
+        trace = SetFamily.from_masks(sub.universe, {inc.preimage_mask(b) for b in base})
         if not is_pre_base_for(trace, sub):
             yield f"trace of the minimal pre-base on {ymask:b} fails"
     return 2
@@ -1254,29 +1255,19 @@ def _chk_subspace_closed_trace(v, rng):
     for _ in range(2):
         ymask = rng.randint(1, v.full)
         sub = maps.subspace(v.space, v.item(ymask))
-        parent_bits = [
-            1 << v.space.universe.index(label)
-            for label in sub.universe.labels
-        ]
-        subfull = (1 << len(sub.universe)) - 1
-        for fsub in range(subfull + 1):
-            fpar = _sub_to_parent(fsub, parent_bits)
+        inc = _inclusion(sub, v)
+        for fsub in range(1 << len(sub.universe)):
             got = operators.closure(sub, ItemSet(sub.universe, fsub)).mask
-            want = _parent_to_sub(cl[fpar] & ymask, parent_bits)
-            if got != want:
+            if got != inc.preimage_mask(cl[inc.image_mask(fsub)]):
                 yield f"closure trace fails on {ymask:b} at {fsub:b}"
                 break
     ymask = rng.choice([v.full & ~o for o in v.opens if o != v.full])
     sub = maps.subspace(v.space, v.item(ymask))
-    parent_bits = [
-        1 << v.space.universe.index(label)
-        for label in sub.universe.labels
-    ]
+    inc = _inclusion(sub, v)
     subfull = (1 << len(sub.universe)) - 1
     for asub in range(subfull + 1):
-        apar = _sub_to_parent(asub, parent_bits)
         in_sub = sub.states.has_mask(subfull & ~asub)
-        in_parent = v.space.states.has_mask(v.full & ~apar)
+        in_parent = v.space.states.has_mask(v.full & ~inc.image_mask(asub))
         if in_sub != in_parent:
             yield f"closed-in-closed fails on {ymask:b} at {asub:b}"
             break
@@ -1418,14 +1409,8 @@ def _chk_partial_pasting(views, rng):
             continue
         subc = maps.subspace(v.space, v.item(c))
         subd = maps.subspace(v.space, v.item(d))
-        hc = maps.PointMap(
-            subc.universe, target.universe,
-            {label: h(label) for label in subc.universe.labels},
-        )
-        hd = maps.PointMap(
-            subd.universe, target.universe,
-            {label: h(label) for label in subd.universe.labels},
-        )
+        hc = _inclusion(subc, v).then(h)
+        hd = _inclusion(subd, v).then(h)
         if not (
             maps.is_pre_continuous(hc, subc, target)
             and maps.is_pre_continuous(hd, subd, target)

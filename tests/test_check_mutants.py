@@ -5,8 +5,12 @@ miner's `_View`, so that it breaks the statement one check audits. The
 check must report `fails` under the mutant and `holds` without it, at
 the smallest universe size where the mutant shows. A test body that no
 longer ran, or whose violations were no longer collected, would leave
-the check at `holds`. Every check registered as a step has a mutant here
-or a reason in `NO_MUTANT`.
+the check at `holds`. Every pass of a check registered with steps has a
+mutant here or a reason in `NO_MUTANT`. A pass is keyed by its check id,
+with `/k` for the k-th pass from the second on. Its mutant must fail the
+pass alone as well as the check, and a mutant of a later pass patches
+something no other pass reads, so a pass that stopped running would
+leave its check at `holds`.
 """
 
 import dataclasses
@@ -134,6 +138,31 @@ MUTANTS = {
     "hausdorff-trace-density-bound": (
         cardinal, "density_exact", lambda real: lambda sp: (0, sp.universe.full), 3
     ),
+    "boundary-formulas": (miner._View, "itr", _flip_low_bit, 1),
+    "boundary-formulas/2": (
+        operators, "boundary", lambda real: lambda space, a: ItemSet(a.universe, 0), 2
+    ),
+    "separation-hierarchy": (separation, "bi_discriminative_via_fringe", _negated, 1),
+    # Every state through the point in place of the minimal ones would be
+    # an equivalent mutant: two points lie in disjoint states exactly when
+    # they lie in disjoint minimal states. The universe alone at every
+    # point is not.
+    "separation-hierarchy/2": (
+        order, "atoms_at",
+        lambda real: lambda space, t: SetFamily.from_masks(
+            space.universe, [space.universe.full.mask]
+        ), 2,
+    ),
+    "separation-hierarchy/3": (
+        separation, "separation_profile",
+        lambda real: lambda sp: dataclasses.replace(real(sp), t4=True, t0=False), 1,
+    ),
+    "chain-connected-iff-connected": (connectivity, "is_connected", _negated, 1),
+    "chain-connected-iff-connected/2": (
+        connectivity, "find_simple_chain", _forced(connectivity.NoChain), 2
+    ),
+    "tight1-iff-well-graded": (connectivity, "is_tight_n_connected", _forced(False), 1),
+    "tight1-iff-well-graded/2": (connectivity, "is_well_graded", _negated, 1),
 }
 
 # Steps that no library mutant can fail, each with the reason.
@@ -145,18 +174,31 @@ NO_MUTANT = {
 }
 
 
+def pass_keys():
+    for ident, chk in miner._REGISTRY.items():
+        for k in range(len(chk.passes)):
+            yield ident if k == 0 else f"{ident}/{k + 1}"
+
+
 def test_every_step_has_a_mutant_or_a_reason():
-    steps = {ident for ident, chk in miner._REGISTRY.items() if chk.step is not None}
     assert not set(MUTANTS) & NO_MUTANT
-    assert steps == set(MUTANTS) | NO_MUTANT
+    assert sorted(pass_keys()) == sorted(set(MUTANTS) | NO_MUTANT)
 
 
-@pytest.mark.parametrize("ident", list(MUTANTS))
-def test_a_mutant_fails_the_check(monkeypatch, ident):
-    owner, name, mutant, n = MUTANTS[ident]
-    (report,) = audit(ident, n)
-    assert report.status == "holds" and report.checked > 0
-    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
-    (report,) = audit(ident, n)
-    assert report.status == "fails"
-    assert report.violations
+@pytest.mark.parametrize("key", list(MUTANTS))
+def test_a_mutant_fails_the_check(monkeypatch, key):
+    """The mutant fails the check, and the pass it is keyed by alone."""
+    ident, _, k = key.partition("/")
+    k = int(k or 1) - 1
+    chk = miner._REGISTRY[ident]
+    owner, name, mutant, n = MUTANTS[key]
+    real = getattr(owner, name)
+    for registered in (chk, dataclasses.replace(chk, passes=chk.passes[k : k + 1])):
+        monkeypatch.setitem(miner._REGISTRY, ident, registered)
+        monkeypatch.setattr(owner, name, real)
+        (report,) = audit(ident, n)
+        assert report.status == "holds" and report.checked > 0
+        monkeypatch.setattr(owner, name, mutant(real))
+        (report,) = audit(ident, n)
+        assert report.status == "fails"
+        assert report.violations

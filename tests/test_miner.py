@@ -109,6 +109,30 @@ def test_theorem_registry():
         assert ident in ths
 
 
+def test_a_registered_id_takes_passes_only_from_per_space(monkeypatch):
+    """A runner id, a step id or a skill id cannot be registered as a
+    runner again, and `_per_space` cannot add a pass to a runner or a
+    skill check; a repeated `_per_space` adds a pass."""
+    monkeypatch.setattr(miner, "_REGISTRY", dict(miner._REGISTRY))
+
+    def runner(views, rng):
+        return 0, [], None
+
+    def step(v, rng):
+        yield from ()
+
+    for ident in ("distance-metric", "closure-axioms", "p-monotone-union"):
+        with pytest.raises(ValueError, match=ident):
+            miner._register(ident)(runner)
+    for ident in ("distance-metric", "p-monotone-union"):
+        with pytest.raises(ValueError, match=ident):
+            miner._per_space(ident)(step)
+    before = miner._REGISTRY["closure-axioms"].passes
+    miner._per_space("closure-axioms", cap=7)(step)
+    assert miner._REGISTRY["closure-axioms"].passes == (*before, (step, 7, None))
+    assert len(available_theorems()) == 52
+
+
 def test_unknown_theorem_id():
     with pytest.raises(PretopoError):
         audit("no-such-theorem", 2)
