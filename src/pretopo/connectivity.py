@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .core import ItemSet, PreTopology, SetFamily, _canonical_key
 from .errors import NotACover
-from .operators import fringes
+from .operators import _fringe_masks
 
 
 class _NoChain:
@@ -181,17 +181,15 @@ def is_tight_n_connected(space: PreTopology, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    members = list(space.states.members)
     if n == 1:
-        lc = {m.mask: fringes(space, m).full.mask for m in members}
-        for u_ in members:
-            for w in members:
-                if u_.mask == w.mask:
-                    continue
-                if not ((u_.mask ^ w.mask) & lc[u_.mask]):
+        opens = space.states.masks()
+        for u_ in opens:
+            inner, outer = _fringe_masks(space, u_)
+            for w in opens:
+                if w != u_ and not (u_ ^ w) & (inner | outer):
                     return False
         return True
-    masks = [m.mask for m in members]
+    masks = [m.mask for m in space.states.members]
     k = len(masks)
     edges: list[list[int]] = [[] for _ in range(k)]
     for i in range(k):

@@ -313,8 +313,9 @@ class SetFamily:
 
     The union-irreducible members and the per-item meets are derived
     once, on first use, and kept in `_derived` (see `_base`), next to the
-    union-closure verdict once a test has computed it (`_union_closed`);
-    the family is immutable, so neither slot goes stale.
+    union-closure verdict once a test has computed it (`_union_closed`)
+    and the interior of every subset once `operators.interior_table` has
+    built it; the family is immutable, so neither slot goes stale.
     """
 
     __slots__ = ("universe", "_mask_set", "_members", "_derived")
@@ -404,7 +405,7 @@ class SetFamily:
             masks = tuple(sorted(irreducible, key=_canonical_key))
             irreducibles = SetFamily.from_masks(self.universe, masks)
             meets = tuple(_item_meets(masks, len(self.universe)))
-            self._derived = _Base(irreducibles, masks, meets, None)
+            self._derived = _Base(irreducibles, masks, meets, None, None)
         return self._derived
 
     def _union_closed(self) -> bool:
@@ -471,6 +472,7 @@ class _Base(NamedTuple):
     masks: tuple[int, ...]  # the same members as masks, in canonical order
     meets: tuple[int, ...]  # N(q) for each item q (`_item_meets`)
     union_closed: bool | None  # the verdict of `_union_closed`; None until tested
+    interiors: tuple[int, ...] | None  # `operators.interior_table`; None until built
 
 
 class KnowledgeStructure:

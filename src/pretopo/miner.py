@@ -8,24 +8,20 @@ reading, greedy optimality, boundary-union subadditivity) run in
 audit-only mode: their reports carry witnesses and frequencies without
 a pass/fail verdict.
 
-A check that tests one space at a time is a step: a generator
-`test(v, rng)` registered with `_per_space(ident, cap, when)`. It yields
-a witness for each violation on that view and may `return` the units it
-checked there; returning nothing counts the space once. A second
-`_per_space` on the same id adds a pass to the check. `audit` alone
-walks the views for the steps: it runs the passes in registration
-order, each over its deterministic prefix `views[:cap]` (for heavy
-checks), skips the views outside a pass's hypothesis `when` and
-collects the witnesses. `checked` adds up the units of the first pass;
-later passes re-examine a prefix of the same spaces and count nothing.
-The checks that need the whole list register a runner with `_register`:
-those that sample across spaces, run at the level of the universe, or
-write a summary or skip with a message after the loop. The four skill
-checks read their reports from one multimap sweep, `run_skills_suite`.
+A check that tests one space at a time is a step, a generator
+`test(space, rng)` registered with `_per_space`, which states how
+`audit`, the one loop over the spaces, drives it. The checks that need
+the whole list register a runner with `_register`: those that sample
+across spaces, run at the level of the universe, or write a summary or
+skip with a message after the loop. The four skill checks read their
+reports from one multimap sweep, `run_skills_suite`.
 
-Fast in-loop formulas are tied back to the public operators by
-dedicated definition checks so the audited statements always rest on
-library behaviour.
+The miner keeps no per-space tables. The closure and interior of every
+subset come from `operators.closure_table` and `interior_table`, which
+the space builds once, and `closure-point-test` and
+`interior-closure-duality` compare them with the per-subset operators.
+A step that reads the opens sorts them numerically, the order of its
+witnesses and samples.
 """
 
 from __future__ import annotations
@@ -155,139 +151,34 @@ class _Collector:
         self.stored: list[tuple[str, str]] = []
         self.total = 0
 
-    def add(self, space_ser: str | Callable[[], str], witness: str) -> None:
-        """Count a violation; a callable space_ser is called only when
-        the violation is stored."""
+    def add(self, source: PreTopology | str | Callable[[], str], witness: str) -> None:
+        """Count a violation; a space is serialized, and a callable
+        called, only when the violation is stored."""
         self.total += 1
         if len(self.stored) < MAX_STORED:
-            if callable(space_ser):
-                space_ser = space_ser()
-            self.stored.append((space_ser, witness))
+            if isinstance(source, PreTopology):
+                source = _ser(source)
+            elif callable(source):
+                source = source()
+            self.stored.append((source, witness))
 
 
-class _View:
-    """One enumerated space with lazily shared tables.
-
-    The closure and interior tables are built with the public
-    operators; the derived-set table uses an in-place rewriting of the
-    definition for speed and is reconciled with the public function by
-    the derived-set-definition check.
-    """
-
-    __slots__ = (
-        "space", "n", "full", "opens",
-        "_cl", "_itr", "_der", "_fr", "_ser", "_wg", "_tight1",
-    )
-
-    def __init__(self, space: PreTopology):
-        self.space = space
-        self.n = len(space.universe)
-        self.full = (1 << self.n) - 1
-        self.opens = sorted(space.states.masks())
-        self._cl = None
-        self._itr = None
-        self._der = None
-        self._fr = None
-        self._ser = None
-        self._wg = None
-        self._tight1 = None
-
-    def item(self, mask: int) -> ItemSet:
-        return ItemSet(self.space.universe, mask)
-
-    def ser(self) -> str:
-        if self._ser is None:
-            self._ser = json.dumps(self.space.to_obj(), separators=(",", ":"))
-        return self._ser
-
-    def cl(self) -> list[int]:
-        if self._cl is None:
-            sp = self.space
-            self._cl = [
-                operators.closure(sp, self.item(a)).mask
-                for a in range(self.full + 1)
-            ]
-        return self._cl
-
-    def itr(self) -> list[int]:
-        if self._itr is None:
-            sp = self.space
-            self._itr = [
-                operators.interior(sp, self.item(a)).mask
-                for a in range(self.full + 1)
-            ]
-        return self._itr
-
-    def der(self) -> list[int]:
-        if self._der is None:
-            table = []
-            for a in range(self.full + 1):
-                d = self.full
-                for o in self.opens:
-                    x = o & a
-                    if x == 0:
-                        d &= ~o
-                    elif x & (x - 1) == 0:
-                        d &= ~x
-                table.append(d)
-            self._der = table
-        return self._der
-
-    def fr(self) -> dict[int, tuple[int, int]]:
-        if self._fr is None:
-            sp = self.space
-            out = {}
-            for o in self.opens:
-                rep = operators.fringes(sp, self.item(o))
-                out[o] = (rep.inner.mask, rep.outer.mask)
-            self._fr = out
-        return self._fr
-
-    def well_graded(self) -> bool:
-        """One-step-descent form: every pair of states admits a state
-        one toggled differing item closer; chains then compose."""
-        if self._wg is None:
-            has = self.space.states.has_mask
-            ok = True
-            for k in self.opens:
-                for h in self.opens:
-                    delta = k ^ h
-                    if not delta:
-                        continue
-                    rest = delta
-                    step = False
-                    while rest:
-                        low = rest & -rest
-                        rest ^= low
-                        if has(k ^ low):
-                            step = True
-                            break
-                    if not step:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._wg = ok
-        return self._wg
-
-    def tight1(self) -> bool:
-        if self._tight1 is None:
-            self._tight1 = connectivity.is_tight_n_connected(self.space, 1)
-        return self._tight1
+def _ser(space: PreTopology) -> str:
+    return json.dumps(space.to_obj(), separators=(",", ":"))
 
 
 _RunResult = tuple[int, list[tuple[str, str]], str | None]
-_Runner = Callable[[list[_View], random.Random], _RunResult]
-# a step yields the witnesses it finds on one view and may return its units
-_Test = Callable[[_View, random.Random], Generator[str, None, int | None]]
-# a pass: a step, the prefix `views[:cap]` it reads and its hypothesis
-_Pass = tuple[_Test, int | None, Callable[[_View], bool] | None]
+_Runner = Callable[[list[PreTopology], random.Random], _RunResult]
+# a step yields the witnesses it finds on one space and may return its units
+_Test = Callable[[PreTopology, random.Random], Generator[str, None, int | None]]
+# a pass: a step, the prefix `spaces[:cap]` it reads and its hypothesis
+_Pass = tuple[_Test, int | None, Callable[[PreTopology], bool] | None]
 
 
 @dataclass(frozen=True)
 class _Check:
     """A registered check: passes of steps driven by `audit`; a runner
-    over every view; or neither, for a skill check read from the
+    over every space; or neither, for a skill check read from the
     multimap sweep."""
 
     ident: str
@@ -310,18 +201,20 @@ def _register(ident: str, audit_only: bool = False):
 
 
 def _per_space(
-    ident: str, cap: int | None = None, when: Callable[[_View], bool] | None = None
+    ident: str, cap: int | None = None, when: Callable[[PreTopology], bool] | None = None
 ):
     """Register a check that tests each space on its own, or add a pass
     to one registered so.
 
-    The decorated step `test(v, rng)` yields a witness for each violation
-    it finds on one view. It may `return` the number of units it checked
-    there; returning nothing counts the space once. `audit` drives the
-    step over the prefix `views[:cap]` (every view when cap is None) and
-    skips a view outside the hypothesis, where `when(v)` is false. The
-    passes of one id run in registration order, and `checked` counts the
-    units of the first pass only.
+    The decorated step `test(space, rng)` yields a witness for each
+    violation it finds on one space. It may `return` the number of units
+    it checked there; returning nothing counts the space once. `audit`
+    drives the step over the prefix `spaces[:cap]` (every space when cap
+    is None, a deterministic prefix for heavy checks) and skips a space
+    outside the hypothesis, where `when(space)` is false. The passes of
+    one id run in registration order, and `checked` counts the units of
+    the first pass only: later passes re-examine a prefix of the same
+    spaces.
     """
 
     def deco(test: _Test) -> _Test:
@@ -336,35 +229,31 @@ def _per_space(
     return deco
 
 
-def _walk(chk: _Check, views: list[_View], rng: random.Random) -> _RunResult:
-    """Drive the passes of a check over their views: store each witness
+def _walk(chk: _Check, spaces: list[PreTopology], rng: random.Random) -> _RunResult:
+    """Drive the passes of a check over their spaces: store each witness
     with its space, and add up the units the first pass returns."""
     col = _Collector()
     units = []
     for test, cap, when in chk.passes:
         checked = 0
-        for v in views[:cap]:
-            if when is None or when(v):
-                witnesses = test(v, rng)
+        for space in spaces[:cap]:
+            if when is None or when(space):
+                witnesses = test(space, rng)
                 try:
                     while True:
-                        col.add(v.ser, next(witnesses))
+                        col.add(space, next(witnesses))
                 except StopIteration as done:
                     checked += 1 if done.value is None else done.value
         units.append(checked)
     return units[0], col.stored, None
 
 
-def _t0(v: _View) -> bool:
-    return separation.is_t0(v.space)[0]
+def _t0(space: PreTopology) -> bool:
+    return separation.is_t0(space)[0]
 
 
-def _quasi_ordinal(v: _View) -> bool:
-    return order.is_quasi_ordinal(v.space)
-
-
-def _regular(v: _View) -> bool:
-    return separation.is_regular_property(v.space)[0]
+def _regular(space: PreTopology) -> bool:
+    return separation.is_regular_property(space)[0]
 
 
 def available_theorems() -> tuple[str, ...]:
@@ -487,16 +376,15 @@ def audit(
         spaces = enumerate_spaces(n, bound)
     else:
         spaces = sample_spaces(n, DEFAULT_SAMPLES, seed, bound)
-    views = [_View(s) for s in spaces]
     sweep = None  # one multimap sweep serves every skill check of this call
     reports = []
     for ident in idents:
         chk = _REGISTRY[ident]
         rng = random.Random(f"{seed}:{ident}")
         if chk.passes:
-            checked, stored, summary = _walk(chk, views, rng)
+            checked, stored, summary = _walk(chk, spaces, rng)
         elif chk.run is not None:
-            checked, stored, summary = chk.run(views, rng)
+            checked, stored, summary = chk.run(spaces, rng)
         else:
             if sweep is None:
                 sweep = run_skills_suite()
@@ -521,12 +409,12 @@ def audit(
 
 
 @_per_space("union-closure-laws")
-def _chk_union_closure_laws(v, rng):
-    sp = union_closure(irreducible_states(v.space))
-    if sp.states.masks() != v.space.states.masks():
+def _chk_union_closure_laws(space, rng):
+    sp = union_closure(irreducible_states(space))
+    if sp.states.masks() != space.states.masks():
         yield "union closure of the minimal pre-base differs"
         return
-    if not (sp.states.has_mask(0) and sp.states.has_mask(v.full)):
+    if not (sp.states.has_mask(0) and sp.states.has_mask(space.universe._full)):
         yield "closure dropped the empty set or the universe"
     if union_closure(sp.states).states.masks() != sp.states.masks():
         yield "union closure is not idempotent"
@@ -542,7 +430,7 @@ def _pick_columns(k: int) -> tuple[int, ...]:
 
 
 @_per_space("minimal-base-in-every-pre-base")
-def _chk_minimal_base_containment(v, rng):
+def _chk_minimal_base_containment(space, rng):
     """The union-irreducible states sit inside every generating
     subfamily, so the minimal pre-base really is minimum. Unit:
     sub-families.
@@ -560,8 +448,8 @@ def _chk_minimal_base_containment(v, rng):
     O(|K|·m·k) operations on 2^k-bit ints, where a union closure per pick
     costs 2^k·O(|K|·k).
     """
-    irr_masks = set(irreducible_states(v.space).masks()) - {0}
-    nonzero = [m for m in v.opens if m]
+    irr_masks = set(irreducible_states(space).masks()) - {0}
+    nonzero = sorted(space.states.masks() - {0})
     k = len(nonzero)
     pairs = set()
     for s in nonzero:
@@ -606,8 +494,8 @@ def _chk_minimal_base_containment(v, rng):
 
 
 @_register("distance-metric")
-def _chk_distance_metric(views, rng):
-    u = views[0].space.universe if views else _universe(2)
+def _chk_distance_metric(spaces, rng):
+    u = spaces[0].universe if spaces else _universe(2)
     full = (1 << len(u)) - 1
     pts = [ItemSet(u, m) for m in range(full + 1)]
     col = _Collector()
@@ -629,71 +517,71 @@ def _chk_distance_metric(views, rng):
 
 
 @_per_space("minimal-pre-base-recognized")
-def _chk_minimal_pre_base_recognized(v, rng):
-    base = irreducible_states(v.space)
-    if not is_pre_base_for(base, v.space):
+def _chk_minimal_pre_base_recognized(space, rng):
+    base = irreducible_states(space)
+    if not is_pre_base_for(base, space):
         yield "irreducible states rejected as a pre-base"
-    if not structure.is_minimal_pre_base(base, v.space):
+    if not structure.is_minimal_pre_base(base, space):
         yield "irreducible states rejected as the minimal pre-base"
 
 
 @_per_space("closure-operator-round-trip", cap=CAP_HEAVY)
-def _chk_closure_round_trip(v, rng):
-    table = structure.ClosureOperatorTable.of_space(v.space)
+def _chk_closure_round_trip(space, rng):
+    table = structure.ClosureOperatorTable.of_space(space)
     back = structure.from_closure_operator(table)
-    if back.states.masks() != v.space.states.masks():
+    if back.states.masks() != space.states.masks():
         yield "closure-operator round trip changed the family"
 
 
 @_per_space("classify-monotone")
-def _chk_classify_monotone(v, rng):
-    c = structure.classify(v.space.states)
+def _chk_classify_monotone(space, rng):
+    c = structure.classify(space.states)
     if not c.is_knowledge_space:
         yield "enumerated family not classified as a space"
     if c.is_knowledge_space and not c.is_knowledge_structure:
         yield "space flag without structure flag"
     if c.is_quasi_ordinal and not c.is_knowledge_space:
         yield "quasi-ordinal flag without space flag"
-    masks = v.space.states.masks()
-    pairwise = all(
-        a & b in masks for i, a in enumerate(v.opens) for b in v.opens[i + 1 :]
-    )
+    masks = space.states.masks()
+    opens = sorted(masks)
+    pairwise = all(a & b in masks for i, a in enumerate(opens) for b in opens[i + 1 :])
     if c.is_quasi_ordinal != pairwise:
         yield "classification disagrees with the intersection test"
 
 
 @_register("atom-pre-base-of-minimal", audit_only=True)
-def _chk_atom_pre_base(views, rng):
+def _chk_atom_pre_base(spaces, rng):
     """Literal reading: the minimal pre-base is an atom pre-base.
 
     False whenever two irreducible states are nested, e.g. the family
     containing only {z1} and {z1,z2} besides the trivial members.
     """
     col = _Collector()
-    for v in views:
-        if not structure.is_atom_pre_base(irreducible_states(v.space), v.space):
-            col.add(v.ser, "minimal pre-base is not an antichain")
-    frac = f"{col.total}/{len(views)} minimal pre-bases are not atom pre-bases"
-    return len(views), col.stored, frac
+    for space in spaces:
+        if not structure.is_atom_pre_base(irreducible_states(space), space):
+            col.add(space, "minimal pre-base is not an antichain")
+    frac = f"{col.total}/{len(spaces)} minimal pre-bases are not atom pre-bases"
+    return len(spaces), col.stored, frac
 
 
 # ---------------------------------------------------------------- operators
 
 
 @_per_space("closure-axioms")
-def _chk_closure_axioms(v, rng):
+def _chk_closure_axioms(space, rng):
     """Empty set fixed, extensive, idempotent; monotone via
     single-item extensions, which compose along chains."""
-    cl = v.cl()
+    cl = operators.closure_table(space)
+    full = space.universe._full
     if cl[0] != 0:
         yield "closure of the empty set is nonempty"
-    for a in range(v.full + 1):
+    for a in range(full + 1):
         c = cl[a]
         if a & ~c:
             yield f"not extensive at {a:b}"
         if cl[c] != c:
             yield f"not idempotent at {a:b}"
-        rest = v.full & ~a
+        rest = full & ~a
         while rest:
             low = rest & -rest
             rest ^= low
@@ -702,148 +590,167 @@ def _chk_closure_axioms(v, rng):
 
 
 @_per_space("closure-point-test", cap=CAP_HEAVY)
-def _chk_closure_point_test(v, rng):
-    """z lies in the closure of A exactly when every open set
-    containing z meets A."""
-    cl = v.cl()
-    for a in range(v.full + 1):
+def _chk_closure_point_test(space, rng):
+    """z lies in the closure of A exactly when every open through z meets
+    A: the point test against `operators.closure` and the closure table."""
+    cl = operators.closure_table(space)
+    u = space.universe
+    opens = space.states.masks()
+    for a in range(u._full + 1):
         miss = 0
-        for o in v.opens:
+        for o in opens:
             if not o & a:
                 miss |= o
-        if cl[a] != v.full & ~miss:
+        point = u._full & ~miss
+        if operators.closure(space, ItemSet(u, a)).mask != point or cl[a] != point:
             yield f"point test disagrees at {a:b}"
 
 
 @_per_space("derived-set-definition", cap=CAP_VERY_HEAVY)
-def _chk_derived_set_definition(v, rng):
-    der = v.der()
-    for a in range(v.full + 1):
-        got = operators.derived_set(v.space, v.item(a)).mask
-        if got != der[a]:
+def _chk_derived_set_definition(space, rng):
+    u, opens = space.universe, space.states.masks()
+    for a in range(u._full + 1):
+        if operators.derived_set(space, ItemSet(u, a)).mask != _derived(opens, u._full, a):
             yield f"derived set disagrees at {a:b}"
 
 
+def _derived(opens: frozenset[int], full: int, a: int) -> int:
+    """The derived set of a by its definition over the opens: no z that
+    an open through z meets a in nothing or in z alone."""
+    d = full
+    for o in opens:
+        x = o & a
+        if x == 0:
+            d &= ~o
+        elif x & (x - 1) == 0:
+            d &= ~x
+    return d
+
+
 @_per_space("closure-derived-union")
-def _chk_closure_derived_union(v, rng):
-    cl = v.cl()
-    der = v.der()
-    for a in range(v.full + 1):
-        if cl[a] != a | der[a]:
+def _chk_closure_derived_union(space, rng):
+    opens = space.states.masks()
+    for a, c in enumerate(operators.closure_table(space)):
+        if c != a | _derived(opens, space.universe._full, a):
             yield f"closure != set plus derived set at {a:b}"
 
 
 @_per_space("closure-union-superadditive", cap=CAP_HEAVY)
-def _chk_closure_union_superadditive(v, rng):
-    cl = v.cl()
-    for a in range(v.full + 1):
-        ca = cl[a]
-        for b in range(a, v.full + 1):
+def _chk_closure_union_superadditive(space, rng):
+    cl = operators.closure_table(space)
+    for a, ca in enumerate(cl):
+        for b in range(a, len(cl)):
             if (ca | cl[b]) & ~cl[a | b]:
                 yield f"union closure too small at {a:b},{b:b}"
 
 
 @_per_space("boundary-formulas")
-def _chk_boundary_formulas(v, rng):
-    cl = v.cl()
-    itr = v.itr()
-    for a in range(v.full + 1):
-        bd = cl[a] & cl[v.full & ~a]
-        if bd != cl[a] & ~itr[a]:
+def _chk_boundary_formulas(space, rng):
+    """cl(a) ∩ cl(Q∖a) is cl(a) minus the base members inside a, and is
+    closed; the interior table is the dual of the closure table, so not read."""
+    cl = operators.closure_table(space)
+    full = space.universe._full
+    base = irreducible_states(space).masks()
+    for a in range(full + 1):
+        bd = cl[a] & cl[full & ~a]
+        inside = 0
+        for o in base:
+            if not o & ~a:
+                inside |= o
+        if bd != cl[a] & ~inside:
             yield f"boundary formulas split at {a:b}"
         if cl[bd] != bd:
             yield f"boundary not closed at {a:b}"
 
 
 @_per_space("boundary-formulas", cap=CAP_VERY_HEAVY)
-def _chk_boundary_operator(v, rng):
+def _chk_boundary_operator(space, rng):
     """`operators.boundary` against the closure-minus-interior route,
     which it does not evaluate, and its complement symmetry."""
-    cl = v.cl()
-    itr = v.itr()
-    for a in range(v.full + 1):
-        got = operators.boundary(v.space, v.item(a)).mask
+    cl, itr = operators.closure_table(space), operators.interior_table(space)
+    u = space.universe
+    for a in range(u._full + 1):
+        got = operators.boundary(space, ItemSet(u, a)).mask
         if got != cl[a] & ~itr[a]:
             yield f"boundary() disagrees at {a:b}"
-        comp = operators.boundary(v.space, v.item(v.full & ~a)).mask
+        comp = operators.boundary(space, ItemSet(u, u._full & ~a)).mask
         if got != comp:
             yield f"boundary not complement-symmetric at {a:b}"
 
 
 @_per_space("interior-closure-duality")
-def _chk_interior_closure_duality(v, rng):
-    cl = v.cl()
-    itr = v.itr()
-    for a in range(v.full + 1):
-        if itr[a] != v.full & ~cl[v.full & ~a]:
+def _chk_interior_closure_duality(space, rng):
+    """`operators.interior` against the dual of the closure table."""
+    cl = operators.closure_table(space)
+    u = space.universe
+    for a in range(u._full + 1):
+        if operators.interior(space, ItemSet(u, a)).mask != u._full & ~cl[u._full & ~a]:
             yield f"duality fails at {a:b}"
 
 
 @_register("boundary-union-subadditivity", audit_only=True)
-def _chk_boundary_union_subadditivity(views, rng):
+def _chk_boundary_union_subadditivity(spaces, rng):
     """Boundary of a union inside the union of boundaries: fails in
     general; the audit records how often."""
     col = _Collector()
-    vs = views[:CAP_VERY_HEAVY]
+    capped = spaces[:CAP_VERY_HEAVY]
     pairs = 0
     bad_pairs = 0
-    for v in vs:
-        cl = v.cl()
-        itr = v.itr()
-
-        def bd(a: int) -> int:
-            return cl[a] & ~itr[a]
-
+    for space in capped:
+        cl, itr = operators.closure_table(space), operators.interior_table(space)
+        bd = [c & ~i for c, i in zip(cl, itr)]
         hit = False
-        for a in range(v.full + 1):
-            for b in range(a, v.full + 1):
+        for a in range(len(bd)):
+            for b in range(a, len(bd)):
                 pairs += 1
-                if bd(a | b) & ~(bd(a) | bd(b)):
+                if bd[a | b] & ~(bd[a] | bd[b]):
                     bad_pairs += 1
                     if not hit:
                         hit = True
-                        col.add(v.ser, f"strict at {a:b},{b:b}")
+                        col.add(space, f"strict at {a:b},{b:b}")
     summary = f"{bad_pairs}/{pairs} subset pairs violate subadditivity"
-    return len(vs), col.stored, summary
+    return len(capped), col.stored, summary
 
 
 @_per_space("fringe-characterizations")
-def _chk_fringe_characterizations(v, rng):
+def _chk_fringe_characterizations(space, rng):
     """Inner fringe via the closure of the complement of H minus the
     candidate; outer fringe via the derived set of the complement."""
-    cl = v.cl()
-    der = v.der()
-    for h, (inner, outer) in v.fr().items():
+    cl = operators.closure_table(space)
+    full = space.universe._full
+    for h in sorted(space.states.masks()):
+        rep = operators.fringes(space, ItemSet(space.universe, h))
+        inner, outer = rep.inner.mask, rep.outer.mask
         want_inner = 0
         rest = h
         while rest:
             low = rest & -rest
             rest ^= low
             hm = h & ~low
-            if not hm & cl[v.full & ~hm]:
+            if not hm & cl[full & ~hm]:
                 want_inner |= low
         if inner != want_inner:
             yield f"inner fringe of {h:b} disagrees"
-        want_outer = (v.full & ~h) & ~der[v.full & ~h]
+        want_outer = (full & ~h) & ~_derived(space.states.masks(), full, full & ~h)
         if outer != want_outer:
             yield f"outer fringe of {h:b} disagrees"
         rest = outer
         while rest:
             low = rest & -rest
             rest ^= low
-            if not v.space.states.has_mask(h | low):
+            if not space.states.has_mask(h | low):
                 yield f"outer fringe item {low:b} does not extend {h:b}"
 
 
 # --------------------------------------------------------------- separation
 
 
-def _signatures(v: _View) -> list[int]:
-    """Per item, the bitmask over open-set indices of the opens
-    containing it. Direct from the family, independent of the
+def _signatures(space: PreTopology) -> list[int]:
+    """Per item, the bitmask over the indices of the opens containing it,
+    in numeric order. Direct from the family, independent of the
     separation predicates under audit."""
-    sigs = [0] * v.n
-    for i, o in enumerate(v.opens):
+    sigs = [0] * len(space.universe)
+    for i, o in enumerate(sorted(space.states.masks())):
         rest = o
         while rest:
             low = rest & -rest
@@ -853,43 +760,44 @@ def _signatures(v: _View) -> list[int]:
 
 
 @_per_space("separation-hierarchy")
-def _chk_separation_hierarchy(v, rng):
+def _chk_separation_hierarchy(space, rng):
     """T0 against signature distinctness, T1 against the
     bi-discriminative signatures and the inner fringe of the universe;
     the next two passes test T2 and the implication chain of the
     profile flags."""
-    sigs = _signatures(v)
-    t0 = len(set(sigs)) == v.n
-    if separation.is_t0(v.space)[0] != t0:
+    sigs = _signatures(space)
+    n = len(sigs)
+    t0 = len(set(sigs)) == n
+    if separation.is_t0(space)[0] != t0:
         yield "T0 disagrees with signature distinctness"
     bi = all(
         sigs[p] & ~sigs[q] and sigs[q] & ~sigs[p]
-        for p in range(v.n)
-        for q in range(p + 1, v.n)
+        for p in range(n)
+        for q in range(p + 1, n)
     )
-    t1 = separation.is_t1(v.space)[0]
+    t1 = separation.is_t1(space)[0]
     if t1 != bi:
         yield "T1 disagrees with bi-discrimination"
-    if separation.bi_discriminative_via_fringe(v.space) != t1:
+    if separation.bi_discriminative_via_fringe(space) != t1:
         yield "fringe route to bi-discrimination disagrees"
 
 
 @_per_space("separation-hierarchy", cap=CAP_HEAVY)
-def _chk_t2_minimal_states(v, rng):
+def _chk_t2_minimal_states(space, rng):
     """T2 against disjoint ⊆-minimal states at the two points."""
-    atoms = [order.atoms_at(v.space, t).masks() for t in v.space.universe.labels]
+    atoms = [order.atoms_at(space, t).masks() for t in space.universe.labels]
     apart = all(
         any(not a & b for a in atoms[p] for b in atoms[q])
-        for p in range(v.n)
-        for q in range(p + 1, v.n)
+        for p in range(len(atoms))
+        for q in range(p + 1, len(atoms))
     )
-    if separation.is_t2(v.space)[0] != apart:
+    if separation.is_t2(space)[0] != apart:
         yield "T2 disagrees with disjoint minimal states"
 
 
 @_per_space("separation-hierarchy", cap=CAP_VERY_HEAVY)
-def _chk_separation_chain(v, rng):
-    p = separation.separation_profile(v.space)
+def _chk_separation_chain(space, rng):
+    p = separation.separation_profile(space)
     chain = (p.t4, p.t3, p.t2, p.t1, p.t0)
     for hi, lo in zip(chain, chain[1:]):
         if hi and not lo:
@@ -898,20 +806,21 @@ def _chk_separation_chain(v, rng):
 
 
 @_per_space("size-weight-bound", when=_t0)
-def _chk_size_weight_bound(v, rng):
-    if len(v.opens) > 1 << cardinal.weight(v.space):
+def _chk_size_weight_bound(space, rng):
+    if len(space.states) > 1 << cardinal.weight(space):
         yield "family larger than 2^weight on a T0 space"
 
 
 @_per_space("locally-closed-uniqueness", cap=CAP_HEAVY, when=_t0)
-def _chk_locally_closed_uniqueness(v, rng):
+def _chk_locally_closed_uniqueness(space, rng):
     """On T0 spaces, two opens whose symmetric difference sits inside
     one of their locally-closed fringes and whose fringes agree must
     be equal."""
-    fr = v.fr()
-    for a in v.opens:
+    opens = sorted(space.states.masks())
+    fr = {o: operators._fringe_masks(space, o) for o in opens}
+    for a in opens:
         ia, oa = fr[a]
-        for b in v.opens:
+        for b in opens:
             if a == b:
                 continue
             ib, ob = fr[b]
@@ -925,24 +834,25 @@ def _chk_locally_closed_uniqueness(v, rng):
 # -------------------------------------------------------------- connectivity
 
 
-def _covers_for(v: _View, rng: random.Random) -> list[list[int]]:
-    nonzero = [m for m in v.opens if m]
+def _covers_for(space: PreTopology, rng: random.Random) -> list[list[int]]:
+    full = space.universe._full
+    nonzero = sorted(space.states.masks() - {0})
     out = []
-    if v.n <= 3:
+    if len(space.universe) <= 3:
         k = len(nonzero)
         for pick in range(1, 1 << k):
             fam = [nonzero[i] for i in range(k) if pick >> i & 1]
             acc = 0
             for m in fam:
                 acc |= m
-            if acc == v.full:
+            if acc == full:
                 out.append(fam)
         return out
-    out.append([m for m in irreducible_states(v.space).masks() if m])
+    out.append([m for m in irreducible_states(space).masks() if m])
     out.append(nonzero)
     for m in nonzero:
-        if m != v.full and v.space.states.has_mask(v.full & ~m):
-            out.append([m, v.full & ~m])
+        if m != full and space.states.has_mask(full & ~m):
+            out.append([m, full & ~m])
             if len(out) > 8:
                 break
     for _ in range(3):
@@ -953,7 +863,7 @@ def _covers_for(v: _View, rng: random.Random) -> list[list[int]]:
         for m in shuffled:
             fam.append(m)
             acc |= m
-            if acc == v.full:
+            if acc == full:
                 break
         out.append(fam)
     return out
@@ -993,24 +903,25 @@ def _cover_chain_connected(fam: list[int], n: int) -> bool:
 
 
 @_per_space("chain-connected-iff-connected")
-def _chk_chain_connected_iff_connected(v, rng):
-    conn = connectivity.is_connected(v.space)
-    chain = all(_cover_chain_connected(fam, v.n) for fam in _covers_for(v, rng))
+def _chk_chain_connected_iff_connected(space, rng):
+    conn = connectivity.is_connected(space)
+    n = len(space.universe)
+    chain = all(_cover_chain_connected(fam, n) for fam in _covers_for(space, rng))
     if conn != chain:
         yield f"connected={conn} but chain-connected={chain}"
 
 
 @_per_space("chain-connected-iff-connected", cap=200)
-def _chk_cover_components(v, rng):
+def _chk_cover_components(space, rng):
     """The component route of `_cover_chain_connected` against a chain
     search for every item pair."""
-    labels = v.space.universe.labels
-    for fam in _covers_for(v, rng)[:2]:
-        family = SetFamily.from_masks(v.space.universe, fam)
-        fast = _cover_chain_connected(fam, v.n)
+    labels = space.universe.labels
+    for fam in _covers_for(space, rng)[:2]:
+        family = SetFamily.from_masks(space.universe, fam)
+        fast = _cover_chain_connected(fam, len(labels))
         slow = all(
             not isinstance(
-                connectivity.find_simple_chain(v.space, family, x, y),
+                connectivity.find_simple_chain(space, family, x, y),
                 connectivity._NoChain,
             )
             for x in labels
@@ -1022,67 +933,82 @@ def _chk_cover_components(v, rng):
 
 
 @_per_space("tight1-iff-well-graded")
-def _chk_tight1_iff_well_graded(v, rng):
-    if v.tight1() != v.well_graded():
-        yield f"tight-1={v.tight1()} well-graded={v.well_graded()}"
+def _chk_tight1_iff_well_graded(space, rng):
+    tight1 = connectivity.is_tight_n_connected(space, 1)
+    graded = _one_step_graded(space)
+    if tight1 != graded:
+        yield f"tight-1={tight1} well-graded={graded}"
 
 
 @_per_space("tight1-iff-well-graded", cap=CAP_VERY_HEAVY)
-def _chk_well_graded_path_lengths(v, rng):
-    if connectivity.is_well_graded(v.space.states) != v.well_graded():
+def _chk_well_graded_path_lengths(space, rng):
+    if connectivity.is_well_graded(space.states) != _one_step_graded(space):
         yield "one-step form disagrees with path lengths"
 
 
+def _one_step_graded(space: PreTopology) -> bool:
+    """Well-gradedness in one-step-descent form: every pair of states
+    admits a state one toggled differing item closer; chains then
+    compose."""
+    opens = space.states.masks()
+    for k in opens:
+        for h in opens:
+            rest = k ^ h
+            while rest and k ^ (rest & -rest) not in opens:
+                rest &= rest - 1
+            if k != h and not rest:
+                return False
+    return True
+
+
 @_per_space("tight1-equivalences")
-def _chk_tight1_equivalences(v, rng):
+def _chk_tight1_equivalences(space, rng):
     """The chain form agrees with the rigidity form: no two distinct
     opens U and W have the inner fringe of U inside W and its outer
     fringe outside W. (The fringe-difference form is the formula that
     `is_tight_n_connected` evaluates, so it is not compared.)"""
-    fr = v.fr()
+    opens = space.states.masks()
+    fr = {o: operators._fringe_masks(space, o) for o in opens}
     rigid = not any(
         u != w and not fr[u][0] & ~w and not fr[u][1] & w
-        for u in v.opens
-        for w in v.opens
+        for u in opens
+        for w in opens
     )
-    if v.tight1() != rigid:
-        yield f"tight1={v.tight1()} rigidity={rigid}"
+    tight1 = connectivity.is_tight_n_connected(space, 1)
+    if tight1 != rigid:
+        yield f"tight1={tight1} rigidity={rigid}"
 
 
 # --------------------------------------------------------------------- order
 
 
 @_register("quasi-order-round-trip")
-def _chk_quasi_order_round_trip(views, rng):
+def _chk_quasi_order_round_trip(spaces, rng):
     """Every open is a down-set of the specialization order; the
     Alexandroff family it generates equals the original exactly when
     the original is quasi-ordinal."""
     col = _Collector()
-    n = views[0].n if views else 3
-    for v in views:
-        sigs = _signatures(v)
+    n = len(spaces[0].universe) if spaces else 3
+    for space in spaces:
+        sigs = _signatures(space)
         up = tuple(
-            sum(
-                1 << y
-                for y in range(v.n)
-                if not sigs[y] & ~sigs[x]
-            )
-            for x in range(v.n)
+            sum(1 << y for y in range(len(sigs)) if not sigs[y] & ~sigs[x])
+            for x in range(len(sigs))
         )
-        spec = order.QuasiOrder(v.space.universe, up)
+        spec = order.QuasiOrder(space.universe, up)
         back = order.from_quasi_order(spec)
         masks = back.states.masks()
-        if not v.space.states.masks() <= masks:
-            col.add(v.ser, "an open set is not a down-set of the specialization order")
-        if order.is_quasi_ordinal(v.space) != (masks == v.space.states.masks()):
-            col.add(v.ser, "Alexandroff fixed point disagrees with quasi-ordinality")
-        if order.is_quasi_ordinal(v.space):
-            qo = order.to_quasi_order(v.space)
+        if not space.states.masks() <= masks:
+            col.add(space, "an open set is not a down-set of the specialization order")
+        if order.is_quasi_ordinal(space) != (masks == space.states.masks()):
+            col.add(space, "Alexandroff fixed point disagrees with quasi-ordinality")
+        if order.is_quasi_ordinal(space):
+            qo = order.to_quasi_order(space)
             if qo.up != up:
-                col.add(v.ser, "specialization order disagrees with the intersection route")
-            if order.from_quasi_order(qo).states.masks() != v.space.states.masks():
-                col.add(v.ser, "quasi-ordinal space does not round trip")
-    checked = len(views)
+                col.add(space, "specialization order disagrees with the intersection route")
+            if order.from_quasi_order(qo).states.masks() != space.states.masks():
+                col.add(space, "quasi-ordinal space does not round trip")
+    checked = len(spaces)
     for qo in sample_quasi_orders(n, 40, rng.randrange(1 << 30)):
         checked += 1
         back = order.to_quasi_order(order.from_quasi_order(qo))
@@ -1092,11 +1018,11 @@ def _chk_quasi_order_round_trip(views, rng):
 
 
 @_register("alexandroff-equality")
-def _chk_alexandroff_equality(views, rng):
+def _chk_alexandroff_equality(spaces, rng):
     """Two quasi-ordinal families coincide exactly when the inclusion
     order of their per-item open systems is the same relation."""
     col = _Collector()
-    qos = [v for v in views if _quasi_ordinal(v)]
+    qos = [space for space in spaces if order.is_quasi_ordinal(space)]
     pairs = [(a, b) for i, a in enumerate(qos) for b in qos[i:]]
     if len(pairs) > CAP_HEAVY:
         pairs = rng.sample(pairs, CAP_HEAVY)
@@ -1104,111 +1030,117 @@ def _chk_alexandroff_equality(views, rng):
         sa, sb = _signatures(a), _signatures(b)
         same_rel = all(
             (sa[p] & ~sa[q] == 0) == (sb[p] & ~sb[q] == 0)
-            for p in range(a.n)
-            for q in range(a.n)
+            for p in range(len(sa))
+            for q in range(len(sa))
         )
-        same_fam = a.space.states.masks() == b.space.states.masks()
+        same_fam = a.states.masks() == b.states.masks()
         if same_rel != same_fam:
-            col.add(a.ser, f"versus {b.ser()}")
+            col.add(a, f"versus {_ser(b)}")
     return len(pairs), col.stored, None
 
 
 @_per_space(
     "bi-discriminative-quasi-ordinal-powerset",
-    when=lambda v: _quasi_ordinal(v) and separation.is_t1(v.space)[0],
+    when=lambda space: order.is_quasi_ordinal(space) and separation.is_t1(space)[0],
 )
-def _chk_bi_discriminative_powerset(v, rng):
-    if len(v.opens) != 1 << v.n:
+def _chk_bi_discriminative_powerset(space, rng):
+    if len(space.states) != 1 << len(space.universe):
         yield "bi-discriminative quasi-ordinal family is not the powerset"
 
 
-@_per_space("quasi-ordinal-regularity", when=_quasi_ordinal)
-def _chk_quasi_ordinal_regularity(v, rng):
-    reg = separation.is_regular_property(v.space)[0]
+@_per_space("quasi-ordinal-regularity", when=order.is_quasi_ordinal)
+def _chk_quasi_ordinal_regularity(space, rng):
+    reg = separation.is_regular_property(space)[0]
     via_m = all(
-        v.space.states.has_mask(
-            v.full & ~order.minimal_state(v.space, t).mask
+        space.states.has_mask(
+            space.universe._full & ~order.minimal_state(space, t).mask
         )
-        for t in v.space.universe.labels
+        for t in space.universe.labels
     )
     if reg != via_m:
         yield "regularity disagrees with open complements of minimal states"
 
 
-@_per_space("ordinal-connectivity", when=lambda v: _quasi_ordinal(v) and _t0(v))
-def _chk_ordinal_connectivity(v, rng):
-    if connectivity.is_connected(v.space) != order.m_graph_connected(v.space):
+@_per_space(
+    "ordinal-connectivity", when=lambda space: order.is_quasi_ordinal(space) and _t0(space)
+)
+def _chk_ordinal_connectivity(space, rng):
+    if connectivity.is_connected(space) != order.m_graph_connected(space):
         yield "connectivity disagrees with the minimal-state graph"
 
 
 @_per_space(
-    "t0-quasi-ordinal-antimatroid-tight1", when=lambda v: _quasi_ordinal(v) and _t0(v)
+    "t0-quasi-ordinal-antimatroid-tight1",
+    when=lambda space: order.is_quasi_ordinal(space) and _t0(space),
 )
-def _chk_t0_quasi_ordinal_antimatroid(v, rng):
-    if not order.is_antimatroid(v.space):
+def _chk_t0_quasi_ordinal_antimatroid(space, rng):
+    if not order.is_antimatroid(space):
         yield "T0 quasi-ordinal space is not an antimatroid"
-    if not v.tight1():
+    if not connectivity.is_tight_n_connected(space, 1):
         yield "T0 quasi-ordinal space is not tight 1-connected"
 
 
 @_per_space("regular-atom-complement", cap=CAP_HEAVY, when=_regular)
-def _chk_regular_atom_complement(v, rng):
+def _chk_regular_atom_complement(space, rng):
     """In regular spaces a state is either co-open or not an atom at
     any of its items; likewise one step above an open set."""
     atom_masks = {
-        t: {a.mask for a in order.atoms_at(v.space, t).members}
-        for t in v.space.universe.labels
+        t: {a.mask for a in order.atoms_at(space, t).members}
+        for t in space.universe.labels
     }
-    for o in v.opens:
+    full = space.universe._full
+    opens = sorted(space.states.masks())
+    for o in opens:
         rest = o
         while rest:
             low = rest & -rest
             rest ^= low
-            t = v.space.universe.labels[low.bit_length() - 1]
-            if not v.space.states.has_mask(v.full & ~o) and o in atom_masks[t]:
+            t = space.universe.labels[low.bit_length() - 1]
+            if not space.states.has_mask(full & ~o) and o in atom_masks[t]:
                 yield f"atom {o:b} at {t} with closed complement missing"
-    fr = v.fr()
-    for k in v.opens:
-        outer = fr[k][1]
-        rest = outer
+    for k in opens:
+        rest = operators._fringe_masks(space, k)[1]
         while rest:
             low = rest & -rest
             rest ^= low
-            t = v.space.universe.labels[low.bit_length() - 1]
+            t = space.universe.labels[low.bit_length() - 1]
             ell = k | low
-            if not v.space.states.has_mask(v.full & ~ell) and ell in atom_masks[t]:
+            if not space.states.has_mask(full & ~ell) and ell in atom_masks[t]:
                 yield f"outer-fringe extension {ell:b} at {t} fails"
 
 
 @_per_space(
     "granular-regular-disconnected",
     cap=CAP_HEAVY,
-    when=lambda v: v.n >= 2 and separation.is_t1(v.space)[0] and _regular(v),
+    when=lambda space: len(space.universe) >= 2
+    and separation.is_t1(space)[0]
+    and _regular(space),
 )
-def _chk_granular_regular_disconnected(v, rng):
-    if not order.is_granular(v.space):
+def _chk_granular_regular_disconnected(space, rng):
+    if not order.is_granular(space):
         yield "finite space not granular"
         return 0
-    if connectivity.is_connected(v.space):
+    if connectivity.is_connected(space):
         yield "granular regular bi-discriminative space is connected"
 
 
 @_per_space(
-    "quasi-ordinal-regular-normal", when=lambda v: _quasi_ordinal(v) and _regular(v)
+    "quasi-ordinal-regular-normal",
+    when=lambda space: order.is_quasi_ordinal(space) and _regular(space),
 )
-def _chk_quasi_ordinal_regular_normal(v, rng):
-    if not separation.is_normal_property(v.space)[0]:
+def _chk_quasi_ordinal_regular_normal(space, rng):
+    if not separation.is_normal_property(space)[0]:
         yield "regular quasi-ordinal space is not normal"
 
 
 @_per_space("reduction-pre-quotient", cap=CAP_HEAVY)
-def _chk_reduction_pre_quotient(v, rng):
-    red = order.discriminative_reduction(v.space)
+def _chk_reduction_pre_quotient(space, rng):
+    red = order.discriminative_reduction(space)
     if not separation.is_t0(red.reduced)[0]:
         yield "reduction is not discriminative"
     if not structure.classify(red.reduced.states).is_knowledge_space:
         yield "reduction is not a space"
-    if not maps.is_pre_quotient(red.projection, v.space, red.reduced):
+    if not maps.is_pre_quotient(red.projection, space, red.reduced):
         yield "reduction projection is not a pre-quotient"
 
 
@@ -1225,20 +1157,21 @@ def _random_partition(u: Universe, rng: random.Random) -> list[ItemSet]:
     return [u.subset(b) for b in blocks if b]
 
 
-def _inclusion(sub: PreTopology, v: _View) -> maps.PointMap:
-    """The inclusion of a subspace's universe into the view's."""
-    return maps.PointMap(sub.universe, v.space.universe, {t: t for t in sub.universe.labels})
+def _inclusion(sub: PreTopology, space: PreTopology) -> maps.PointMap:
+    """The inclusion of a subspace's universe into the space's."""
+    return maps.PointMap(sub.universe, space.universe, {t: t for t in sub.universe.labels})
 
 
 @_per_space("subspace-pre-base-trace", cap=CAP_HEAVY)
-def _chk_subspace_pre_base_trace(v, rng):
+def _chk_subspace_pre_base_trace(space, rng):
     """Traces of a pre-base generate the subspace. Unit: (space, subset)
     pairs."""
+    u = space.universe
     for _ in range(2):
-        ymask = rng.randint(1, v.full)
-        sub = maps.subspace(v.space, v.item(ymask))
-        inc = _inclusion(sub, v)
-        base = irreducible_states(v.space).masks()
+        ymask = rng.randint(1, u._full)
+        sub = maps.subspace(space, ItemSet(u, ymask))
+        inc = _inclusion(sub, space)
+        base = irreducible_states(space).masks()
         trace = SetFamily.from_masks(sub.universe, {inc.preimage_mask(b) for b in base})
         if not is_pre_base_for(trace, sub):
             yield f"trace of the minimal pre-base on {ymask:b} fails"
@@ -1246,28 +1179,29 @@ def _chk_subspace_pre_base_trace(v, rng):
 
 
 @_per_space("subspace-closed-trace", cap=CAP_VERY_HEAVY)
-def _chk_subspace_closed_trace(v, rng):
+def _chk_subspace_closed_trace(space, rng):
     """Closure inside a subspace is the trace of the parent closure;
     inside a closed subspace, closed means closed in the parent. Unit:
     (space, subset) pairs, two random subsets and one closed one, which
     always exists: the complement of the empty open is the universe."""
-    cl = v.cl()
+    cl = operators.closure_table(space)
+    u = space.universe
     for _ in range(2):
-        ymask = rng.randint(1, v.full)
-        sub = maps.subspace(v.space, v.item(ymask))
-        inc = _inclusion(sub, v)
+        ymask = rng.randint(1, u._full)
+        sub = maps.subspace(space, ItemSet(u, ymask))
+        inc = _inclusion(sub, space)
         for fsub in range(1 << len(sub.universe)):
             got = operators.closure(sub, ItemSet(sub.universe, fsub)).mask
             if got != inc.preimage_mask(cl[inc.image_mask(fsub)]):
                 yield f"closure trace fails on {ymask:b} at {fsub:b}"
                 break
-    ymask = rng.choice([v.full & ~o for o in v.opens if o != v.full])
-    sub = maps.subspace(v.space, v.item(ymask))
-    inc = _inclusion(sub, v)
+    ymask = rng.choice([u._full & ~o for o in sorted(space.states.masks()) if o != u._full])
+    sub = maps.subspace(space, ItemSet(u, ymask))
+    inc = _inclusion(sub, space)
     subfull = (1 << len(sub.universe)) - 1
     for asub in range(subfull + 1):
         in_sub = sub.states.has_mask(subfull & ~asub)
-        in_parent = v.space.states.has_mask(v.full & ~inc.image_mask(asub))
+        in_parent = space.states.has_mask(u._full & ~inc.image_mask(asub))
         if in_sub != in_parent:
             yield f"closed-in-closed fails on {ymask:b} at {asub:b}"
             break
@@ -1275,64 +1209,64 @@ def _chk_subspace_closed_trace(v, rng):
 
 
 @_register("map-composition")
-def _chk_map_composition(views, rng):
+def _chk_map_composition(spaces, rng):
     """Continuity composes and is pointwise; quotient projections
     compose to quotients; a quotient map factors continuity and
     quotients through itself."""
     col = _Collector()
     checked = 0
-    for _ in range(min(300, 3 * len(views))):
-        x, y, z = rng.choice(views), rng.choice(views), rng.choice(views)
-        f = _random_map(x.space.universe, y.space.universe, rng)
-        g = _random_map(y.space.universe, z.space.universe, rng)
-        cf = maps.is_pre_continuous(f, x.space, y.space)
+    for _ in range(min(300, 3 * len(spaces))):
+        x, y, z = rng.choice(spaces), rng.choice(spaces), rng.choice(spaces)
+        f = _random_map(x.universe, y.universe, rng)
+        g = _random_map(y.universe, z.universe, rng)
+        cf = maps.is_pre_continuous(f, x, y)
         pointwise = all(
-            maps.is_pre_continuous_at(f, x.space, y.space, p)
-            for p in x.space.universe.labels
+            maps.is_pre_continuous_at(f, x, y, p)
+            for p in x.universe.labels
         )
         checked += 1
         if cf != pointwise:
-            col.add(x.ser, "pointwise continuity disagrees with continuity")
-        if cf and maps.is_pre_continuous(g, y.space, z.space):
-            if not maps.is_pre_continuous(f.then(g), x.space, z.space):
-                col.add(x.ser, "composition of continuous maps fails")
-    for _ in range(min(120, 2 * len(views))):
-        x = rng.choice(views)
-        cls1 = _random_partition(x.space.universe, rng)
-        q1 = maps.quotient(x.space, cls1)
-        p1 = maps.quotient_projection(x.space, cls1)
+            col.add(x, "pointwise continuity disagrees with continuity")
+        if cf and maps.is_pre_continuous(g, y, z):
+            if not maps.is_pre_continuous(f.then(g), x, z):
+                col.add(x, "composition of continuous maps fails")
+    for _ in range(min(120, 2 * len(spaces))):
+        x = rng.choice(spaces)
+        cls1 = _random_partition(x.universe, rng)
+        q1 = maps.quotient(x, cls1)
+        p1 = maps.quotient_projection(x, cls1)
         cls2 = _random_partition(q1.universe, rng)
         q2 = maps.quotient(q1, cls2)
         p2 = maps.quotient_projection(q1, cls2)
         comp = p1.then(p2)
         checked += 1
-        if not maps.is_pre_quotient(comp, x.space, q2):
-            col.add(x.ser, "quotient projections do not compose to a quotient")
-        k = rng.randint(1, max(1, x.n - 1))
+        if not maps.is_pre_quotient(comp, x, q2):
+            col.add(x, "quotient projections do not compose to a quotient")
+        k = rng.randint(1, max(1, len(x.universe) - 1))
         target = _random_space(
             Universe([f"w{i + 1}" for i in range(k)]), rng
         )
         g = _random_map(q2.universe, target.universe, rng)
-        through = maps.is_pre_continuous(comp.then(g), x.space, target)
+        through = maps.is_pre_continuous(comp.then(g), x, target)
         direct = maps.is_pre_continuous(g, q2, target)
         if through != direct:
-            col.add(x.ser, "factoring continuity through a quotient fails")
+            col.add(x, "factoring continuity through a quotient fails")
         onto = g.image_mask((1 << len(q2.universe)) - 1) == (1 << len(target.universe)) - 1
         if onto:
-            tq = maps.is_pre_quotient(comp.then(g), x.space, target)
+            tq = maps.is_pre_quotient(comp.then(g), x, target)
             dq = maps.is_pre_quotient(g, q2, target)
             if tq != dq:
-                col.add(x.ser, "factoring quotients through a quotient fails")
+                col.add(x, "factoring quotients through a quotient fails")
     return checked, col.stored, None
 
 
 @_register("continuous-open-closed-quotient")
-def _chk_continuous_open_closed_quotient(views, rng):
+def _chk_continuous_open_closed_quotient(spaces, rng):
     col = _Collector()
     checked = 0
-    for _ in range(min(300, 3 * len(views))):
-        x = rng.choice(views)
-        cls = _random_partition(x.space.universe, rng)
+    for _ in range(min(300, 3 * len(spaces))):
+        x = rng.choice(spaces)
+        cls = _random_partition(x.universe, rng)
         target = _random_space(
             Universe([f"w{i + 1}" for i in range(len(cls))]), rng
         )
@@ -1340,64 +1274,65 @@ def _chk_continuous_open_closed_quotient(views, rng):
         for i, c in enumerate(cls):
             for label in c.labels:
                 assign[label] = f"w{i + 1}"
-        f = maps.PointMap(x.space.universe, target.universe, assign)
+        f = maps.PointMap(x.universe, target.universe, assign)
         checked += 1
-        if maps.is_pre_continuous(f, x.space, target) and (
-            maps.is_pre_open(f, x.space, target)
-            or maps.is_pre_closed(f, x.space, target)
+        if maps.is_pre_continuous(f, x, target) and (
+            maps.is_pre_open(f, x, target)
+            or maps.is_pre_closed(f, x, target)
         ):
-            if not maps.is_pre_quotient(f, x.space, target):
-                col.add(x.ser, "continuous open/closed surjection is not a quotient")
+            if not maps.is_pre_quotient(f, x, target):
+                col.add(x, "continuous open/closed surjection is not a quotient")
     return checked, col.stored, None
 
 
 @_register("pre-continuous-bijection-equivalences")
-def _chk_bijection_equivalences(views, rng):
+def _chk_bijection_equivalences(spaces, rng):
     col = _Collector()
     checked = 0
-    for _ in range(min(400, 4 * len(views))):
-        x, y = rng.choice(views), rng.choice(views)
-        u = x.space.universe
+    for _ in range(min(400, 4 * len(spaces))):
+        x, y = rng.choice(spaces), rng.choice(spaces)
+        u = x.universe
         perm = list(u.labels)
         rng.shuffle(perm)
         f = maps.PointMap(u, u, dict(zip(u.labels, perm)))
-        if not maps.is_pre_continuous(f, x.space, y.space):
+        if not maps.is_pre_continuous(f, x, y):
             continue
         checked += 1
-        homeo = maps.is_pre_continuous(f.inverse(), y.space, x.space)
-        po = maps.is_pre_open(f, x.space, y.space)
-        pc = maps.is_pre_closed(f, x.space, y.space)
-        pq = maps.is_pre_quotient(f, x.space, y.space)
+        homeo = maps.is_pre_continuous(f.inverse(), y, x)
+        po = maps.is_pre_open(f, x, y)
+        pc = maps.is_pre_closed(f, x, y)
+        pq = maps.is_pre_quotient(f, x, y)
         if not (homeo == po == pc == pq):
             col.add(
-                x.ser,
+                x,
                 f"bijection flags diverge: homeo={homeo} open={po} closed={pc} quotient={pq}",
             )
     return checked, col.stored, None
 
 
 @_register("partial-pasting")
-def _chk_partial_pasting(views, rng):
+def _chk_partial_pasting(spaces, rng):
     """Closed pieces covering the domain, each closed preimage inside
     one piece, restrictions continuous: then the whole map is."""
     col = _Collector()
     checked = 0
-    for _ in range(min(400, 4 * len(views))):
-        v = rng.choice(views)
-        closed = [v.full & ~o for o in v.opens]
+    for _ in range(min(400, 4 * len(spaces))):
+        space = rng.choice(spaces)
+        u = space.universe
+        closed = [u._full & ~o for o in sorted(space.states.masks())]
         cs = [c for c in closed if c]
         if not cs:
             continue
         c = rng.choice(cs)
-        ds = [d for d in closed if d and (c | d) == v.full]
+        ds = [d for d in closed if d and (c | d) == u._full]
         if not ds:
             continue
         d = rng.choice(ds)
-        k = rng.randint(1, max(1, v.n - 1))
+        k = rng.randint(1, max(1, len(u) - 1))
         target = _random_space(
             Universe([f"w{i + 1}" for i in range(k)]), rng
         )
-        h = _random_map(v.space.universe, target.universe, rng)
+        h = _random_map(space.universe, target.universe, rng)
         tfull = (1 << k) - 1
         hyp = True
         for w in target.states.masks():
@@ -1407,50 +1342,61 @@ def _chk_partial_pasting(views, rng):
                 break
         if not hyp:
             continue
-        subc = maps.subspace(v.space, v.item(c))
-        subd = maps.subspace(v.space, v.item(d))
-        hc = _inclusion(subc, v).then(h)
-        hd = _inclusion(subd, v).then(h)
+        subc = maps.subspace(space, ItemSet(u, c))
+        subd = maps.subspace(space, ItemSet(u, d))
+        hc = _inclusion(subc, space).then(h)
+        hd = _inclusion(subd, space).then(h)
         if not (
             maps.is_pre_continuous(hc, subc, target)
             and maps.is_pre_continuous(hd, subd, target)
         ):
             continue
         checked += 1
-        if not maps.is_pre_continuous(h, v.space, target):
-            col.add(v.ser, f"pasting over {c:b} and {d:b} fails")
+        if not maps.is_pre_continuous(h, space, target):
+            col.add(space, f"pasting over {c:b} and {d:b} fails")
     return checked, col.stored, None
 
 
 @_register("product-of-maps")
-def _chk_product_of_maps(views, rng):
-    if not views or views[0].n > 3:
+def _chk_product_of_maps(spaces, rng):
+    """A continuous map h: B → X1 × X2 has continuous coordinates h1, h2,
+    and continuous coordinates make h continuous when B is quasi-ordinal.
+    Without that, the preimage h1⁻¹(U1) ∩ h2⁻¹(U2) of a box need not be
+    open, as for the diagonal of B = {∅, ab, bc, abc} into B × B."""
+    if not spaces or len(spaces[0].universe) > 3:
         return 0, [], "skipped beyond 3 items per factor"
     col = _Collector()
     checked = 0
-    for _ in range(min(150, 2 * len(views))):
-        x1, x2, b = rng.choice(views), rng.choice(views), rng.choice(views)
-        prod = maps.product([x1.space, x2.space])
-        h1 = _random_map(b.space.universe, x1.space.universe, rng)
-        h2 = _random_map(b.space.universe, x2.space.universe, rng)
-        h = maps.PointMap(
-            b.space.universe,
-            prod.universe,
-            {label: f"({h1(label)},{h2(label)})" for label in b.space.universe.labels},
-        )
+    for _ in range(min(150, 2 * len(spaces))):
+        x1, x2, b = rng.choice(spaces), rng.choice(spaces), rng.choice(spaces)
+        prod = maps.product([x1, x2])
+        h1 = _random_map(b.universe, x1.universe, rng)
+        h2 = _random_map(b.universe, x2.universe, rng)
         checked += 1
-        joint = maps.is_pre_continuous(h, b.space, prod)
-        split = maps.is_pre_continuous(
-            h1, b.space, x1.space
-        ) and maps.is_pre_continuous(h2, b.space, x2.space)
-        if joint != split:
-            col.add(b.ser, f"joint={joint} coordinates={split}")
+        for witness in _product_of_maps_findings(b, x1, x2, prod, h1, h2):
+            col.add(b, witness)
     return checked, col.stored, None
 
 
+def _product_of_maps_findings(b, x1, x2, prod, h1, h2) -> Iterator[str]:
+    """The two statements of `product-of-maps` on the map from the space
+    b with coordinates h1 and h2 into prod, the product of x1 and x2."""
+    h = maps.PointMap(
+        b.universe,
+        prod.universe,
+        {label: f"({h1(label)},{h2(label)})" for label in b.universe.labels},
+    )
+    joint = maps.is_pre_continuous(h, b, prod)
+    split = maps.is_pre_continuous(h1, b, x1) and maps.is_pre_continuous(h2, b, x2)
+    if joint and not split:
+        yield "continuous map with a discontinuous coordinate"
+    if split and not joint and order.is_quasi_ordinal(b):
+        yield "continuous coordinates on a quasi-ordinal domain, map not continuous"
+
+
 @_register("product-closure-law")
-def _chk_product_closure_law(views, rng):
-    if not views or views[0].n > 3:
+def _chk_product_closure_law(spaces, rng):
+    if not spaces or len(spaces[0].universe) > 3:
         return 0, [], "skipped beyond 3 items per factor"
     col = _Collector()
     checked = 0
@@ -1462,34 +1408,34 @@ def _chk_product_closure_law(views, rng):
                 mask |= 1 << prod.universe.index(f"({la},{lb})")
         return mask
 
-    for _ in range(min(100, len(views))):
-        v1, v2 = rng.choice(views), rng.choice(views)
-        prod = maps.product([v1.space, v2.space])
+    for _ in range(min(100, len(spaces))):
+        v1, v2 = rng.choice(spaces), rng.choice(spaces)
+        prod = maps.product([v1, v2])
         checked += 1
         for _ in range(3):
-            a1 = v1.item(rng.randint(0, v1.full))
-            a2 = v2.item(rng.randint(0, v2.full))
+            a1 = ItemSet(v1.universe, rng.randint(0, v1.universe._full))
+            a2 = ItemSet(v2.universe, rng.randint(0, v2.universe._full))
             got = operators.closure(prod, ItemSet(prod.universe, box(prod, a1, a2))).mask
             want = box(
                 prod,
-                operators.closure(v1.space, a1),
-                operators.closure(v2.space, a2),
+                operators.closure(v1, a1),
+                operators.closure(v2, a2),
             )
             if got != want:
-                col.add(v1.ser, f"with {v2.ser()}: closure of a box is not the box of closures")
+                col.add(v1, f"with {_ser(v2)}: closure of a box is not the box of closures")
     return checked, col.stored, None
 
 
 @_per_space("quotient-finest", cap=CAP_HEAVY)
-def _chk_quotient_finest(v, rng):
-    cls = _random_partition(v.space.universe, rng)
-    q = maps.quotient(v.space, cls)
-    proj = maps.quotient_projection(v.space, cls)
-    if not maps.is_pre_quotient(proj, v.space, q):
+def _chk_quotient_finest(space, rng):
+    cls = _random_partition(space.universe, rng)
+    q = maps.quotient(space, cls)
+    proj = maps.quotient_projection(space, cls)
+    if not maps.is_pre_quotient(proj, space, q):
         yield "projection onto the quotient is not a quotient"
     qfull = (1 << len(q.universe)) - 1
     for w in range(qfull + 1):
-        if v.space.states.has_mask(proj.preimage_mask(w)) != q.states.has_mask(w):
+        if space.states.has_mask(proj.preimage_mask(w)) != q.states.has_mask(w):
             yield "quotient family is not the open-preimage family"
             break
 
@@ -1645,18 +1591,18 @@ def _multimap_ser(comps: tuple[_Masks, ...], n_skills: int) -> str:
 
 
 @_per_space("density-exact-minimal", cap=CAP_HEAVY)
-def _chk_density_exact_minimal(v, rng):
+def _chk_density_exact_minimal(space, rng):
     """The exact answer is dense, minimum, and the least such set in
     the canonical subset order."""
-    k, dset = cardinal.density_exact(v.space)
-    blocks = [b for b in irreducible_states(v.space).masks() if b]
+    k, dset = cardinal.density_exact(space)
+    blocks = [b for b in irreducible_states(space).masks() if b]
     if not all(dset.mask & b for b in blocks):
         yield "exact answer is not dense"
-    if not operators.is_dense(v.space, dset):
+    if not operators.is_dense(space, dset):
         yield "is_dense rejects the exact answer"
     first = None
     for size in range(k + 1):
-        for combo in itertools.combinations(range(v.n), size):
+        for combo in itertools.combinations(range(len(space.universe)), size):
             mask = 0
             for i in combo:
                 mask |= 1 << i
@@ -1670,45 +1616,42 @@ def _chk_density_exact_minimal(v, rng):
 
 
 @_per_space("primary-items-dense", cap=CAP_HEAVY)
-def _chk_primary_items_dense(v, rng):
-    blocks = [b for b in irreducible_states(v.space).masks() if b]
-    tr = cardinal.greedy_primary_items(v.space)
-    dm, _ = cardinal.matrix_primary_items(irreducible_states(v.space))
+def _chk_primary_items_dense(space, rng):
+    blocks = [b for b in irreducible_states(space).masks() if b]
+    tr = cardinal.greedy_primary_items(space)
+    dm, _ = cardinal.matrix_primary_items(irreducible_states(space))
     for name, got in (("greedy", tr.result), ("matrix", dm)):
         if not all(got.mask & b for b in blocks):
             yield f"{name} output is not dense"
 
 
 @_register("greedy-matrix-dense-gap", audit_only=True)
-def _chk_greedy_matrix_gap(views, rng):
+def _chk_greedy_matrix_gap(spaces, rng):
     """Greedy and matrix runs against the exact optimum; gaps are a
     known possibility, recorded as a distribution."""
     col = _Collector()
-    vs = views[:CAP_HEAVY]
+    capped = spaces[:CAP_HEAVY]
     hist: dict[str, int] = {}
-    for v in vs:
-        k, _ = cardinal.density_exact(v.space)
-        tr = cardinal.greedy_primary_items(v.space)
-        dm, _ = cardinal.matrix_primary_items(irreducible_states(v.space))
+    for space in capped:
+        k, _ = cardinal.density_exact(space)
+        tr = cardinal.greedy_primary_items(space)
+        dm, _ = cardinal.matrix_primary_items(irreducible_states(space))
         g_gap = len(tr.result.labels) - k
         m_gap = len(dm.labels) - k
         key = f"greedy+{g_gap} matrix+{m_gap}"
         hist[key] = hist.get(key, 0) + 1
         if g_gap or m_gap:
-            col.add(
-                v.ser,
-                f"greedy={len(tr.result.labels)} matrix={len(dm.labels)} exact={k}",
-            )
+            col.add(space, f"greedy={len(tr.result.labels)} matrix={len(dm.labels)} exact={k}")
     summary = "gap distribution: " + "; ".join(
         f"{key}: {cnt}" for key, cnt in sorted(hist.items())
     )
-    return len(vs), col.stored, summary
+    return len(capped), col.stored, summary
 
 
 @_per_space("dense-ge-cellularity")
-def _chk_dense_ge_cellularity(v, rng):
-    k, _ = cardinal.density_exact(v.space)
-    c = cardinal.cellularity(v.space)
+def _chk_dense_ge_cellularity(space, rng):
+    k, _ = cardinal.density_exact(space)
+    c = cardinal.cellularity(space)
     if k < c:
         yield f"density {k} below cellularity {c}"
 
@@ -1716,28 +1659,29 @@ def _chk_dense_ge_cellularity(v, rng):
 @_per_space(
     "hausdorff-trace-density-bound",
     cap=CAP_HEAVY,
-    when=lambda v: separation.is_t2(v.space)[0],
+    when=lambda space: separation.is_t2(space)[0],
 )
-def _chk_hausdorff_trace_density_bound(v, rng):
+def _chk_hausdorff_trace_density_bound(space, rng):
     """Complete discrimination plus a dense set whose trace preserves
     state closures caps the universe by a double exponential."""
-    k, dset = cardinal.density_exact(v.space)
-    cl = v.cl()
-    if not all(cl[h & dset.mask] == cl[h] for h in v.opens):
+    k, dset = cardinal.density_exact(space)
+    cl = operators.closure_table(space)
+    if not all(cl[h & dset.mask] == cl[h] for h in space.states.masks()):
         return 0
-    if v.n > 1 << (1 << k):
+    if len(space.universe) > 1 << (1 << k):
         yield f"universe exceeds the bound at density {k}"
 
 
 @_per_space("block-disjointness", cap=CAP_HEAVY)
-def _chk_block_disjointness(v, rng):
+def _chk_block_disjointness(space, rng):
     """Items hit by the maximum number of members of a subfamily have
     pairwise equal or disjoint intersections of their members. Unit:
     sub-families."""
-    nonzero = [m for m in v.opens if m]
+    n = len(space.universe)
+    nonzero = sorted(space.states.masks() - {0})
     for _ in range(3):
         fam = rng.sample(nonzero, rng.randint(1, min(6, len(nonzero))))
-        counts = [0] * v.n
+        counts = [0] * n
         for m in fam:
             rest = m
             while rest:
@@ -1746,9 +1690,9 @@ def _chk_block_disjointness(v, rng):
                 counts[low.bit_length() - 1] += 1
         best = max(counts)
         inters = []
-        for i in range(v.n):
+        for i in range(n):
             if counts[i] == best:
-                inter = v.full
+                inter = space.universe._full
                 for m in fam:
                     if m >> i & 1:
                         inter &= m
@@ -1761,18 +1705,17 @@ def _chk_block_disjointness(v, rng):
 
 
 @_register("cover-dense-subfamily")
-def _chk_cover_dense_subfamily(views, rng):
+def _chk_cover_dense_subfamily(spaces, rng):
     """Every open cover has at most cellularity-many members whose
     union is dense. Checked by sweep; kept to small universes."""
-    if not views or views[0].n > 4:
+    if not spaces or len(spaces[0].universe) > 4:
         return 0, [], "skipped beyond 4 items"
     col = _Collector()
     checked = 0
-    vs = views if views[0].n <= 3 else views[:300]
-    for v in vs:
-        c = cardinal.cellularity(v.space)
-        cl = v.cl()
-        for fam in _covers_for(v, rng):
+    for space in spaces if len(spaces[0].universe) <= 3 else spaces[:300]:
+        c = cardinal.cellularity(space)
+        cl = operators.closure_table(space)
+        for fam in _covers_for(space, rng):
             checked += 1
             found = False
             for size in range(1, min(c, len(fam)) + 1):
@@ -1780,11 +1723,11 @@ def _chk_cover_dense_subfamily(views, rng):
                     acc = 0
                     for m in combo:
                         acc |= m
-                    if cl[acc] == v.full:
+                    if cl[acc] == space.universe._full:
                         found = True
                         break
                 if found:
                     break
             if not found:
-                col.add(v.ser, f"no dense subfamily of size {c} in a {len(fam)}-member cover")
+                col.add(space, f"no dense subfamily of size {c} in a {len(fam)}-member cover")
     return checked, col.stored, None

@@ -28,7 +28,7 @@ from itertools import chain, compress, groupby, takewhile
 from operator import and_, or_
 
 from .core import ItemSet, PreTopology, Universe, _canonical_key, _flags
-from .operators import fringes
+from .operators import _fringe_masks
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,8 @@ def is_completely_discriminative(space: PreTopology) -> bool:
 
 def bi_discriminative_via_fringe(space: PreTopology) -> bool:
     """T1 criterion through the inner fringe of the whole universe."""
-    return fringes(space, space.universe.full).inner == space.universe.full
+    full = space.universe._full
+    return _fringe_masks(space, full)[0] == full
 
 
 def separation_profile(space: PreTopology) -> SeparationProfile:

@@ -155,16 +155,12 @@ class ClosureOperatorTable:
 
     @classmethod
     def of_space(cls, space: PreTopology) -> "ClosureOperatorTable":
-        """The closure of every subset: 2^m entries, so the universe is
-        guarded by the bound of `from_relation`."""
-        from .operators import closure
+        """The closure of every subset, read from `operators.closure_table`,
+        the dual of the space's interior table: built once in O(2^m·m),
+        with the universe guarded by the bound of `from_relation`."""
+        from .operators import closure_table
 
-        u = space.universe
-        _guard(len(u), RELATION_UNIVERSE_BOUND, "closure table universe", None)
-        table = {
-            m: closure(space, ItemSet(u, m)).mask for m in range(1 << len(u))
-        }
-        return cls(u, table)
+        return cls(space.universe, dict(enumerate(closure_table(space))))
 
 
 def from_closure_operator(table: ClosureOperatorTable) -> PreTopology:

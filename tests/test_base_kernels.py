@@ -24,9 +24,14 @@ T0, T1, quasi-ordinality, minimal states and the discriminative
 reduction were computed with before. The operators (closure, interior,
 boundary, derived set, density), which read the base, are compared with
 the scans of every open they replace, on every space on up to 4 points
-and on seeded spaces on up to 16 items. The base of a family is computed
-once and shared by every kernel that reads it, and a family made from
-masks builds no member item set unless someone iterates over it.
+and on seeded spaces on up to 16 items. So are the subset tables
+(`interior_table`, `closure_table`) and the fringe kernel
+(`_fringe_masks`), against the per-subset operators and a copy of the
+per-item fringe loop, with `is_tight_n_connected(·, 1)` against a copy of
+its loop over `fringes` reports. The base of a family is computed once
+and shared by every kernel that reads it, the subset tables are built
+once and kept with it, and a family made from masks builds no member
+item set unless someone iterates over it.
 """
 
 import itertools
@@ -34,7 +39,7 @@ import random
 
 import pytest
 
-from pretopo import cardinal, core, miner
+from pretopo import cardinal, core, miner, operators
 from pretopo.core import (
     KnowledgeStructure,
     PreTopology,
@@ -46,7 +51,18 @@ from pretopo.core import (
 )
 from pretopo.errors import AxiomViolation, NotQuasiOrdinal
 from pretopo.maps import PointMap
-from pretopo.operators import boundary, closure, derived_set, interior, is_dense
+from pretopo.connectivity import is_tight_n_connected
+from pretopo.operators import (
+    _fringe_masks,
+    boundary,
+    closure,
+    closure_table,
+    derived_set,
+    fringes,
+    interior,
+    interior_table,
+    is_dense,
+)
 from pretopo.order import (
     Reduction,
     discriminative_reduction,
@@ -68,6 +84,7 @@ from pretopo.separation import (
     is_t2,
     separation_profile,
 )
+from pretopo import structure
 from pretopo.structure import classify
 
 # ------------------------------------------------------------------ oracles
@@ -339,6 +356,34 @@ def oracle_derived_set(opens, n, a):
     return out
 
 
+def oracle_fringes(space, w):
+    """The per-item loop of `fringes` before the mask kernel."""
+    inner = 0
+    outer = 0
+    for i in range(len(space.universe)):
+        bit = 1 << i
+        if w & bit:
+            if space.states.has_mask(w & ~bit):
+                inner |= bit
+        elif space.states.has_mask(w | bit):
+            outer |= bit
+    return inner, outer
+
+
+def oracle_tight1(space):
+    """`is_tight_n_connected(space, 1)` before the fringe kernel: one
+    `fringes` report per member, over the item-set members."""
+    members = list(space.states.members)
+    lc = {m.mask: fringes(space, m).full.mask for m in members}
+    for u_ in members:
+        for w in members:
+            if u_.mask == w.mask:
+                continue
+            if not ((u_.mask ^ w.mask) & lc[u_.mask]):
+                return False
+    return True
+
+
 # ------------------------------------------------------------------ drivers
 
 
@@ -438,6 +483,23 @@ def check_operators(space, queries):
         assert boundary(space, item_set).mask == cl & oracle_closure(opens, full, full & ~a)
         assert derived_set(space, item_set).mask == oracle_derived_set(opens, n, a)
         assert is_dense(space, item_set) == (cl == full)
+
+
+def check_tables(space, queries):
+    """The subset tables and the fringe kernel against the per-subset
+    operators and the per-item fringe loop, on the given masks."""
+    u = space.universe
+    itr, cl = interior_table(space), closure_table(space)
+    assert len(itr) == len(cl) == 1 << len(u)
+    for a in queries:
+        item_set = u.from_mask(a)
+        assert itr[a] == interior(space, item_set).mask
+        assert cl[a] == closure(space, item_set).mask
+        want = oracle_fringes(space, a)
+        assert _fringe_masks(space, a) == want
+        rep = fringes(space, item_set)
+        assert (rep.inner.mask, rep.outer.mask) == want
+    assert is_tight_n_connected(space, 1) == oracle_tight1(space)
 
 
 def random_families(count, seed):
@@ -647,6 +709,45 @@ def test_operators_on_seeded_spaces_up_to_sixteen_items():
         # sparse sets, so that some are dense and some derived sets are nonempty
         queries += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
         check_operators(space, queries)
+
+
+def test_subset_tables_and_fringes_on_every_space_up_to_four_points():
+    for n in (1, 2, 3, 4):
+        for space in miner.enumerate_spaces(n):
+            check_tables(space, range(1 << n))
+
+
+def test_subset_tables_and_fringes_on_seeded_spaces_up_to_sixteen_items():
+    """Every subset up to 10 items; past that, the empty set, the
+    universe, the states, and random and sparse sets."""
+    rng = random.Random(17)
+    sizes = [rng.randint(1, 16) for _ in range(60)] + [16]
+    for m in sizes:
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        full = (1 << m) - 1
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(1, 8))]
+        space = PreTopology(u, SetFamily.from_masks(u, union_closure_masks(gens) | {full}))
+        if m <= 10:
+            queries = range(full + 1)
+        else:
+            queries = [0, full, *space.states.masks()]
+            queries += [rng.getrandbits(m) for _ in range(40)]
+            queries += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(20)]
+        check_tables(space, queries)
+
+
+def test_the_subset_tables_are_built_once_and_read_by_the_closure_operator(monkeypatch):
+    space = miner.enumerate_spaces(4)[-300]
+    itr = interior_table(space)
+    assert interior_table(space) is itr
+    assert space.states._base().interiors is itr
+
+    def refuse(*args):
+        raise AssertionError("a per-subset closure query")
+
+    monkeypatch.setattr(operators, "closure", refuse)
+    table = structure.ClosureOperatorTable.of_space(space)
+    assert [table.assignment[a] for a in range(16)] == list(closure_table(space))
 
 
 def test_the_base_of_a_family_is_computed_once(monkeypatch):

@@ -1,7 +1,7 @@
 """Every per-space check can still fail.
 
-Each entry monkeypatches one library function, or one table of the
-miner's `_View`, so that it breaks the statement one check audits. The
+Each entry monkeypatches one library function, or one of the miner's
+own routes, so that it breaks the statement one check audits. The
 check must report `fails` under the mutant and `holds` without it, at
 the smallest universe size where the mutant shows. A test body that no
 longer ran, or whose violations were no longer collected, would leave
@@ -41,15 +41,19 @@ def _closure_drops_lowest_item(real):
 
 
 def _flip_low_bit(real):
-    return lambda self: [x ^ 1 for x in real(self)]
+    return lambda space: [x ^ 1 for x in real(space)]
 
 
 def _swap_fringes(real):
-    return lambda self: {o: (outer, inner) for o, (inner, outer) in real(self).items()}
+    def fringes(space, w):
+        got = real(space, w)
+        return operators.FringeReport(inner=got.outer, outer=got.inner)
+
+    return fringes
 
 
 def _full_fringes(real):
-    return lambda self: {o: (self.full, self.full) for o in real(self)}
+    return lambda space, w: (space.universe.full.mask,) * 2
 
 
 def _forced(value):
@@ -91,7 +95,9 @@ MUTANTS = {
             real(fam), is_quasi_ordinal=not real(fam).is_quasi_ordinal
         ), 1,
     ),
-    "closure-axioms": (operators, "closure", _closure_drops_lowest_item, 1),
+    "closure-axioms": (
+        operators, "closure_table", lambda real: lambda space: [c & ~1 for c in real(space)], 1
+    ),
     "closure-point-test": (operators, "closure", _closure_of_universe_empty, 1),
     "derived-set-definition": (
         operators, "derived_set",
@@ -99,14 +105,18 @@ MUTANTS = {
             a.universe, a.universe.full.mask & ~real(space, a).mask
         ), 1,
     ),
-    "closure-derived-union": (miner._View, "der", _flip_low_bit, 1),
-    "closure-union-superadditive": (operators, "closure", _closure_of_universe_empty, 2),
+    "closure-derived-union": (
+        miner, "_derived", lambda real: lambda opens, full, a: real(opens, full, a) ^ 1, 1
+    ),
+    "closure-union-superadditive": (
+        operators, "closure_table", lambda real: lambda space: [*real(space)[:-1], 0], 2
+    ),
     "interior-closure-duality": (
         operators, "interior", lambda real: lambda space, a: ItemSet(a.universe, 0), 1
     ),
-    "fringe-characterizations": (miner._View, "fr", _swap_fringes, 1),
+    "fringe-characterizations": (operators, "fringes", _swap_fringes, 1),
     "size-weight-bound": (cardinal, "weight", lambda real: lambda sp: real(sp) - 1, 1),
-    "locally-closed-uniqueness": (miner._View, "fr", _full_fringes, 1),
+    "locally-closed-uniqueness": (operators, "_fringe_masks", _full_fringes, 1),
     "tight1-equivalences": (connectivity, "is_tight_n_connected", _forced(False), 1),
     "bi-discriminative-quasi-ordinal-powerset": (
         separation, "is_t1", _forced((True, None)), 2
@@ -138,7 +148,10 @@ MUTANTS = {
     "hausdorff-trace-density-bound": (
         cardinal, "density_exact", lambda real: lambda sp: (0, sp.universe.full), 3
     ),
-    "boundary-formulas": (miner._View, "itr", _flip_low_bit, 1),
+    # the closure table is the complement dual of the interior table, so
+    # the flip reaches both; the first pass reads the interior from the
+    # opens, and the two boundary formulas split
+    "boundary-formulas": (operators, "interior_table", _flip_low_bit, 1),
     "boundary-formulas/2": (
         operators, "boundary", lambda real: lambda space, a: ItemSet(a.universe, 0), 2
     ),

@@ -7,12 +7,19 @@ from pathlib import Path
 
 import pretopo
 import pretopo.core
+import pretopo.operators
 
 
 def test_core_doctests():
     result = doctest.testmod(pretopo.core)
     assert result.failed == 0
     assert result.attempted >= 7
+
+
+def test_operators_doctests():
+    result = doctest.testmod(pretopo.operators)
+    assert result.failed == 0
+    assert result.attempted >= 5
 
 
 def test_every_module_doctests():

@@ -19,6 +19,7 @@ from pretopo import (
     Universe,
     cardinal,
     miner,
+    operators,
     skills,
     structure,
 )
@@ -115,12 +116,18 @@ def test_guard_raises_past_its_default(name):
     )
 
 
-def test_closure_table_of_a_space_past_the_relation_bound_raises_at_once():
+@pytest.mark.parametrize(
+    "table",
+    [structure.ClosureOperatorTable.of_space, operators.interior_table],
+    ids=["of_space", "interior_table"],
+)
+def test_closure_table_of_a_space_past_the_relation_bound_raises_at_once(table):
     n = structure.RELATION_UNIVERSE_BOUND + 1
     u = universe(n)
     chain = PreTopology(u, SetFamily.from_masks(u, {(1 << i) - 1 for i in range(n + 1)}))
-    with pytest.raises(BoundExceeded, match=f": {n} exceeds the configured bound {n - 1}$"):
-        structure.ClosureOperatorTable.of_space(chain)
+    with pytest.raises(BoundExceeded) as info:
+        table(chain)
+    assert str(info.value) == f"subset table universe: {n} exceeds the configured bound {n - 1}"
 
 
 @pytest.mark.parametrize("name", list(GUARDED))

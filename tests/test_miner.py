@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from pretopo import miner, skills
+from pretopo import maps, miner, order, skills
 from pretopo import (
     ItemSet,
+    PreTopology,
     SkillMultimap,
     Universe,
     BoundExceeded,
@@ -115,10 +116,10 @@ def test_a_registered_id_takes_passes_only_from_per_space(monkeypatch):
     skill check; a repeated `_per_space` adds a pass."""
     monkeypatch.setattr(miner, "_REGISTRY", dict(miner._REGISTRY))
 
-    def runner(views, rng):
+    def runner(spaces, rng):
         return 0, [], None
 
-    def step(v, rng):
+    def step(space, rng):
         yield from ()
 
     for ident in ("distance-metric", "closure-axioms", "p-monotone-union"):
@@ -163,6 +164,47 @@ def test_atom_pre_base_audit_witness_at_two():
     assert [[], ["z1"], ["z1", "z2"]] in spaces
 
 
+def test_product_of_maps_statements_hold_on_every_small_product():
+    """Both statements of `product-of-maps`, on every map from a space B
+    on at most 3 points into a product of two spaces on at most 2 points
+    each: a continuous map has continuous coordinates, and continuous
+    coordinates make the map continuous when B is quasi-ordinal."""
+    domains = [space for n in (1, 2, 3) for space in enumerate_spaces(n)]
+    factors = [space for n in (1, 2) for space in enumerate_spaces(n)]
+    cases = 0
+    for x1, x2 in itertools.product(factors, repeat=2):
+        prod = maps.product([x1, x2])
+        for b in domains:
+            labels = b.universe.labels
+            for images in itertools.product(
+                itertools.product(x1.universe.labels, repeat=len(labels)),
+                itertools.product(x2.universe.labels, repeat=len(labels)),
+            ):
+                h1, h2 = (
+                    maps.PointMap(b.universe, x.universe, dict(zip(labels, image)))
+                    for x, image in zip((x1, x2), images)
+                )
+                cases += 1
+                assert list(miner._product_of_maps_findings(b, x1, x2, prod, h1, h2)) == []
+    assert cases == 50242
+
+
+def test_product_of_maps_converse_needs_a_quasi_ordinal_domain():
+    """The diagonal of B = {∅, ab, bc, abc} into B × B has continuous
+    coordinates, the identity, but the preimage of the box ab × bc is
+    {b}, which is not open. B is not closed under intersection, so the
+    check reports nothing."""
+    u = Universe(["a", "b", "c"])
+    b = PreTopology(u, SetFamily.of(u, [[], ["a", "b"], ["b", "c"], ["a", "b", "c"]]))
+    prod = maps.product([b, b])
+    identity = maps.PointMap(u, u, {t: t for t in u.labels})
+    diagonal = maps.PointMap(u, prod.universe, {t: f"({t},{t})" for t in u.labels})
+    assert maps.is_pre_continuous(identity, b, b)
+    assert not maps.is_pre_continuous(diagonal, b, prod)
+    assert not order.is_quasi_ordinal(b)
+    assert list(miner._product_of_maps_findings(b, b, b, prod, identity, identity)) == []
+
+
 def test_report_serialization_schema():
     report = audit("closure-axioms", 2, seed=0)[0]
     obj = report.to_obj()
@@ -187,14 +229,15 @@ def test_a_report_does_not_depend_on_the_other_checks_of_its_call():
             assert report.to_obj() == alone[report.theorem]
 
 
-def per_pick_minimal_base_check(views, rng):
+def per_pick_minimal_base_check(spaces, rng):
     """The minimal-base audit by its definition: one union closure per
     pick of nonzero states, every pick up to 10 states, else 200 drawn."""
     stored = []
     checked = 0
-    for v in views:
-        irr_masks = set(miner.irreducible_states(v.space).masks()) - {0}
-        nonzero = [m for m in v.opens if m]
+    for space in spaces:
+        irr_masks = set(miner.irreducible_states(space).masks()) - {0}
+        opens = sorted(space.states.masks())
+        nonzero = [m for m in opens if m]
         k = len(nonzero)
         if k <= 10:
             pool = range(1, 1 << k)
@@ -203,31 +246,32 @@ def per_pick_minimal_base_check(views, rng):
         for pick in pool:
             fam = [nonzero[i] for i in range(k) if pick >> i & 1]
             checked += 1
-            if union_closure_masks(fam) == set(v.opens) and not irr_masks <= set(fam):
+            if union_closure_masks(fam) == set(opens) and not irr_masks <= set(fam):
                 if len(stored) < miner.MAX_STORED:
-                    stored.append((v.ser(), f"pre-base {fam} misses an irreducible state"))
+                    ser = json.dumps(space.to_obj(), separators=(",", ":"))
+                    stored.append((ser, f"pre-base {fam} misses an irreducible state"))
     return checked, stored
 
 
-def minimal_base_views():
+def minimal_base_spaces():
     spaces = [s for n in (1, 2, 3) for s in enumerate_spaces(n)]
     spaces += enumerate_spaces(4)[:400]
     spaces += sample_spaces(5, 200, seed=11)
-    return [miner._View(s) for s in spaces]
+    return spaces
 
 
-def both_minimal_base_routes(views):
+def both_minimal_base_routes(spaces):
     check = miner._REGISTRY["minimal-base-in-every-pre-base"]
-    checked, stored, _ = miner._walk(check, views, random.Random(5))
-    return (checked, stored), per_pick_minimal_base_check(views, random.Random(5))
+    checked, stored, _ = miner._walk(check, spaces, random.Random(5))
+    return (checked, stored), per_pick_minimal_base_check(spaces, random.Random(5))
 
 
 def test_minimal_base_audit_matches_the_per_pick_route():
-    views = minimal_base_views()
-    sizes = [len(v.opens) - 1 for v in views]
+    spaces = minimal_base_spaces()
+    sizes = [len(space.states) - 1 for space in spaces]
     # both the all-picks bitsets and the sampled picks are exercised
     assert min(sizes) <= 10 < max(sizes)
-    fast, slow = both_minimal_base_routes(views)
+    fast, slow = both_minimal_base_routes(spaces)
     assert fast == slow
     assert fast[1] == []
 
@@ -248,12 +292,13 @@ def test_minimal_base_audit_fails_with_the_per_pick_route_on_a_wrong_base(monkey
     )
     mutations = ("swap", "add", "only", "foreign", "drop")
     for mutate in mutations:
-        views = minimal_base_views()
+        spaces = minimal_base_spaces()
         wrong.clear()
-        for v in views:
-            irr = set(true_base(v.space).masks()) - {0}
-            reducible = [s for s in v.opens if s and s not in irr]
-            outside = [a for a in range(1, v.full) if a not in v.opens]
+        for space in spaces:
+            opens = sorted(space.states.masks())
+            irr = set(true_base(space).masks()) - {0}
+            reducible = [s for s in opens if s and s not in irr]
+            outside = [a for a in range(1, space.universe._full) if a not in opens]
             if mutate == "drop":
                 irr.discard(max(irr))
             elif mutate == "foreign" and outside:
@@ -266,9 +311,9 @@ def test_minimal_base_audit_fails_with_the_per_pick_route_on_a_wrong_base(monkey
                 irr.add(reducible[0])
             else:
                 continue
-            wrong[id(v.space)] = SetFamily.from_masks(v.space.universe, irr)
+            wrong[id(space)] = SetFamily.from_masks(space.universe, irr)
         assert len(wrong) > 100
-        fast, slow = both_minimal_base_routes(views)
+        fast, slow = both_minimal_base_routes(spaces)
         assert fast == slow, mutate
         assert bool(fast[1]) == (mutate != "drop"), mutate
 
@@ -348,7 +393,7 @@ def test_a_wrong_skill_kernel_fails_its_check(monkeypatch, kernel, mutate, ident
     assert json.loads(stored[0][0]) == witness.to_obj()
 
 
-def test_collector_builds_a_witness_only_when_it_stores_it():
+def test_collector_builds_a_witness_only_when_it_stores_it(monkeypatch):
     built = []
 
     def ser():
@@ -360,6 +405,15 @@ def test_collector_builds_a_witness_only_when_it_stores_it():
         col.add(ser, "witness")
     assert col.total == miner.MAX_STORED + 5
     assert len(col.stored) == len(built) == miner.MAX_STORED
+
+    real = miner._ser
+    monkeypatch.setattr(miner, "_ser", lambda space: built.append(space) or real(space))
+    space = enumerate_spaces(2)[1]
+    col = miner._Collector()
+    for _ in range(miner.MAX_STORED + 5):
+        col.add(space, "witness")
+    assert len(built) == 2 * miner.MAX_STORED
+    assert col.stored[0] == (json.dumps(space.to_obj(), separators=(",", ":")), "witness")
 
 
 def test_audit_sweeps_the_multimaps_once_per_call(monkeypatch):
