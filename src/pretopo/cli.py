@@ -64,7 +64,7 @@ def _fmt(s: ItemSet) -> str:
     return "{" + ",".join(s.labels) + "}"
 
 
-def _emit(args, obj: dict, table: str) -> int:
+def _emit(args, obj: dict | None, table: str) -> int:
     if args.format == "json":
         print(json.dumps(obj, indent=2))
     else:
@@ -329,12 +329,8 @@ def _cmd_map(args) -> int:
 def _cmd_product(args) -> int:
     factors = [_space(path) for path in args.families]
     prod = maps.product(factors)
-    obj = prod.to_obj()
-    lines = [
-        f"items {len(prod.universe)}",
-        f"states {len(prod.states.members)}",
-    ]
-    return _emit(args, obj, "\n".join(lines))
+    obj = prod.to_obj() if args.format == "json" else None
+    return _emit(args, obj, f"items {len(prod.universe)}\nstates {len(prod.states)}")
 
 
 def _cmd_mine(args) -> int:

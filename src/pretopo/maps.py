@@ -2,11 +2,13 @@
 
 Pre-continuity asks for open preimages of opens; since preimages commute
 with unions it suffices to test the minimal pre-base of the codomain,
-which is what the global test does. Subspace, product and quotient
-build their family from masks and mark the space trusted: the traces,
-the union closure of the boxes and the images of the saturated states
-are union-closed by construction, so none is validated again. The child
-pre-topology is a bare `SetFamily`.
+which is what the global test does. Images commute with unions too, and
+f(∅) = ∅, so pre-openness tests the images of the domain's base.
+Subspace, product and quotient build their family from masks and mark
+the space trusted: the traces, the union closure of the base boxes and
+the images of the saturated states are union-closed by construction.
+The child pre-topology is a bare `SetFamily`. The product's row-major
+layout (`_box`) and the subspace inclusion (`_inclusion`) live here only.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
 from operator import or_
 
@@ -211,8 +213,9 @@ def is_pre_continuous_at(
 
 
 def is_pre_open(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
+    """Images of opens are open; tested on the minimal pre-base of x."""
     _check_map(f, x, y)
-    return all(y.states.has_mask(f.image_mask(o)) for o in x.states.masks())
+    return all(y.states.has_mask(f.image_mask(b)) for b in irreducible_states(x).masks())
 
 
 def is_pre_closed(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
@@ -309,8 +312,28 @@ def subspace(space: PreTopology, y: ItemSet) -> PreTopology:
     )
 
 
+def _inclusion(sub: PreTopology, space: PreTopology) -> PointMap:
+    """The inclusion of a subspace's universe into the space's; preimages are traces."""
+    return PointMap(sub.universe, space.universe, {t: t for t in sub.universe.labels})
+
+
+def _box(sizes: Sequence[int], masks: Sequence[int]) -> int:
+    """The mask of m1 × m2 × … over universes of the given sizes, row-major
+    as `itertools.product` lists the label tuples: (i1, i2, …) is item
+    (…(i1·s2 + i2)·s3 + …). The shifted copies summed are disjoint."""
+    out, width = 1, 1
+    for size, m in zip(reversed(sizes), reversed(masks)):
+        out = sum(out << i * width for i in range(size) if m >> i & 1)
+        width *= size
+    return out
+
+
 def product(xs: list[PreTopology]) -> PreTopology:
-    """Union closure of open boxes over the tuple universe (row-major)."""
+    """Union closure of the boxes U1 × U2 × … of opens, on the label tuples
+    '(a,b,…)' in row-major order (`_box`), from the Π|Bi| boxes of the
+    factors' base members alone: each Ui is the union of the base members
+    inside it and × distributes over ∪, so every box of opens is a union
+    of base boxes (∅ the empty one, the universe that of the covers)."""
     if not xs:
         raise ValueError("product needs at least one factor")
     total = 1
@@ -320,17 +343,11 @@ def product(xs: list[PreTopology]) -> PreTopology:
         raise UniverseOverflow(
             f"product universe would have {total} items (cap {MAX_UNIVERSE})"
         )
-    label_tuples = list(itertools.product(*(s.universe.labels for s in xs)))
-    labels = ["(" + ",".join(t) + ")" for t in label_tuples]
-    universe = Universe(labels)
-    index_of = {t: i for i, t in enumerate(label_tuples)}
-    boxes = []
-    for opens in itertools.product(*(s.states.members for s in xs)):
-        mask = 0
-        for combo in itertools.product(*(o.labels for o in opens)):
-            mask |= 1 << index_of[combo]
-        boxes.append(mask)
-    masks = union_closure_masks(boxes)
+    tuples = itertools.product(*(s.universe.labels for s in xs))
+    universe = Universe(["(" + ",".join(t) + ")" for t in tuples])
+    sizes = [len(s.universe) for s in xs]
+    bases = [irreducible_states(s).masks() for s in xs]
+    masks = union_closure_masks(_box(sizes, ms) for ms in itertools.product(*bases))
     return PreTopology(universe, SetFamily.from_masks(universe, masks), _trusted=True)
 
 
@@ -434,13 +451,8 @@ def child_pretopology(space: PreTopology, b: ItemSet, u: ItemSet) -> ChildPretop
         coarser = True
     else:
         traces = subspace(space, carrier)
-        sub = traces.universe
-        tables = _byte_tables(
-            [1 << sub.index(t) if t in sub else 0 for t in space.universe.labels],
-            or_,
-            0,
-        )
-        coarser = all(traces.states.has_mask(_push(tables, g)) for g in gamma)
+        inc = _inclusion(traces, space)
+        coarser = all(traces.states.has_mask(inc.preimage_mask(g)) for g in gamma)
     return ChildPretopology(
         family=family, carrier=carrier, coarser_than_subspace=coarser
     )

@@ -965,12 +965,14 @@ def _one_step_graded(space: PreTopology) -> bool:
 def _chk_tight1_equivalences(space, rng):
     """The chain form agrees with the rigidity form: no two distinct
     opens U and W have the inner fringe of U inside W and its outer
-    fringe outside W. (The fringe-difference form is the formula that
-    `is_tight_n_connected` evaluates, so it is not compared.)"""
+    fringe outside W. The fringes, fr[u] the items whose toggle keeps u
+    open, are read from the states and not from the fringe kernel that
+    `is_tight_n_connected` evaluates, so a wrong kernel shows."""
     opens = space.states.masks()
-    fr = {o: operators._fringe_masks(space, o) for o in opens}
+    bits = [1 << i for i in range(len(space.universe))]
+    fr = {u: sum(b for b in bits if u ^ b in opens) for u in opens}
     rigid = not any(
-        u != w and not fr[u][0] & ~w and not fr[u][1] & w
+        u != w and not fr[u] & u & ~w and not fr[u] & ~u & w
         for u in opens
         for w in opens
     )
@@ -1157,11 +1159,6 @@ def _random_partition(u: Universe, rng: random.Random) -> list[ItemSet]:
     return [u.subset(b) for b in blocks if b]
 
 
-def _inclusion(sub: PreTopology, space: PreTopology) -> maps.PointMap:
-    """The inclusion of a subspace's universe into the space's."""
-    return maps.PointMap(sub.universe, space.universe, {t: t for t in sub.universe.labels})
-
-
 @_per_space("subspace-pre-base-trace", cap=CAP_HEAVY)
 def _chk_subspace_pre_base_trace(space, rng):
     """Traces of a pre-base generate the subspace. Unit: (space, subset)
@@ -1170,7 +1167,7 @@ def _chk_subspace_pre_base_trace(space, rng):
     for _ in range(2):
         ymask = rng.randint(1, u._full)
         sub = maps.subspace(space, ItemSet(u, ymask))
-        inc = _inclusion(sub, space)
+        inc = maps._inclusion(sub, space)
         base = irreducible_states(space).masks()
         trace = SetFamily.from_masks(sub.universe, {inc.preimage_mask(b) for b in base})
         if not is_pre_base_for(trace, sub):
@@ -1189,7 +1186,7 @@ def _chk_subspace_closed_trace(space, rng):
     for _ in range(2):
         ymask = rng.randint(1, u._full)
         sub = maps.subspace(space, ItemSet(u, ymask))
-        inc = _inclusion(sub, space)
+        inc = maps._inclusion(sub, space)
         for fsub in range(1 << len(sub.universe)):
             got = operators.closure(sub, ItemSet(sub.universe, fsub)).mask
             if got != inc.preimage_mask(cl[inc.image_mask(fsub)]):
@@ -1197,7 +1194,7 @@ def _chk_subspace_closed_trace(space, rng):
                 break
     ymask = rng.choice([u._full & ~o for o in sorted(space.states.masks()) if o != u._full])
     sub = maps.subspace(space, ItemSet(u, ymask))
-    inc = _inclusion(sub, space)
+    inc = maps._inclusion(sub, space)
     subfull = (1 << len(sub.universe)) - 1
     for asub in range(subfull + 1):
         in_sub = sub.states.has_mask(subfull & ~asub)
@@ -1344,8 +1341,8 @@ def _chk_partial_pasting(spaces, rng):
             continue
         subc = maps.subspace(space, ItemSet(u, c))
         subd = maps.subspace(space, ItemSet(u, d))
-        hc = _inclusion(subc, space).then(h)
-        hd = _inclusion(subd, space).then(h)
+        hc = maps._inclusion(subc, space).then(h)
+        hd = maps._inclusion(subd, space).then(h)
         if not (
             maps.is_pre_continuous(hc, subc, target)
             and maps.is_pre_continuous(hd, subd, target)
@@ -1400,26 +1397,18 @@ def _chk_product_closure_law(spaces, rng):
         return 0, [], "skipped beyond 3 items per factor"
     col = _Collector()
     checked = 0
-
-    def box(prod: PreTopology, a1: ItemSet, a2: ItemSet) -> int:
-        mask = 0
-        for la in a1.labels:
-            for lb in a2.labels:
-                mask |= 1 << prod.universe.index(f"({la},{lb})")
-        return mask
-
     for _ in range(min(100, len(spaces))):
         v1, v2 = rng.choice(spaces), rng.choice(spaces)
         prod = maps.product([v1, v2])
+        sizes = (len(v1.universe), len(v2.universe))
         checked += 1
         for _ in range(3):
             a1 = ItemSet(v1.universe, rng.randint(0, v1.universe._full))
             a2 = ItemSet(v2.universe, rng.randint(0, v2.universe._full))
-            got = operators.closure(prod, ItemSet(prod.universe, box(prod, a1, a2))).mask
-            want = box(
-                prod,
-                operators.closure(v1, a1),
-                operators.closure(v2, a2),
+            box = ItemSet(prod.universe, maps._box(sizes, (a1.mask, a2.mask)))
+            got = operators.closure(prod, box).mask
+            want = maps._box(
+                sizes, (operators.closure(v1, a1).mask, operators.closure(v2, a2).mask)
             )
             if got != want:
                 col.add(v1, f"with {_ser(v2)}: closure of a box is not the box of closures")

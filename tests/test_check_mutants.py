@@ -117,7 +117,7 @@ MUTANTS = {
     "fringe-characterizations": (operators, "fringes", _swap_fringes, 1),
     "size-weight-bound": (cardinal, "weight", lambda real: lambda sp: real(sp) - 1, 1),
     "locally-closed-uniqueness": (operators, "_fringe_masks", _full_fringes, 1),
-    "tight1-equivalences": (connectivity, "is_tight_n_connected", _forced(False), 1),
+    "tight1-equivalences": (connectivity, "_fringe_masks", _forced((0, 0)), 1),
     "bi-discriminative-quasi-ordinal-powerset": (
         separation, "is_t1", _forced((True, None)), 2
     ),

@@ -275,6 +275,21 @@ def test_product_verb(capsys, tmp_path):
     assert out == "items 4\nstates 6\n"
 
 
+def test_product_table_serializes_nothing(capsys, monkeypatch):
+    """The table reports counts only: no state is serialized and no item
+    set is built."""
+    from pretopo.core import SetFamily
+
+    def unused(self):
+        raise AssertionError("the table output built the states")
+
+    monkeypatch.setattr(SetFamily, "to_obj", unused)
+    monkeypatch.setattr(SetFamily, "members", property(unused))
+    code, out, _ = run(capsys, "product", str(FIX / "e1_tau.json"), str(FIX / "rnn.json"))
+    assert code == 0
+    assert out == "items 20\nstates 88565\n"
+
+
 def test_mine_verb_table(capsys):
     code, out, _ = run(
         capsys, "mine", "-n", "2", "--suite", "closure-axioms,dense-ge-cellularity"

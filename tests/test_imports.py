@@ -10,7 +10,9 @@ and the matrix both read. The per-byte tables have one builder,
 `core._byte_tables`, called only by `core` (the label tables that
 serialize a family) and by `maps`, where masks cross an item map: the
 readers of the mask tables, `_push` and the `PointMap` table methods, are
-defined and called only in `maps`. Size limits have one mechanism: no
+defined and called only in `maps`, and no other module reads `_push`. The
+row-major product layout (`_box`) and the inclusion of a subspace
+(`_inclusion`) are defined only in `maps`. Size limits have one mechanism: no
 module reads the environment, and only `core._guard` raises a
 `BoundExceeded`.
 """
@@ -124,6 +126,19 @@ def test_the_table_builder_lives_in_core_and_the_table_readers_in_maps():
     assert called == {("core.py", TABLE_BUILDER), ("maps.py", TABLE_BUILDER)} | {
         ("maps.py", name) for name in TABLE_READERS
     }
+
+
+def test_the_product_and_inclusion_layouts_live_in_maps():
+    defined = []
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in {"_box", "_inclusion"}:
+                defined.append((path.name, node.name))
+            elif getattr(node, "id", getattr(node, "attr", None)) == "_push":
+                readers.add(path.name)
+    assert sorted(defined) == [("maps.py", "_box"), ("maps.py", "_inclusion")]
+    assert readers == {"maps.py"}
 
 
 ENVIRONMENT = {"os", "environ", "getenv"}

@@ -1,6 +1,7 @@
 """Point maps, continuity notions, subspaces, products, quotients, children."""
 
 import itertools
+import random
 
 import pytest
 
@@ -21,8 +22,10 @@ from pretopo import (
     classify_map,
     closure,
     discriminative_reduction,
+    enumerate_spaces,
     from_quasi_order,
     is_pre_continuous,
+    is_pre_open,
     is_pre_quotient,
     pre_continuity_witness,
     product,
@@ -32,6 +35,7 @@ from pretopo import (
     to_quasi_order,
     union_closure,
 )
+from pretopo.maps import _box
 
 import fixture_files as fixtures
 
@@ -180,6 +184,68 @@ def test_product_of_the_six_point_space_with_itself():
     assert got.universe == uni
     assert got.states == from_quasi_order(QuasiOrder.from_pairs(uni, pairs)).states
     assert len(got.states) == 7776
+
+
+def all_boxes_product(xs):
+    """The product by definition: the union closure of the box of every
+    tuple of opens, each box read by label lookup."""
+    label_tuples = list(itertools.product(*(s.universe.labels for s in xs)))
+    index_of = {t: i for i, t in enumerate(label_tuples)}
+    closed = {0}
+    for opens in itertools.product(*(s.states.members for s in xs)):
+        box = 0
+        for combo in itertools.product(*(o.labels for o in opens)):
+            box |= 1 << index_of[combo]
+        if box not in closed:
+            closed |= {m | box for m in closed}
+    return ["(" + ",".join(t) + ")" for t in label_tuples], closed
+
+
+def test_product_of_base_boxes_matches_the_all_boxes_closure():
+    """Every ordered pair of a space on at most 2 points and one on at
+    most 3, every triple of spaces on at most 2 points, and e1_tau × rnn."""
+    upto2 = [s for n in (1, 2) for s in enumerate_spaces(n)]
+    upto3 = upto2 + enumerate_spaces(3)
+    cases = [[x, y] for x in upto2 for y in upto3]
+    cases += [[y, x] for x in upto2 for y in upto3]
+    cases += [list(t) for t in itertools.product(upto2, repeat=3)]
+    cases.append([fixtures.space("e1_tau"), fixtures.space("rnn")])
+    assert len(cases) == 626
+    for xs in cases:
+        labels, masks = all_boxes_product(xs)
+        got = product(xs)
+        assert got.universe.labels == tuple(labels)
+        assert got.states.masks() == masks
+
+
+def test_box_is_the_label_lookup_of_the_product():
+    rng = random.Random(7)
+    xs = [fixtures.space("e1_tau"), enumerate_spaces(2)[0], enumerate_spaces(3)[0]]
+    prod = product(xs)
+    sizes = [len(s.universe) for s in xs]
+    for _ in range(200):
+        parts = [ItemSet(s.universe, rng.randint(0, s.universe.full.mask)) for s in xs]
+        want = item_set(
+            prod, ["(" + ",".join(t) + ")" for t in itertools.product(*(a.labels for a in parts))]
+        )
+        assert _box(sizes, [a.mask for a in parts]) == want.mask
+
+
+def test_pre_openness_on_the_base_matches_every_open():
+    rng = random.Random(11)
+    spaces = [s for n in (1, 2, 3) for s in enumerate_spaces(n)]
+    seen = set()
+    for _ in range(3000):
+        x, y = rng.choice(spaces), rng.choice(spaces)
+        f = PointMap(
+            x.universe,
+            y.universe,
+            {t: rng.choice(y.universe.labels) for t in x.universe.labels},
+        )
+        every_open = all(y.states.has_mask(f.image_mask(o)) for o in x.states.masks())
+        assert is_pre_open(f, x, y) == every_open
+        seen.add(every_open)
+    assert seen == {True, False}
 
 
 def test_quotient_by_singletons_is_the_space_itself():
