@@ -60,10 +60,6 @@ def _subset(universe: Universe, text: str) -> ItemSet:
     return universe.subset(labels)
 
 
-def _fmt(s: ItemSet) -> str:
-    return "{" + ",".join(s.labels) + "}"
-
-
 def _emit(args, obj: dict | None, table: str) -> int:
     if args.format == "json":
         print(json.dumps(obj, indent=2))
@@ -73,7 +69,7 @@ def _emit(args, obj: dict | None, table: str) -> int:
 
 
 def _render_matrix(row_labels, col_sets, t) -> str:
-    headers = [_fmt(c) for c in col_sets]
+    headers = [str(c) for c in col_sets]
     left = max([len(r) for r in row_labels], default=0)
     lines = [" " * left + "  " + "  ".join(headers)]
     for label, row in zip(row_labels, t):
@@ -115,7 +111,7 @@ def _cmd_base(args) -> int:
     base = irreducible_states(space)
     w = cardinal.weight(space)
     obj = {"base": [list(s.labels) for s in base.members], "weight": w}
-    lines = [_fmt(s) for s in base.members]
+    lines = [str(s) for s in base.members]
     lines.append(f"weight {w}")
     return _emit(args, obj, "\n".join(lines))
 
@@ -137,11 +133,11 @@ def _cmd_closure(args) -> int:
         "dense": dense,
     }
     lines = [
-        f"set {_fmt(a)}",
-        f"closure {_fmt(cl)}",
-        f"interior {_fmt(itr)}",
-        f"boundary {_fmt(bd)}",
-        f"derived {_fmt(der)}",
+        f"set {a}",
+        f"closure {cl}",
+        f"interior {itr}",
+        f"boundary {bd}",
+        f"derived {der}",
         f"dense {str(dense).lower()}",
     ]
     return _emit(args, obj, "\n".join(lines))
@@ -158,10 +154,10 @@ def _cmd_fringe(args) -> int:
         "locally_closed": list(rep.full.labels),
     }
     lines = [
-        f"state {_fmt(w)}",
-        f"inner {_fmt(rep.inner)}",
-        f"outer {_fmt(rep.outer)}",
-        f"locally closed {_fmt(rep.full)}",
+        f"state {w}",
+        f"inner {rep.inner}",
+        f"outer {rep.outer}",
+        f"locally closed {rep.full}",
     ]
     return _emit(args, obj, "\n".join(lines))
 
@@ -199,9 +195,9 @@ def _cmd_connectivity(args) -> int:
     lines = [f"connected {str(rep.connected).lower()}"]
     if rep.separation is not None:
         lines.append(
-            f"separation {_fmt(rep.separation[0])} {_fmt(rep.separation[1])}"
+            f"separation {rep.separation[0]} {rep.separation[1]}"
         )
-    lines.append("clopen " + " ".join(_fmt(c) for c in clopen))
+    lines.append("clopen " + " ".join(map(str, clopen)))
     lines.append(f"tight 1-connected {str(tight).lower()}")
     lines.append(f"well graded {str(graded).lower()}")
     return _emit(args, obj, "\n".join(lines))
@@ -212,8 +208,8 @@ def _cmd_reduce(args) -> int:
     ks = KnowledgeStructure.from_family(fam)
     red = order.discriminative_reduction(ks)
     obj = red.to_obj()
-    lines = ["classes " + " ".join(_fmt(c) for c in red.classes)]
-    lines += [_fmt(s) for s in red.reduced.states.members]
+    lines = ["classes " + " ".join(map(str, red.classes))]
+    lines += map(str, red.reduced.states.members)
     return _emit(args, obj, "\n".join(lines))
 
 
@@ -223,7 +219,7 @@ def _cmd_order(args) -> int:
         qo = QuasiOrder.from_obj(obj_in)
         space = order.from_quasi_order(qo)
         obj = space.to_obj()
-        lines = [_fmt(s) for s in space.states.members]
+        lines = [str(s) for s in space.states.members]
         return _emit(args, obj, "\n".join(lines))
     fam = SetFamily.from_obj(obj_in)
     space = PreTopology.from_family(fam)
@@ -248,7 +244,7 @@ def _cmd_delineate(args) -> int:
         "star_condition": star,
         "completely_discriminative": cd,
     }
-    lines = [_fmt(s) for s in delin.states.members]
+    lines = [str(s) for s in delin.states.members]
     lines.append(f"knowledge space {str(rep.space).lower()}")
     lines.append(f"characterization agrees {str(rep.agree).lower()}")
     lines.append(f"star condition {str(star).lower()}")
@@ -273,15 +269,15 @@ def _cmd_primary_items(args) -> int:
         lines = []
         for item, blk in tr.picked:
             lines.append(
-                f"picked {item} block " + " ".join(_fmt(b) for b in blk.members)
+                f"picked {item} block " + " ".join(map(str, blk.members))
             )
-        lines.append(f"D = {_fmt(tr.result)}")
+        lines.append(f"D = {tr.result}")
         lines.append(f"|D| = {len(tr.result.labels)}")
         return _emit(args, obj, "\n".join(lines))
     if args.method == "exact":
         k, d = cardinal.density_exact(space, bound=args.bound)
         obj = {"method": "exact", "D": list(d.labels), "size": k, "density": k}
-        lines = [f"D = {_fmt(d)}", f"|D| = {k}", f"d(Q) = {k}"]
+        lines = [f"D = {d}", f"|D| = {k}", f"d(Q) = {k}"]
         return _emit(args, obj, "\n".join(lines))
     result, state = cardinal.matrix_primary_items(base)
     obj = {
@@ -299,7 +295,7 @@ def _cmd_primary_items(args) -> int:
         "",
         _render_matrix(state.rows[: len(final)], state.cols, final),
         "",
-        f"D = {_fmt(result)}",
+        f"D = {result}",
         f"|D| = {len(result.labels)}",
     ]
     return _emit(args, obj, "\n".join(lines))
@@ -322,7 +318,7 @@ def _cmd_map(args) -> int:
         f"pre-homeomorphism {str(cls.pre_homeomorphism).lower()}",
     ]
     if witness is not None:
-        lines.insert(1, f"witness {_fmt(witness)}")
+        lines.insert(1, f"witness {witness}")
     return _emit(args, obj, "\n".join(lines))
 
 
@@ -360,6 +356,28 @@ def _cmd_mine(args) -> int:
     return 0
 
 
+_SUBSET = "comma-separated items; '-' for the empty set"
+_ARG_HELP = {"set": _SUBSET, "state": _SUBSET}
+
+# verb -> (handler, help, positional arguments); `_parser` adds the
+# options that only one verb has
+_VERBS = {
+    "check": (_cmd_check, "validate and classify a family", ("family",)),
+    "base": (_cmd_base, "minimal pre-base and weight", ("family",)),
+    "closure": (_cmd_closure, "operators on a subset", ("family", "set")),
+    "fringe": (_cmd_fringe, "fringes of a state", ("family", "state")),
+    "separation": (_cmd_separation, "separation profile", ("family",)),
+    "connectivity": (_cmd_connectivity, "connectedness report", ("family",)),
+    "reduce": (_cmd_reduce, "discriminative reduction", ("family",)),
+    "order": (_cmd_order, "quasi-order of a space, or the space of a quasi-order", ("family",)),
+    "delineate": (_cmd_delineate, "delineate a skill multimap", ("multimap",)),
+    "primary-items": (_cmd_primary_items, "dense item sets", ("family",)),
+    "map": (_cmd_map, "classify a point map", ("map", "domain", "codomain")),
+    "product": (_cmd_product, "product of spaces", ()),
+    "mine": (_cmd_mine, "audit theorems over enumerated spaces", ()),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -379,69 +397,21 @@ def _parser() -> argparse.ArgumentParser:
         description="Finite pre-topologies and knowledge spaces.",
     )
     sub = p.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("check", parents=[common], help="validate and classify a family")
-    sp.add_argument("family")
-    sp.set_defaults(fn=_cmd_check)
-
-    sp = sub.add_parser("base", parents=[common], help="minimal pre-base and weight")
-    sp.add_argument("family")
-    sp.set_defaults(fn=_cmd_base)
-
-    sp = sub.add_parser("closure", parents=[common], help="operators on a subset")
-    sp.add_argument("family")
-    sp.add_argument("set", help="comma-separated items; '-' for the empty set")
-    sp.set_defaults(fn=_cmd_closure)
-
-    sp = sub.add_parser("fringe", parents=[common], help="fringes of a state")
-    sp.add_argument("family")
-    sp.add_argument("state", help="comma-separated items; '-' for the empty set")
-    sp.set_defaults(fn=_cmd_fringe)
-
-    sp = sub.add_parser("separation", parents=[common], help="separation profile")
-    sp.add_argument("family")
-    sp.set_defaults(fn=_cmd_separation)
-
-    sp = sub.add_parser("connectivity", parents=[common], help="connectedness report")
-    sp.add_argument("family")
-    sp.set_defaults(fn=_cmd_connectivity)
-
-    sp = sub.add_parser("reduce", parents=[common], help="discriminative reduction")
-    sp.add_argument("family")
-    sp.set_defaults(fn=_cmd_reduce)
-
-    sp = sub.add_parser("order", parents=[common], help="quasi-order of a space, or the space of a quasi-order")
-    sp.add_argument("family")
-    sp.set_defaults(fn=_cmd_order)
-
-    sp = sub.add_parser("delineate", parents=[common], help="delineate a skill multimap")
-    sp.add_argument("multimap")
-    sp.set_defaults(fn=_cmd_delineate)
-
-    sp = sub.add_parser("primary-items", parents=[common], help="dense item sets")
-    sp.add_argument("family")
-    sp.add_argument(
+    verbs = {}
+    for verb, (fn, text, positionals) in _VERBS.items():
+        sp = verbs[verb] = sub.add_parser(verb, parents=[common], help=text)
+        for name in positionals:
+            sp.add_argument(name, help=_ARG_HELP.get(name))
+        sp.set_defaults(fn=fn)
+    verbs["primary-items"].add_argument(
         "--method", choices=("greedy", "matrix", "exact"), default="greedy"
     )
-    sp.set_defaults(fn=_cmd_primary_items)
-
-    sp = sub.add_parser("map", parents=[common], help="classify a point map")
-    sp.add_argument("map")
-    sp.add_argument("domain")
-    sp.add_argument("codomain")
-    sp.set_defaults(fn=_cmd_map)
-
-    sp = sub.add_parser("product", parents=[common], help="product of spaces")
-    sp.add_argument("families", nargs="+")
-    sp.set_defaults(fn=_cmd_product)
-
-    sp = sub.add_parser("mine", parents=[common], help="audit theorems over enumerated spaces")
-    sp.add_argument("-n", type=int, default=3, help="universe size")
-    sp.add_argument("--suite", default="all", help="'all' or comma-separated theorem ids")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None, help="write the JSON report here")
-    sp.set_defaults(fn=_cmd_mine)
-
+    verbs["product"].add_argument("families", nargs="+")
+    mine = verbs["mine"]
+    mine.add_argument("-n", type=int, default=3, help="universe size")
+    mine.add_argument("--suite", default="all", help="'all' or comma-separated theorem ids")
+    mine.add_argument("--seed", type=int, default=0)
+    mine.add_argument("--out", default=None, help="write the JSON report here")
     return p
 
 

@@ -284,19 +284,16 @@ def sample_quasi_orders(n: int, count: int, seed: int = 0) -> list[order.QuasiOr
     u = _universe(n)
     out = []
     for _ in range(count):
-        rel = [
-            [i == j or rng.random() < 0.3 for j in range(n)] for i in range(n)
+        up = [
+            sum(1 << j for j in range(n) if i == j or rng.random() < 0.3)
+            for i in range(n)
         ]
+        # Warshall on the successor masks
         for k in range(n):
             for i in range(n):
-                if rel[i][k]:
-                    for j in range(n):
-                        if rel[k][j]:
-                            rel[i][j] = True
-        up = tuple(
-            sum(1 << j for j in range(n) if rel[i][j]) for i in range(n)
-        )
-        out.append(order.QuasiOrder(u, up))
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        out.append(order.QuasiOrder(u, tuple(up)))
     return out
 
 
@@ -320,16 +317,15 @@ def _mask_multimaps(
     and the minimal pool, each in the canonical order of `SkillMultimap`.
 
     A choice is one item's set of competencies; its sorted and minimal
-    members are found once, and pools are sorted by a table of
-    `_canonical_key` over the skill masks.
+    members are found once by `skills._competencies`, and pools are
+    sorted by a table of `_canonical_key` over the skill masks.
     """
     rank = {c: _canonical_key(c) for c in range(1 << n_skills)}
-    choices = []
-    for size in range(1, max_competencies + 1):
-        for combo in itertools.combinations(range(1, 1 << n_skills), size):
-            comps = tuple(sorted(combo, key=rank.__getitem__))
-            mins = tuple(c for c in comps if not any(o != c and o & ~c == 0 for o in comps))
-            choices.append((comps, mins))
+    choices = [
+        skills._competencies(combo)
+        for size in range(1, max_competencies + 1)
+        for combo in itertools.combinations(range(1, 1 << n_skills), size)
+    ]
     for assignment in itertools.product(choices, repeat=n_items):
         comps, mins = zip(*assignment)
         pool = tuple(sorted(set().union(*comps), key=rank.__getitem__))
@@ -371,6 +367,8 @@ def audit(
         if ident not in _REGISTRY:
             raise PretopoError(f"unknown theorem id: {ident}")
     if samples is not None:
+        if samples < 1:
+            raise PretopoError("samples must be at least 1")
         spaces = sample_spaces(n, samples, seed, bound)
     elif n <= MAX_EXHAUSTIVE:
         spaces = enumerate_spaces(n, bound)
@@ -1520,7 +1518,7 @@ def _profile_findings(
     out: list[tuple[str, bool, str]] = []
     # one delineation serves the family and both report routes
     holders = skills._holders(mins)
-    family = skills._delineated_masks(holders, sn)
+    family = skills._delineated_masks(holders)
     rep = skills._delineation_report(holders, family, qn)
     if not rep.agree:
         out.append((

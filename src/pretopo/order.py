@@ -80,13 +80,8 @@ class QuasiOrder:
         return hash((self.universe.labels, self.up))
 
     def __repr__(self) -> str:
-        pairs = [
-            f"{a}<={b}"
-            for i, a in enumerate(self.universe.labels)
-            for j, b in enumerate(self.universe.labels)
-            if i != j and self.up[i] >> j & 1
-        ]
-        return f"QuasiOrder({', '.join(pairs)})"
+        pairs = ", ".join(f"{a}<={b}" for a, b in self.to_obj()["leq"])
+        return f"QuasiOrder({pairs})"
 
     def to_obj(self) -> dict:
         return {

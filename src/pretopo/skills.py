@@ -9,8 +9,6 @@ structure is the family of all p(R).
 from __future__ import annotations
 
 import json
-from array import array
-from collections import defaultdict
 from collections.abc import Iterable, Sequence, Set
 from dataclasses import asdict, dataclass
 
@@ -52,23 +50,15 @@ class SkillMultimap:
         clean: dict[str, tuple[ItemSet, ...]] = {}
         minimal: dict[str, tuple[ItemSet, ...]] = {}
         for t in items.labels:
-            comps = []
-            seen = set()
             for c in mu[t]:
                 if c.universe != skills:
                     raise ValueError("competency over a different skill universe")
                 if c.is_empty():
                     raise ValueError(f"item {t!r} has an empty competency")
-                if c.mask not in seen:
-                    seen.add(c.mask)
-                    comps.append(c)
-            comps.sort(key=lambda c: _canonical_key(c.mask))
-            clean[t] = tuple(comps)
-            minimal[t] = tuple(
-                c
-                for c in comps
-                if not any(o.mask != c.mask and o <= c for o in comps)
-            )
+            by_mask = {c.mask: c for c in mu[t]}
+            comps, mins = _competencies(by_mask)
+            clean[t] = tuple(by_mask[c] for c in comps)
+            minimal[t] = tuple(by_mask[c] for c in mins)
         self.items = items
         self.skills = skills
         self.mu = clean
@@ -129,6 +119,14 @@ class SkillMultimap:
         return cls.from_obj(json.loads(text))
 
 
+def _competencies(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One item's competencies as masks: the distinct ones in canonical
+    order, and the ⊆-minimal ones among them, in the same order."""
+    comps = tuple(sorted(set(masks), key=_canonical_key))
+    mins = tuple(c for c in comps if not any(o != c and o & ~c == 0 for o in comps))
+    return comps, mins
+
+
 def problem_function(m: SkillMultimap, r: ItemSet) -> ItemSet:
     """Items with some competency contained in r; monotone in r."""
     if r.universe != m.skills:
@@ -163,26 +161,23 @@ def _holders(mins: Sequence[Sequence[int]]) -> dict[int, int]:
     return table
 
 
-def _delineated_masks(holders: dict[int, int], n_skills: int) -> set[int]:
+def _delineated_masks(holders: dict[int, int]) -> set[int]:
     """{p(V) : V a union of keys of the holder table}, one p per union."""
     # A key inside u | g but not inside u meets g, so p(u | g) is p(u),
     # the holders of g, and those of the other keys meeting g that fit.
     meets = {
         g: [(c, h) for c, h in holders.items() if c & g and c != g] for g in holders
     }
-    unions = array("Q", [0])
-    images = array("Q", [0])
-    # A 2^|S|-byte seen-map while the skill guard's default holds; past it
-    # a dict, which reads as 0 for unseen unions just as the bytearray does.
-    seen = bytearray(1 << n_skills) if n_skills <= SKILL_BOUND else defaultdict(int)
-    seen[0] = 1
+    unions = [0]
+    images = [0]
+    seen = {0}
     for g, held in holders.items():
         extra = meets[g]
         for i in range(len(unions)):
             v = unions[i] | g
-            if seen[v]:
+            if v in seen:
                 continue
-            seen[v] = 1
+            seen.add(v)
             p = images[i] | held
             for c, h in extra:
                 if c & ~v == 0:
@@ -199,12 +194,13 @@ def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
     inside R, and every union V of minimal competencies is a skill set
     with V_R = V. So the family is {p(V) : V a union of the minimal
     pool}, and p is evaluated once per distinct union. Cost: O(U * k)
-    for U distinct unions of the minimal pool and k pool members meeting
-    a given one (U is at most 2^|S| and at most 2^|pool|), plus a
-    2^|S|-byte seen-map. The skill guard is kept as the bound on |S|.
+    time for U distinct unions of the minimal pool and k pool members
+    meeting a given one (U is at most 2^|S| and at most 2^|pool|), and
+    O(U) memory for the set of unions seen. The skill guard is kept as
+    the bound on |S|.
     """
     _guard(len(m.skills), SKILL_BOUND, "delineation skills", bound, SkillBoundExceeded)
-    states = _delineated_masks(_holders(_min_masks(m)), len(m.skills))
+    states = _delineated_masks(_holders(_min_masks(m)))
     return KnowledgeStructure(m.items, SetFamily.from_masks(m.items, states))
 
 
@@ -230,7 +226,7 @@ def is_delineated_space(
     """
     _guard(len(m.skills), SKILL_BOUND, "delineation skills", bound, SkillBoundExceeded)
     holders = _holders(_min_masks(m))
-    family = _delineated_masks(holders, len(m.skills))
+    family = _delineated_masks(holders)
     return _delineation_report(holders, family, len(m.items))
 
 

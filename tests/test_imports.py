@@ -12,9 +12,12 @@ serialize a family) and by `maps`, where masks cross an item map: the
 readers of the mask tables, `_push` and the `PointMap` table methods, are
 defined and called only in `maps`, and no other module reads `_push`. The
 row-major product layout (`_box`) and the inclusion of a subspace
-(`_inclusion`) are defined only in `maps`. Size limits have one mechanism: no
-module reads the environment, and only `core._guard` raises a
-`BoundExceeded`.
+(`_inclusion`) are defined only in `maps`. The canonical form of an item's
+competencies, `skills._competencies`, is defined only in `skills` and called
+only by `skills` and the miner. The CLI registers its verbs at one
+`add_parser` call and prints an item set by `str`, not a formatter of its
+own. Size limits have one mechanism: no module reads the environment, and
+only `core._guard` raises a `BoundExceeded`.
 """
 
 import ast
@@ -101,23 +104,23 @@ TABLE_READERS = {"_push", "_image_tables", "_preimage_tables"}
 TABLE_KERNEL = {TABLE_BUILDER} | TABLE_READERS
 
 
-def table_kernel_uses(path):
-    """(module, 'def' or 'call', name) for each definition or call of a
-    table-kernel function in the module."""
+def kernel_uses(path, names):
+    """(module, 'def' or 'call', name) for each definition or call of one
+    of the named functions in the module."""
     uses = []
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.FunctionDef) and node.name in TABLE_KERNEL:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
             uses.append((path.name, "def", node.name))
         elif isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in TABLE_KERNEL:
+            if name in names:
                 uses.append((path.name, "call", name))
     return uses
 
 
 def test_the_table_builder_lives_in_core_and_the_table_readers_in_maps():
-    uses = [u for path in sorted(PACKAGE.glob("*.py")) for u in table_kernel_uses(path)]
+    uses = [u for path in sorted(PACKAGE.glob("*.py")) for u in kernel_uses(path, TABLE_KERNEL)]
     defined = sorted((module, name) for module, kind, name in uses if kind == "def")
     assert defined == sorted(
         [("core.py", TABLE_BUILDER)] + [("maps.py", name) for name in TABLE_READERS]
@@ -139,6 +142,19 @@ def test_the_product_and_inclusion_layouts_live_in_maps():
                 readers.add(path.name)
     assert sorted(defined) == [("maps.py", "_box"), ("maps.py", "_inclusion")]
     assert readers == {"maps.py"}
+
+
+def test_the_competency_canonical_form_lives_in_skills():
+    uses = [
+        u for path in sorted(PACKAGE.glob("*.py")) for u in kernel_uses(path, {"_competencies"})
+    ]
+    assert [u for u in uses if u[1] == "def"] == [("skills.py", "def", "_competencies")]
+    assert {module for module, kind, _ in uses if kind == "call"} == {"skills.py", "miner.py"}
+
+
+def test_the_cli_registers_its_verbs_from_one_table():
+    uses = kernel_uses(PACKAGE / "cli.py", {"add_parser", "_fmt"})
+    assert uses == [("cli.py", "call", "add_parser")]
 
 
 ENVIRONMENT = {"os", "environ", "getenv"}

@@ -139,6 +139,12 @@ def test_unknown_theorem_id():
         audit("no-such-theorem", 2)
 
 
+def test_audit_needs_at_least_one_sample():
+    for samples in (0, -3):
+        with pytest.raises(PretopoError, match="samples must be at least 1"):
+            audit("all", 5, samples=samples)
+
+
 def test_audit_is_a_pure_function_of_its_arguments():
     args = (["closure-axioms", "boundary-formulas"], 3, 1)
     assert reports_to_json(audit(*args)) == reports_to_json(audit(*args))
@@ -449,7 +455,7 @@ def per_multimap_skills_suite(max_items, max_skills, max_comps):
                 checked += 1
                 ser = json.dumps(miner._multimap(comps, sn).to_obj(), separators=(",", ":"))
                 holders = skills._holders(mins)
-                family = skills._delineated_masks(holders, sn)
+                family = skills._delineated_masks(holders)
                 rep = skills._delineation_report(holders, family, qn)
                 star = skills._star(pool, mins)
                 if not rep.agree:

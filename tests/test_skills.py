@@ -1,6 +1,7 @@
 """Skill multimaps: problem functions, delineation, star condition, bounds."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -224,6 +225,23 @@ def test_delineate_past_the_default_bound_is_output_sensitive():
     assert delineate(m, bound=40).states.masks() == family
 
 
+def test_delineation_memory_does_not_grow_with_the_skill_count():
+    # 20 skills, three competencies: four unions, where a table indexed by
+    # skill sets would take 2^20 bytes
+    skills = Universe([f"s{i}" for i in range(1, 21)])
+    items = Universe(["q1", "q2", "q3"])
+    m = mk(items, skills, {"q1": [0b1], "q2": [0b110], "q3": [1 << 19]})
+    tracemalloc.start()
+    try:
+        family = delineate(m).states.masks()
+        report = is_delineated_space(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(family) == 8 and report.space
+    assert peak < 64 * 1024
+
+
 def test_mask_kernels_match_their_wrappers():
     for qn, sn in ((1, 3), (2, 2), (2, 3), (3, 2)):
         masks = miner._mask_multimaps(qn, sn, 2)
@@ -233,6 +251,6 @@ def test_mask_kernels_match_their_wrappers():
             assert skills._star(pool, mins) == star_condition(m)
             assert skills._refinement_route(mins) == is_completely_discriminative_delineation(m)
             holders = skills._holders(mins)
-            family = skills._delineated_masks(holders, sn)
+            family = skills._delineated_masks(holders)
             assert family == delineate(m).states.masks()
             assert skills._delineation_report(holders, family, qn) == is_delineated_space(m)
