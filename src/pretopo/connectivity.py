@@ -1,4 +1,4 @@
-"""Connectedness, separations, chains over covers, tight n-connectedness.
+"""Connectedness, separations, chains over covers, tight 1-connectedness.
 
 A separation is a pair of disjoint nonempty opens covering the universe;
 the space is connected when none exists (equivalently, when no proper
@@ -158,49 +158,20 @@ def is_well_graded(family: SetFamily) -> bool:
     return True
 
 
-def _exact_length_path(
-    edges: list[list[int]], start: int, goal: int, length: int
-) -> bool:
-    reachable = {start}
-    for _ in range(length):
-        nxt: set[int] = set()
-        for i in reachable:
-            nxt.update(edges[i])
-        reachable = nxt
-        if not reachable:
-            return False
-    return goal in reachable
-
-
 def is_tight_n_connected(space: PreTopology, n: int) -> bool:
-    """Every pair of distinct opens joined by |Δ|-many steps of size n.
+    """Tight 1-connectedness: any two distinct opens U, W are joined
+    through opens by |U Δ W| steps of one item each.
 
-    n = 1 is decided by the locally-closed-points criterion
-    (U Δ W) ∩ U^LC ≠ ∅ for distinct opens U, W; larger n by exact-length
-    reachability in the n-step graph.
+    Decided by the locally-closed-points criterion (U Δ W) ∩ U^LC ≠ ∅
+    for distinct opens U, W. Only n = 1 is defined; any other n raises
+    ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n == 1:
-        opens = space.states.masks()
-        for u_ in opens:
-            inner, outer = _fringe_masks(space, u_)
-            for w in opens:
-                if w != u_ and not (u_ ^ w) & (inner | outer):
-                    return False
-        return True
-    masks = [m.mask for m in space.states.members]
-    k = len(masks)
-    edges: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            if i != j and (masks[i] ^ masks[j]).bit_count() == n:
-                edges[i].append(j)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            m = (masks[i] ^ masks[j]).bit_count()
-            if not _exact_length_path(edges, i, j, m):
+    if n != 1:
+        raise ValueError(f"tight n-connectedness is defined for n = 1 only, got {n}")
+    opens = space.states.masks()
+    for u_ in opens:
+        inner, outer = _fringe_masks(space, u_)
+        for w in opens:
+            if w != u_ and not (u_ ^ w) & (inner | outer):
                 return False
     return True

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import chain, compress, count
-from operator import add, getitem, or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from itertools import compress, count
+from operator import or_
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -68,32 +68,6 @@ def _flags(mask: int) -> bytes:
     so that the held items are picked by C-level calls instead of a
     Python loop over the bits."""
     return f"{mask:b}"[::-1].encode().translate(_FLAG)
-
-
-_T = TypeVar("_T")
-
-
-def _byte_tables(
-    bit_images: Sequence[_T], join: Callable[[_T, _T], _T], zero: _T
-) -> tuple[tuple[int, list[_T]], ...]:
-    """Per-byte tables of the map sending a set of bits to the join of
-    their images, bit i to `bit_images[i]`.
-
-    The chunk of up to 8 bits from bit c has a table of the joins over its
-    2^min(8, m−c) subsets, at the subset's byte value, so a mask is read
-    with ⌈m/8⌉ lookups instead of a test of every bit: at most 32·m
-    entries, built by doubling the table once per bit. With `|` on masks
-    this pushes masks across an item map (`maps.PointMap`); with tuple
-    `+` on 1-tuples of labels it lists the labels of a mask in item order
-    (`SetFamily.to_obj`).
-    """
-    tables = []
-    for shift in range(0, len(bit_images), 8):
-        table = [zero]
-        for img in bit_images[shift : shift + 8]:
-            table += [join(t, img) for t in table]
-        tables.append((shift, table))
-    return tuple(tables)
 
 
 def _guard(
@@ -309,7 +283,7 @@ class SetFamily:
     and `members`, the item sets in that order, is built the first time
     someone iterates, indexes or prints the family. Kernels that read
     `masks()`, `has_mask` or the base build no item set, and neither does
-    `to_obj`, which reads each state's labels from per-byte tables.
+    `to_obj`, which picks each state's labels from its mask.
 
     The union-irreducible members and the per-item meets are derived
     once, on first use, and kept in `_derived` (see `_base`), next to the
@@ -425,17 +399,15 @@ class SetFamily:
         """The universe and the states, in canonical order, as label lists.
 
         Read from the masks: one sort by `_canonical_key`, then each
-        state's labels from per-byte label tables (`_byte_tables`), one
-        lookup per 8 items. No item set is built and `members` stays
-        unset.
+        state's labels picked by `compress` over its `_flags`, as
+        `ItemSet.labels` reads them. No item set is built and `members`
+        stays unset.
         """
         labels = self.universe.labels
-        tables = [t for _, t in _byte_tables([(x,) for x in labels], add, ())]
-        width = len(tables)
         return {
             "universe": list(labels),
             "states": [
-                list(chain.from_iterable(map(getitem, tables, m.to_bytes(width, "little"))))
+                list(compress(labels, _flags(m)))
                 for m in sorted(self._mask_set, key=_canonical_key)
             ],
         }

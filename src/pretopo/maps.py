@@ -2,8 +2,8 @@
 
 Pre-continuity asks for open preimages of opens; since preimages commute
 with unions it suffices to test the minimal pre-base of the codomain,
-which is what the global test does. Images commute with unions too, and
-f(∅) = ∅, so pre-openness tests the images of the domain's base.
+where the continuity witness is read. Images commute with unions too,
+and f(∅) = ∅, so pre-openness tests the images of the domain's base.
 Subspace, product and quotient build their family from masks and mark
 the space trusted: the traces, the union closure of the base boxes and
 the images of the saturated states are union-closed by construction.
@@ -18,7 +18,6 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from operator import or_
 
 from .core import (
     MAX_UNIVERSE,
@@ -27,7 +26,6 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
-    _byte_tables,
     irreducible_states,
     union_closure_masks,
 )
@@ -44,8 +42,23 @@ from .errors import (
 _Tables = tuple[tuple[int, list[int]], ...]
 
 
+def _byte_tables(bit_images: Sequence[int]) -> _Tables:
+    """Per-byte tables of the union of the images of a mask's bits, bit
+    i to `bit_images[i]`: the chunk of up to 8 bits from bit c has the
+    unions over its 2^min(8, m−c) subsets, at the subset's byte value, so
+    `_push` reads a mask with ⌈m/8⌉ lookups. At most 32·m entries, built
+    by doubling the table once per bit."""
+    tables = []
+    for shift in range(0, len(bit_images), 8):
+        table = [0]
+        for img in bit_images[shift : shift + 8]:
+            table += [t | img for t in table]
+        tables.append((shift, table))
+    return tuple(tables)
+
+
 def _push(tables: _Tables, mask: int) -> int:
-    """The image of a mask under per-byte OR tables (`core._byte_tables`)."""
+    """The image of a mask under per-byte OR tables (`_byte_tables`)."""
     out = 0
     for shift, table in tables:
         out |= table[mask >> shift & 255]
@@ -56,9 +69,9 @@ class PointMap:
     """Total map between two universes, one codomain item per domain item.
 
     `image_mask` and `preimage_mask` are the one place where masks cross
-    an item map: each reads per-byte tables (`core._byte_tables`, joined
-    by `|`), built on first use and kept on the map, at ⌈m/8⌉ lookups a
-    mask for m items on the side it reads.
+    an item map: each reads per-byte tables (`_byte_tables`), built on
+    first use and kept on the map, at ⌈m/8⌉ lookups a mask for m items on
+    the side it reads.
     """
 
     __slots__ = ("domain", "codomain", "assignment", "_targets", "_image", "_preimage")
@@ -96,7 +109,7 @@ class PointMap:
 
     def _image_tables(self) -> _Tables:
         if self._image is None:
-            self._image = _byte_tables([1 << j for j in self._targets], or_, 0)
+            self._image = _byte_tables([1 << j for j in self._targets])
         return self._image
 
     def _preimage_tables(self) -> _Tables:
@@ -104,7 +117,7 @@ class PointMap:
             fibres = [0] * len(self.codomain)
             for i, j in enumerate(self._targets):
                 fibres[j] |= 1 << i
-            self._preimage = _byte_tables(fibres, or_, 0)
+            self._preimage = _byte_tables(fibres)
         return self._preimage
 
     def image_mask(self, domain_mask: int) -> int:
@@ -178,9 +191,13 @@ class PointMap:
 def pre_continuity_witness(
     f: PointMap, x: PreTopology, y: PreTopology
 ) -> ItemSet | None:
-    """Canonically least open of the codomain with a non-open preimage."""
+    """Canonically least open of the codomain with a non-open preimage,
+    read from the base of y in canonical order. That open W is a base
+    member: otherwise W is the union of the base members strictly inside
+    it, which come before W in canonical order and so have open
+    preimages, and the preimage of that union would be open."""
     _check_map(f, x, y)
-    for w in y.states.members:
+    for w in irreducible_states(y).members:
         if not x.states.has_mask(f.preimage_mask(w.mask)):
             return w
     return None
@@ -192,11 +209,8 @@ def _check_map(f: PointMap, x: PreTopology, y: PreTopology) -> None:
 
 
 def is_pre_continuous(f: PointMap, x: PreTopology, y: PreTopology) -> bool:
-    """Preimages of opens are open; tested on the minimal pre-base."""
-    _check_map(f, x, y)
-    return all(
-        x.states.has_mask(f.preimage_mask(b.mask)) for b in irreducible_states(y)
-    )
+    """Preimages of opens are open: no base member of y is a witness."""
+    return pre_continuity_witness(f, x, y) is None
 
 
 def is_pre_continuous_at(
@@ -272,12 +286,10 @@ class MapClassification:
 
 
 def classify_map(f: PointMap, x: PreTopology, y: PreTopology) -> MapClassification:
+    """The map's properties. A bijection is a pre-homeomorphism when it is
+    pre-continuous and pre-open: the preimage of U under f⁻¹ is f(U)."""
     cont = is_pre_continuous(f, x, y)
-    homeo = (
-        f.is_bijective()
-        and cont
-        and is_pre_continuous(f.inverse(), y, x)
-    )
+    pre_open = is_pre_open(f, x, y)
     quotient: bool | None
     if f.is_surjective():
         quotient = is_pre_quotient(f, x, y)
@@ -285,10 +297,10 @@ def classify_map(f: PointMap, x: PreTopology, y: PreTopology) -> MapClassificati
         quotient = None
     return MapClassification(
         pre_continuous=cont,
-        pre_open=is_pre_open(f, x, y),
+        pre_open=pre_open,
         pre_closed=is_pre_closed(f, x, y),
         pre_quotient=quotient,
-        pre_homeomorphism=homeo,
+        pre_homeomorphism=f.is_bijective() and cont and pre_open,
     )
 
 

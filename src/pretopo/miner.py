@@ -45,7 +45,6 @@ from .core import (
     irreducible_states,
     is_pre_base_for,
     union_closure,
-    union_closure_masks,
 )
 from .errors import PretopoError
 from .skills import SkillMultimap
@@ -261,12 +260,8 @@ def available_theorems() -> tuple[str, ...]:
 
 
 def _random_space(u: Universe, rng: random.Random) -> PreTopology:
-    full = (1 << len(u)) - 1
-    gens = [rng.randint(1, full) for _ in range(rng.randint(1, 2 * len(u)))]
-    gens.append(full)
-    return PreTopology(
-        u, SetFamily.from_masks(u, union_closure_masks(gens)), _trusted=True
-    )
+    gens = [rng.randint(1, u._full) for _ in range(rng.randint(1, 2 * len(u)))]
+    return union_closure(SetFamily.from_masks(u, [*gens, u._full]))
 
 
 def _random_map(
@@ -502,7 +497,7 @@ def _chk_distance_metric(spaces, rng):
         for b in pts:
             checked += 1
             d = distance(a, b)
-            if d != bin(a.mask ^ b.mask).count("1"):
+            if d != len(a - b) + len(b - a):
                 col.add("-", f"d({a.labels},{b.labels}) wrong")
             if (d == 0) != (a.mask == b.mask):
                 col.add("-", f"identity fails at ({a.labels},{b.labels})")
@@ -519,8 +514,19 @@ def _chk_minimal_pre_base_recognized(space, rng):
     base = irreducible_states(space)
     if not is_pre_base_for(base, space):
         yield "irreducible states rejected as a pre-base"
-    if not structure.is_minimal_pre_base(base, space):
+    elif not structure.is_minimal_pre_base(base, space):
         yield "irreducible states rejected as the minimal pre-base"
+
+
+@_per_space("minimal-pre-base-recognized", cap=CAP_VERY_HEAVY)
+def _chk_minimal_pre_base_literal(space, rng):
+    """Literal minimality, through `is_pre_base_for`, which reads no
+    base: no member of the irreducible states can be dropped from them
+    and leave a pre-base."""
+    base = irreducible_states(space).masks()
+    for b in sorted(base, key=_canonical_key):
+        if is_pre_base_for(SetFamily.from_masks(space.universe, base - {b}), space):
+            yield f"pre-base stays without {ItemSet(space.universe, b)}"
 
 
 @_per_space("closure-operator-round-trip", cap=CAP_HEAVY)

@@ -14,10 +14,12 @@ leave its check at `holds`.
 """
 
 import dataclasses
+from functools import reduce
+from operator import or_
 
 import pytest
 
-from pretopo import audit, cardinal, connectivity, maps, miner, operators
+from pretopo import audit, cardinal, connectivity, core, maps, miner, operators
 from pretopo import order, separation, structure
 from pretopo.core import ItemSet, SetFamily, union_closure
 
@@ -78,6 +80,18 @@ def _every_nonzero_state(real):
     )
 
 
+def _keeping_the_universe(real):
+    """The irreducible masks, and the union of all masks even when it is
+    the union of others."""
+
+    def irreducible(masks):
+        got = real(masks)
+        full = reduce(or_, masks, 0)
+        return got if full in got else [*got, full]
+
+    return irreducible
+
+
 # check id -> (owner, attribute, mutant factory taking the real attribute, n)
 MUTANTS = {
     "union-closure-laws": (
@@ -85,6 +99,9 @@ MUTANTS = {
     ),
     "minimal-base-in-every-pre-base": (miner, "irreducible_states", _every_nonzero_state, 2),
     "minimal-pre-base-recognized": (structure, "is_minimal_pre_base", _forced(False), 1),
+    # the first pass compares the base with `irreducible_states` itself,
+    # so only the drop-one probe sees the extra member
+    "minimal-pre-base-recognized/2": (core, "_irreducible_masks", _keeping_the_universe, 2),
     "closure-operator-round-trip": (
         structure, "from_closure_operator",
         lambda real: lambda table: _powerset_of(table.universe), 2,

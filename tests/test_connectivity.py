@@ -108,6 +108,12 @@ def test_tight_one_connected_examples():
     assert is_tight_n_connected(power, 1)
 
 
+@pytest.mark.parametrize("n", [0, 2, 3])
+def test_tight_n_connectedness_is_defined_for_n_one_only(n):
+    with pytest.raises(ValueError):
+        is_tight_n_connected(fixtures.space("tight"), n)
+
+
 def test_well_gradedness_examples():
     assert is_well_graded(fixtures.space("tight").states)
     assert not is_well_graded(fixtures.space("conn").states)

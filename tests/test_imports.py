@@ -6,13 +6,12 @@ A name bound by `import` or `from ... import` in a module under
 in `core`, which caches it per family. The greedy selection of the
 primary-items algorithms, `cardinal._select`, is defined once and called
 only by `cardinal._greedy_picks`, the one greedy run that the greedy trace
-and the matrix both read. The per-byte tables have one builder,
-`core._byte_tables`, called only by `core` (the label tables that
-serialize a family) and by `maps`, where masks cross an item map: the
-readers of the mask tables, `_push` and the `PointMap` table methods, are
-defined and called only in `maps`, and no other module reads `_push`. The
-row-major product layout (`_box`) and the inclusion of a subspace
-(`_inclusion`) are defined only in `maps`. The canonical form of an item's
+and the matrix both read. The per-byte tables, where masks cross an item
+map, have one builder, `maps._byte_tables`: it and the readers of the
+tables, `_push` and the `PointMap` table methods, are defined and called
+only in `maps`, and no other module reads `_push`. The row-major product
+layout (`_box`) and the inclusion of a subspace (`_inclusion`) are
+defined only in `maps`. The canonical form of an item's
 competencies, `skills._competencies`, is defined only in `skills` and called
 only by `skills` and the miner. The CLI registers its verbs at one
 `add_parser` call and prints an item set by `str`, not a formatter of its
@@ -99,9 +98,7 @@ def test_the_greedy_selection_runs_only_in_the_one_greedy_run():
     assert calls == [("cardinal.py", "_greedy_picks", "_select")]
 
 
-TABLE_BUILDER = "_byte_tables"
-TABLE_READERS = {"_push", "_image_tables", "_preimage_tables"}
-TABLE_KERNEL = {TABLE_BUILDER} | TABLE_READERS
+TABLE_KERNEL = {"_byte_tables", "_push", "_image_tables", "_preimage_tables"}
 
 
 def kernel_uses(path, names):
@@ -119,16 +116,12 @@ def kernel_uses(path, names):
     return uses
 
 
-def test_the_table_builder_lives_in_core_and_the_table_readers_in_maps():
+def test_the_byte_tables_are_built_and_read_only_in_maps():
     uses = [u for path in sorted(PACKAGE.glob("*.py")) for u in kernel_uses(path, TABLE_KERNEL)]
     defined = sorted((module, name) for module, kind, name in uses if kind == "def")
-    assert defined == sorted(
-        [("core.py", TABLE_BUILDER)] + [("maps.py", name) for name in TABLE_READERS]
-    )
+    assert defined == sorted(("maps.py", name) for name in TABLE_KERNEL)
     called = {(module, name) for module, kind, name in uses if kind == "call"}
-    assert called == {("core.py", TABLE_BUILDER), ("maps.py", TABLE_BUILDER)} | {
-        ("maps.py", name) for name in TABLE_READERS
-    }
+    assert called == {("maps.py", name) for name in TABLE_KERNEL}
 
 
 def test_the_product_and_inclusion_layouts_live_in_maps():

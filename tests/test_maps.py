@@ -248,6 +248,42 @@ def test_pre_openness_on_the_base_matches_every_open():
     assert seen == {True, False}
 
 
+def every_open_witness(f, x, y):
+    """The least open of y, in canonical order, with a non-open preimage."""
+    for w in y.states.members:
+        if not x.states.has_mask(f.preimage_mask(w.mask)):
+            return w
+    return None
+
+
+def test_continuity_and_homeomorphism_match_every_open_and_the_inverse():
+    """The base-first witness and continuity test against a scan of every
+    open of y, and the pre-homeomorphism flag against the continuity of
+    f⁻¹, on every map between spaces on at most 3 points."""
+    spaces = {n: enumerate_spaces(n) for n in (1, 2, 3)}
+    bijections = 0
+    outcomes = set()
+    for a, b in itertools.product(spaces, repeat=2):
+        xu, yu = spaces[a][0].universe, spaces[b][0].universe
+        for targets in itertools.product(yu.labels, repeat=a):
+            f = PointMap(xu, yu, dict(zip(xu.labels, targets)))
+            inverse = f.inverse() if f.is_bijective() else None
+            bijections += inverse is not None
+            for x, y in itertools.product(spaces[a], spaces[b]):
+                want = every_open_witness(f, x, y)
+                assert pre_continuity_witness(f, x, y) == want
+                assert is_pre_continuous(f, x, y) == (want is None)
+                homeo = (
+                    want is None
+                    and inverse is not None
+                    and every_open_witness(inverse, y, x) is None
+                )
+                assert classify_map(f, x, y).pre_homeomorphism == homeo
+                outcomes.add((want is None, homeo))
+    assert bijections == 1 + 2 + 6
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
 def test_quotient_by_singletons_is_the_space_itself():
     space = fixtures.space("e0")
     classes = [item_set(space, [t]) for t in space.universe.labels]

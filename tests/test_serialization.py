@@ -1,11 +1,11 @@
 """`SetFamily.to_obj` against the item-set route it replaced.
 
-`to_obj` sorts the masks by `core._canonical_key` and reads each state's
-labels from per-byte label tables (`core._byte_tables`), one lookup per
-8 items. The route below builds an `ItemSet` per state, sorts them by
-`ItemSet.sort_key` and lists `ItemSet.labels`. The two are compared as
-JSON text on every family over 1 to 4 items and on seeded families at
-the 8-item chunk edges, with labels that hold '+' and non-ASCII letters.
+`to_obj` sorts the masks by `core._canonical_key` and picks each state's
+labels with `itertools.compress` over the mask's `core._flags`. The route
+below builds an `ItemSet` per state, sorts them by `ItemSet.sort_key` and
+lists `ItemSet.labels`. The two are compared as JSON text on every family
+over 1 to 4 items and on seeded families at the 8-item chunk edges of the
+sort key, with labels that hold '+' and non-ASCII letters.
 """
 
 import json
