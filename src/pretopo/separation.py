@@ -173,10 +173,10 @@ def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
     by `int.bit_count`.
 
     The witness scan order, by size and then by `_canonical_key`, is
-    produced lazily: a scan reads the list one size class at a time and
-    sorts a class by the key only when it reaches it. `_regular` sorts
-    no class; it reads the key only on the failing members of the first
-    class where it fails.
+    produced lazily: a scan reads the list one size class at a time, in
+    list order. `_regular` sorts no class; it reads the key only on the
+    failing members of the first class where it fails. `_normal` sorts
+    the rest of a class only once one of its members fails.
     """
     return sorted(map(u._full.__xor__, opens), key=int.bit_count)
 
@@ -257,15 +257,20 @@ def _normal(
     e with any failing partner has them all later in the scan: they lie
     in e's size class or after it, and the first of them in scan order is
     the witness's f. A table is built the second time its under(e) is
-    seen; the first time, those closed sets are scanned directly. The
-    scan sorts each size class by the key when it reaches it.
+    seen; the first time, those closed sets are scanned directly.
+
+    A size class is scanned in list order, unsorted, and a member is
+    only tested for some failing partner. Once one fails, the witness's
+    e is the failing member of least key (`_least_failing`), the only
+    part of the class ever sorted, and its f is found last. A normal
+    space sorts no class.
     """
     tables: dict[tuple[int, ...], list[int] | None] = {}
     start = 0  # where the current size class begins in `closed`
     for _, members in groupby(closed, int.bit_count):
-        members = sorted(members, key=_canonical_key)
-        for e in members:
-            under = tuple([r for g, r in separators if not e & ~g])
+        members = list(members)
+        for i, e in enumerate(members):
+            under = _under(e, separators)
             if under in tables:
                 mins = tables[under]
                 if mins is None:
@@ -277,11 +282,45 @@ def _normal(
                     continue
             else:
                 tables[under] = None
-            f = _first_in_scan_order(_partners(e, under, closed[start:]))
-            if f is not None:
-                return False, (ItemSet(u, e).labels, ItemSet(u, f).labels)
+                if next(_partners(e, under, closed[start:]), None) is None:
+                    continue
+            later = closed[start:]
+            e = _least_failing(e, members[i + 1 :], separators, tables, later)
+            f = _first_in_scan_order(_partners(e, _under(e, separators), later))
+            return False, (ItemSet(u, e).labels, ItemSet(u, f).labels)
         start += len(members)
     return True, None
+
+
+def _under(e: int, separators: list[tuple[int, int]]) -> tuple[int, ...]:
+    """reach[g] for each g in R with e ⊆ g: a closed set is separated
+    from e iff it lies in one of them."""
+    return tuple([r for g, r in separators if not e & ~g])
+
+
+def _least_failing(
+    e: int,
+    rest: list[int],
+    separators: list[tuple[int, int]],
+    tables: dict[tuple[int, ...], list[int] | None],
+    later: list[int],
+) -> int:
+    """The member of least key among e, which has a failing partner in
+    `later`, and those of `rest` that have one. Only the members of rest
+    with a smaller key than e are tested, in key order; a table built by
+    the scan answers for its under(e), any other is scanned directly."""
+    key = _canonical_key(e)
+    for d in sorted(rest, key=_canonical_key):
+        if _canonical_key(d) > key:
+            break
+        under = _under(d, separators)
+        mins = tables.get(under)
+        if mins is not None:
+            if any(not d & f for f in mins):
+                return d
+        elif next(_partners(d, under, later), None) is not None:
+            return d
+    return e
 
 
 def _partners(e: int, under: tuple[int, ...], closed: list[int]) -> Iterator[int]:

@@ -4,13 +4,25 @@ A skill multimap assigns every item a non-empty finite set of non-empty
 competencies over a skill universe. The problem function p sends a skill
 set R to the items having some competency inside R; the delineated
 structure is the family of all p(R).
+
+What the skill calls read is derived once per multimap, on first use,
+and kept for the object's lifetime (`SkillMultimap._delineation`): the
+minimal competencies as masks, the holder table, the competency pool
+and, once a call needs it, the delineated family. `delineate`,
+`is_delineated_space`, `star_condition`,
+`is_completely_discriminative_delineation` and `problem_function` read
+that record. The guarded calls still run their size guards on every
+call, before the family is read, so a smaller `bound=` refuses a
+multimap whose record is already built.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import asdict, dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import (
     ItemSet,
@@ -31,9 +43,14 @@ POOL_BOUND = 16
 
 
 class SkillMultimap:
-    """Items, skills, and the competency assignment with minimal members."""
+    """Items, skills, and the competency assignment with minimal members.
 
-    __slots__ = ("items", "skills", "mu", "mu_min")
+    `mu` and `mu_min` are read-only views, since what the skill calls
+    derive from them is computed once and kept in `_derived` (see
+    `_delineation`).
+    """
+
+    __slots__ = ("items", "skills", "mu", "mu_min", "_derived")
 
     def __init__(
         self,
@@ -61,8 +78,9 @@ class SkillMultimap:
             minimal[t] = tuple(by_mask[c] for c in mins)
         self.items = items
         self.skills = skills
-        self.mu = clean
-        self.mu_min = minimal
+        self.mu = MappingProxyType(clean)
+        self.mu_min = MappingProxyType(minimal)
+        self._derived: _Delineation | None = None
 
     def is_skill_function(self) -> bool:
         """Competencies of each item pairwise incomparable."""
@@ -75,9 +93,32 @@ class SkillMultimap:
     def minimal_pool(self) -> tuple[ItemSet, ...]:
         return self._pool(self.mu_min)
 
-    def _pool(self, comps: dict[str, tuple[ItemSet, ...]]) -> tuple[ItemSet, ...]:
+    def _pool(self, comps: Mapping[str, tuple[ItemSet, ...]]) -> tuple[ItemSet, ...]:
         seen = {c.mask: c for t in self.items.labels for c in comps[t]}
         return tuple(seen[c] for c in sorted(seen, key=_canonical_key))
+
+    def _delineation(self) -> "_Delineation":
+        """The minimal competencies as masks, the holder table and the
+        competency pool, computed on the first call and shared by every
+        later one, with the delineated family once `_delineated_family`
+        has run. No guard runs here: each public call guards first."""
+        if self._derived is None:
+            mins = tuple(tuple(c.mask for c in self.mu_min[t]) for t in self.items.labels)
+            pool = tuple(c.mask for c in self.competency_pool())
+            self._derived = _Delineation(
+                mins, MappingProxyType(_holders(mins)), pool, None
+            )
+        return self._derived
+
+    def _delineated_family(self) -> frozenset[int]:
+        """The delineated family as masks, from one `_delineated_masks`
+        run on the first call, kept with the record."""
+        record = self._delineation()
+        if record.family is None:
+            record = self._derived = record._replace(
+                family=frozenset(_delineated_masks(record.holders))
+            )
+        return record.family
 
     def to_obj(self) -> dict:
         return {
@@ -119,6 +160,15 @@ class SkillMultimap:
         return cls.from_obj(json.loads(text))
 
 
+class _Delineation(NamedTuple):
+    """What a multimap derives for the skill calls (`SkillMultimap._delineation`)."""
+
+    mins: tuple[tuple[int, ...], ...]  # each item's minimal competencies, items in order
+    holders: Mapping[int, int]  # `_holders(mins)`, read-only
+    pool: tuple[int, ...]  # the competency pool as masks, in canonical order
+    family: frozenset[int] | None  # `_delineated_family`; None until it runs
+
+
 def _competencies(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One item's competencies as masks: the distinct ones in canonical
     order, and the ⊆-minimal ones among them, in the same order."""
@@ -131,12 +181,7 @@ def problem_function(m: SkillMultimap, r: ItemSet) -> ItemSet:
     """Items with some competency contained in r; monotone in r."""
     if r.universe != m.skills:
         raise ValueError("skill set over a different universe")
-    return ItemSet(m.items, _p(_min_masks(m), r.mask))
-
-
-def _min_masks(m: SkillMultimap) -> list[tuple[int, ...]]:
-    """The minimal competencies of each item as masks, items in order."""
-    return [tuple(c.mask for c in m.mu_min[t]) for t in m.items.labels]
+    return ItemSet(m.items, _p(m._delineation().mins, r.mask))
 
 
 def _p(mins: Sequence[Sequence[int]], r: int) -> int:
@@ -161,7 +206,7 @@ def _holders(mins: Sequence[Sequence[int]]) -> dict[int, int]:
     return table
 
 
-def _delineated_masks(holders: dict[int, int]) -> set[int]:
+def _delineated_masks(holders: Mapping[int, int]) -> set[int]:
     """{p(V) : V a union of keys of the holder table}, one p per union."""
     # A key inside u | g but not inside u meets g, so p(u | g) is p(u),
     # the holders of g, and those of the other keys meeting g that fit.
@@ -197,10 +242,23 @@ def delineate(m: SkillMultimap, bound: int | None = None) -> KnowledgeStructure:
     time for U distinct unions of the minimal pool and k pool members
     meeting a given one (U is at most 2^|S| and at most 2^|pool|), and
     O(U) memory for the set of unions seen. The skill guard is kept as
-    the bound on |S|.
+    the bound on |S|, and runs on every call.
+
+    The family is computed once per multimap and kept for the object's
+    lifetime, so `is_delineated_space` and a second call read it back.
+
+    >>> items, skills = Universe(["q1", "q2"]), Universe(["s1", "s2"])
+    >>> m = SkillMultimap(items, skills, {
+    ...     "q1": [skills.subset(["s1"])], "q2": [skills.subset(["s1", "s2"])]})
+    >>> [str(s) for s in delineate(m).states]
+    ['{}', '{q1}', '{q1,q2}']
+    >>> delineate(m, bound=1)
+    Traceback (most recent call last):
+    ...
+    pretopo.errors.SkillBoundExceeded: delineation skills: 2 exceeds the configured bound 1
     """
     _guard(len(m.skills), SKILL_BOUND, "delineation skills", bound, SkillBoundExceeded)
-    states = _delineated_masks(_holders(_min_masks(m)))
+    states = m._delineated_family()
     return KnowledgeStructure(m.items, SetFamily.from_masks(m.items, states))
 
 
@@ -222,16 +280,18 @@ def is_delineated_space(
     Direct route: classify the delineated family. Characterization
     route: the family must coincide with all unions of p(D) for D drawn
     from the minimal competencies of all items. Both read one holder
-    table; neither uses the other's result.
+    table; neither uses the other's result. The holder table and the
+    family are those of the multimap's record, computed once per multimap
+    and kept for the object's lifetime (shared with `delineate`); the
+    skill guard runs on every call.
     """
     _guard(len(m.skills), SKILL_BOUND, "delineation skills", bound, SkillBoundExceeded)
-    holders = _holders(_min_masks(m))
-    family = _delineated_masks(holders)
-    return _delineation_report(holders, family, len(m.items))
+    family = m._delineated_family()
+    return _delineation_report(m._delineation().holders, family, len(m.items))
 
 
 def _delineation_report(
-    holders: dict[int, int], family: Set[int], n_items: int
+    holders: Mapping[int, int], family: Set[int], n_items: int
 ) -> DelineationReport:
     """Both routes of `is_delineated_space` on the delineated family, as
     masks, of the multimap over n_items items whose holder table is given."""
@@ -262,11 +322,13 @@ def star_condition(m: SkillMultimap, bound: int | None = None) -> bool:
     holds iff, for every g, no minimal competency of g lies inside the
     union of A_g. Cost: O(|items| * |pool| * c) for at most c minimal
     competencies per item, where the definition ranges over 2^|pool|
-    subfamilies. The pool guard is kept as an API contract.
+    subfamilies. The pool guard is kept as an API contract, and runs on
+    every call; it reads only the pool of the multimap's record, so no
+    union is taken before it.
     """
-    pool = m.competency_pool()
-    _guard(len(pool), POOL_BOUND, "competency pool", bound, CombinatorialBoundExceeded)
-    return _star([c.mask for c in pool], _min_masks(m))
+    record = m._delineation()
+    _guard(len(record.pool), POOL_BOUND, "competency pool", bound, CombinatorialBoundExceeded)
+    return _star(record.pool, record.mins)
 
 
 def _star(pool: Iterable[int], mins: Sequence[Sequence[int]]) -> bool:
@@ -292,7 +354,7 @@ def is_completely_discriminative_delineation(m: SkillMultimap) -> bool:
     For each pair of distinct items there must be minimal competencies
     whose refinement marks never overlap across items.
     """
-    return _refinement_route(_min_masks(m))
+    return _refinement_route(m._delineation().mins)
 
 
 def _refinement_route(mins: Sequence[Sequence[int]]) -> bool:

@@ -8,9 +8,10 @@ longer ran, or whose violations were no longer collected, would leave
 the check at `holds`. Every pass of a check registered with steps has a
 mutant here or a reason in `NO_MUTANT`. A pass is keyed by its check id,
 with `/k` for the k-th pass from the second on. Its mutant must fail the
-pass alone as well as the check, and a mutant of a later pass patches
-something no other pass reads, so a pass that stopped running would
-leave its check at `holds`.
+pass alone as well as the check, and every other pass of the check, run
+alone under a later pass's mutant, must hold: that mutant breaks nothing
+another pass reads, so a pass that stopped running would leave its check
+at `holds`.
 """
 
 import dataclasses
@@ -232,3 +233,19 @@ def test_a_mutant_fails_the_check(monkeypatch, key):
         (report,) = audit(ident, n)
         assert report.status == "fails"
         assert report.violations
+
+
+@pytest.mark.parametrize("key", [key for key in MUTANTS if "/" in key])
+def test_a_later_pass_mutant_leaves_the_other_passes_holding(monkeypatch, key):
+    ident, _, k = key.partition("/")
+    k = int(k) - 1
+    chk = miner._REGISTRY[ident]
+    owner, name, mutant, n = MUTANTS[key]
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name)))
+    for j in range(len(chk.passes)):
+        if j == k:
+            continue
+        alone = dataclasses.replace(chk, passes=chk.passes[j : j + 1])
+        monkeypatch.setitem(miner._REGISTRY, ident, alone)
+        (report,) = audit(ident, n)
+        assert report.status == "holds" and report.checked > 0, f"pass {j + 1}"

@@ -203,6 +203,15 @@ def test_delineate_verb(capsys, tmp_path):
         "star condition true\n"
         "completely discriminative false\n"
     )
+    code, out, _ = run(capsys, "delineate", str(f), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "states": [[], ["q1"], ["q1", "q2"]],
+        "knowledge_space": True,
+        "characterization_agrees": True,
+        "star_condition": True,
+        "completely_discriminative": False,
+    }
 
 
 def test_primary_items_matrix_golden(capsys):

@@ -38,3 +38,4 @@ def test_every_module_doctests():
         "pretopo" if f.stem == "__init__" else f"pretopo.{f.stem}" for f in files
     }
     assert attempted["pretopo.cardinal"] >= 4
+    assert attempted["pretopo.skills"] >= 4

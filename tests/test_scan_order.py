@@ -2,9 +2,10 @@
 eager one.
 
 `separation._closed` groups the closed sets by size with one sort by
-`int.bit_count`; the kernels sort a size class by `_canonical_key` only
-when their scan reaches it, and the regular kernel only takes the least
-key among the members of the class where it fails. The route below
+`int.bit_count`; the regular kernel only takes the least key among the
+members of the class where it fails, and the normal kernel scans a class
+unsorted and sorts it by `_canonical_key` only once a member fails, so a
+normal space reads no key. The route below
 sorts every closed set into scan order first, by `ItemSet.sort_key`, and
 scans the points and the pairs of closed sets in that order over the
 same reach values R (`separation._separators`). Verdicts and witnesses
@@ -17,11 +18,14 @@ are.
 """
 
 import random
+from itertools import groupby
 
 from pretopo import ItemSet, PreTopology, SetFamily, Universe, miner, separation
 from pretopo.core import union_closure_masks
 from pretopo.errors import AxiomViolation
 from pretopo.separation import (
+    _closed,
+    _normal,
     _separators,
     is_normal_property,
     is_regular_property,
@@ -150,3 +154,65 @@ def test_early_witnesses_read_the_key_of_few_closed_sets(monkeypatch):
     assert len(set(calls)) <= 1 + (m - 1)
     monkeypatch.undo()
     check(space)
+
+
+def shuffled_classes(rng, closed):
+    """The closed sets with each size class shuffled in place: still
+    grouped by size, smallest first, as `_closed` gives them."""
+    out = []
+    for _, members in groupby(closed, int.bit_count):
+        members = list(members)
+        rng.shuffle(members)
+        out += members
+    return out
+
+
+def check_normal_in_any_class_order(rng, space, rounds=3):
+    """`_normal` on `_closed`'s list and on class-shuffled copies of it
+    against the eager scan; returns the normal verdict."""
+    u = space.universe
+    want = eager_normal(space)
+    closed = _closed(u, space.states.masks())
+    separators = _separators(space)
+    assert _normal(u, closed, separators) == want
+    for _ in range(rounds):
+        assert _normal(u, shuffled_classes(rng, closed), separators) == want
+    return want[0]
+
+
+def test_the_normal_witness_does_not_depend_on_the_class_order():
+    """Every space on up to 4 points and seeded non-normal union
+    closures on 6-14 items, whose failing classes hold several members."""
+    rng = random.Random(53)
+    verdicts = [
+        check_normal_in_any_class_order(rng, s)
+        for n in range(1, 5)
+        for s in miner.enumerate_spaces(n)
+    ]
+    assert 0 < sum(verdicts) < len(verdicts)
+    failing = 0
+    for _ in range(200):
+        m = rng.randint(6, 14)
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(3, 9))]
+        masks = union_closure_masks(gens) | {0, u.full.mask}
+        space = PreTopology(u, SetFamily.from_masks(u, masks))
+        failing += not check_normal_in_any_class_order(rng, space, rounds=6)
+    assert failing >= 100
+
+
+def test_a_normal_space_reads_no_key(monkeypatch):
+    calls = []
+    key = separation._canonical_key
+    monkeypatch.setattr(separation, "_canonical_key", lambda m: calls.append(m) or key(m))
+    spaces = [PreTopology(u, SetFamily.from_masks(u, masks)) for u, masks in normal_families(seed=43)]
+    spaces += miner.enumerate_spaces(4)
+    normal = 0
+    for space in spaces:
+        u = space.universe
+        calls.clear()
+        ok, _ = _normal(u, _closed(u, space.states.masks()), _separators(space))
+        if ok:
+            normal += 1
+            assert calls == [], space.states.to_obj()
+    assert normal >= 24 + 100

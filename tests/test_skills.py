@@ -254,3 +254,103 @@ def test_mask_kernels_match_their_wrappers():
             family = skills._delineated_masks(holders)
             assert family == delineate(m).states.masks()
             assert skills._delineation_report(holders, family, qn) == is_delineated_space(m)
+
+
+def test_the_guards_run_on_every_call_after_the_record_is_built():
+    skills5 = Universe([f"s{i}" for i in range(1, 6)])
+    items = Universe(["q1", "q2", "q3"])
+    m = mk(items, skills5, {"q1": [0b1], "q2": [0b110], "q3": [0b11000, 0b1001]})
+    family = delineate(m).states.masks()
+    report = is_delineated_space(m)
+    star = star_condition(m)
+    assert m._derived.family == family
+    with pytest.raises(SkillBoundExceeded):
+        delineate(m, bound=4)
+    with pytest.raises(SkillBoundExceeded):
+        is_delineated_space(m, bound=4)
+    with pytest.raises(CombinatorialBoundExceeded):
+        star_condition(m, bound=3)  # four competencies in the pool
+    assert delineate(m, bound=5).states.masks() == family
+    with pytest.raises(TypeError):
+        m.mu_min["q1"] = (ItemSet(skills5, 0b10),)
+    assert is_delineated_space(m, bound=5) == report
+    assert star_condition(m, bound=4) == star
+
+
+def test_the_pool_guard_refuses_before_any_union_is_taken(monkeypatch):
+    skills17 = Universe([f"s{i}" for i in range(1, 18)])
+    m = mk(Universe(["q1"]), skills17, {"q1": [1 << i for i in range(17)]})
+    runs = []
+    real = skills._delineated_masks
+    monkeypatch.setattr(skills, "_delineated_masks", lambda h: runs.append(h) or real(h))
+    with pytest.raises(CombinatorialBoundExceeded):
+        star_condition(m)
+    # star, complete discrimination and p read no delineated family
+    assert star_condition(m, bound=17)
+    assert is_completely_discriminative_delineation(m)
+    assert problem_function(m, ItemSet(skills17, 0b10)).mask == 1
+    assert runs == [] and m._derived.family is None
+
+
+def test_the_cli_delineates_once(monkeypatch, tmp_path):
+    from pretopo import cli
+
+    f = tmp_path / "mm.json"
+    f.write_text(
+        '{"items": ["q1", "q2", "q3"], "skills": ["s1", "s2", "s3"],'
+        ' "mu": {"q1": [["s1"]], "q2": [["s1", "s2"], ["s3"]], "q3": [["s2", "s3"]]}}'
+    )
+    runs = []
+    real = skills._delineated_masks
+    monkeypatch.setattr(skills, "_delineated_masks", lambda h: runs.append(h) or real(h))
+    for form in ("table", "json"):
+        runs.clear()
+        assert cli.main(["delineate", str(f), "--format", form]) == 0
+        assert len(runs) == 1, form
+
+
+# the five record-backed results, by name
+CALLS = {
+    "delineate": lambda m, rs: delineate(m, bound=64).states.masks(),
+    "is_delineated_space": lambda m, rs: is_delineated_space(m, bound=64),
+    "star_condition": lambda m, rs: star_condition(m, bound=64),
+    "cd": lambda m, rs: is_completely_discriminative_delineation(m),
+    "p": lambda m, rs: [problem_function(m, ItemSet(m.skills, r)).mask for r in rs],
+}
+
+
+def fresh_kernels(m, r_masks):
+    """The same results from the mask kernels, with nothing kept."""
+    mins = [[c.mask for c in m.mu_min[t]] for t in m.items.labels]
+    holders = skills._holders(mins)
+    family = skills._delineated_masks(holders)
+    return {
+        "delineate": family,
+        "is_delineated_space": skills._delineation_report(holders, family, len(m.items)),
+        "star_condition": skills._star([c.mask for c in m.competency_pool()], mins),
+        "cd": skills._refinement_route(mins),
+        "p": [skills._p(mins, r) for r in r_masks],
+    }
+
+
+def check_record(m, rng):
+    n = len(m.skills)
+    r_masks = range(1 << n) if n <= 6 else [rng.getrandbits(n) for _ in range(64)]
+    want = fresh_kernels(m, r_masks)
+    for order in (list(CALLS), list(CALLS)[::-1]):
+        again = SkillMultimap.from_obj(m.to_obj())
+        for _ in range(2):
+            got = {name: CALLS[name](again, r_masks) for name in order}
+            assert got == want, (order, m.to_obj())
+
+
+def test_the_record_matches_a_fresh_kernel_run_on_every_small_multimap():
+    rng = random.Random(2501)
+    for m in enumerate_multimaps(2, 2, 2):
+        check_record(m, rng)
+
+
+def test_the_record_matches_a_fresh_kernel_run_on_seeded_multimaps():
+    rng = random.Random(2503)
+    for _ in range(200):
+        check_record(random_multimap(rng, max_skills=16), rng)
