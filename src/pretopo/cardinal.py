@@ -74,8 +74,6 @@ def density_exact(
     m = len(u)
     _guard(m, DENSITY_UNIVERSE_BOUND, "density universe", bound)
     members = list(space.states._base().masks)
-    if not members:
-        return 0, u.empty
     best_key = (m, list(range(m)))
 
     # left: the members that chosen misses, in base order; a child

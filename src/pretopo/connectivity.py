@@ -17,31 +17,11 @@ from .errors import NotACover
 from .operators import _fringe_masks
 
 
-class _NoChain:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NoChain"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NoChain = _NoChain()
-
-
 @dataclass(frozen=True)
 class ChainWitness:
     covers_used: tuple[ItemSet, ...]
     endpoints: tuple[str, str]
     kind: str
-
-    def to_obj(self) -> dict:
-        return {
-            "covers_used": [list(c.labels) for c in self.covers_used],
-            "endpoints": list(self.endpoints),
-            "kind": self.kind,
-        }
 
 
 @dataclass(frozen=True)
@@ -87,8 +67,9 @@ def is_connected(space: PreTopology) -> bool:
 
 def find_simple_chain(
     space: PreTopology, cover: SetFamily, x: str, y: str
-) -> ChainWitness | _NoChain:
-    """Shortest intersecting chain of cover members from x to y.
+) -> ChainWitness | None:
+    """Shortest intersecting chain of cover members from x to y, or None
+    when no chain joins them.
 
     Breadth-first over the cover intersection graph, members visited in
     canonical order; a shortest chain is automatically simple (a link
@@ -125,7 +106,7 @@ def find_simple_chain(
             if j not in parent and m.mask & members[i].mask:
                 parent[j] = i
                 queue.append(j)
-    return NoChain
+    return None
 
 
 def is_well_graded(family: SetFamily) -> bool:

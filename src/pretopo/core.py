@@ -143,9 +143,6 @@ class Universe:
     def from_mask(self, mask: int) -> "ItemSet":
         return ItemSet(self, mask)
 
-    def item(self, label: str) -> "ItemSet":
-        return ItemSet(self, 1 << self.index(label))
-
     @property
     def empty(self) -> "ItemSet":
         return ItemSet(self, 0)
@@ -153,11 +150,6 @@ class Universe:
     @property
     def full(self) -> "ItemSet":
         return ItemSet(self, self._full)
-
-    def subsets(self) -> Iterator["ItemSet"]:
-        """All 2^m subsets in mask order. Caller is responsible for bounding m."""
-        for mask in range(1 << len(self.labels)):
-            yield ItemSet(self, mask)
 
 
 def _read_universe(labels: object, key: str) -> Universe:
@@ -242,16 +234,9 @@ class ItemSet:
         self._check(other)
         return ItemSet(self.universe, self.mask & ~other.mask)
 
-    def __xor__(self, other: "ItemSet") -> "ItemSet":
-        self._check(other)
-        return ItemSet(self.universe, self.mask ^ other.mask)
-
     def __le__(self, other: "ItemSet") -> bool:
         self._check(other)
         return self.mask & ~other.mask == 0
-
-    def __lt__(self, other: "ItemSet") -> bool:
-        return self <= other and self.mask != other.mask
 
     def complement(self) -> "ItemSet":
         return ItemSet(self.universe, self.universe._full & ~self.mask)
@@ -477,14 +462,8 @@ class KnowledgeStructure:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.states!r})"
 
-    def is_state(self, s: ItemSet) -> bool:
-        return s in self.states
-
     def to_obj(self) -> dict:
         return self.states.to_obj()
-
-    def to_json(self) -> str:
-        return self.states.to_json()
 
 
 class PreTopology(KnowledgeStructure):
@@ -527,14 +506,6 @@ class PreTopology(KnowledgeStructure):
     @classmethod
     def from_family(cls, family: SetFamily) -> "PreTopology":
         return cls(family.universe, family)
-
-    @classmethod
-    def from_obj(cls, obj: object) -> "PreTopology":
-        return cls.from_family(SetFamily.from_obj(obj))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PreTopology":
-        return cls.from_obj(json.loads(text))
 
 
 def _require_cover(base: SetFamily) -> None:

@@ -14,7 +14,6 @@ layout (`_box`) and the subspace inclusion (`_inclusion`) live here only.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
@@ -131,12 +130,6 @@ class PointMap:
         tables = self._image_tables()
         return [_push(tables, m) for m in masks]
 
-    def image(self, a: ItemSet) -> ItemSet:
-        return ItemSet(self.codomain, self.image_mask(a.mask))
-
-    def preimage(self, b: ItemSet) -> ItemSet:
-        return ItemSet(self.domain, self.preimage_mask(b.mask))
-
     def is_surjective(self) -> bool:
         return len(set(self._targets)) == len(self.codomain)
 
@@ -182,10 +175,6 @@ class PointMap:
             return cls(domain, codomain, dict(obj["map"]))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
-
-    @classmethod
-    def from_json(cls, text: str, domain: Universe, codomain: Universe) -> "PointMap":
-        return cls.from_obj(json.loads(text), domain, codomain)
 
 
 def pre_continuity_witness(
@@ -430,13 +419,6 @@ class ChildPretopology:
     family: SetFamily
     carrier: ItemSet
     coarser_than_subspace: bool
-
-    def to_obj(self) -> dict:
-        return {
-            "family": [list(m.labels) for m in self.family.members],
-            "carrier": list(self.carrier.labels),
-            "coarser_than_subspace": self.coarser_than_subspace,
-        }
 
 
 def child_pretopology(space: PreTopology, b: ItemSet, u: ItemSet) -> ChildPretopology:

@@ -924,10 +924,7 @@ def _chk_cover_components(space, rng):
         family = SetFamily.from_masks(space.universe, fam)
         fast = _cover_chain_connected(fam, len(labels))
         slow = all(
-            not isinstance(
-                connectivity.find_simple_chain(space, family, x, y),
-                connectivity._NoChain,
-            )
+            connectivity.find_simple_chain(space, family, x, y) is not None
             for x in labels
             for y in labels
             if x < y
@@ -1123,9 +1120,6 @@ def _chk_regular_atom_complement(space, rng):
     and _regular(space),
 )
 def _chk_granular_regular_disconnected(space, rng):
-    if not order.is_granular(space):
-        yield "finite space not granular"
-        return 0
     if connectivity.is_connected(space):
         yield "granular regular bi-discriminative space is connected"
 

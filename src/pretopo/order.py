@@ -11,7 +11,6 @@ closure of the principal down-sets N(q).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .core import (
@@ -116,10 +115,6 @@ class QuasiOrder:
             raise SchemaError("bad leq entry: each must be an array of two labels")
         return cls.from_pairs(universe, [(a, b) for a, b in read])
 
-    @classmethod
-    def from_json(cls, text: str) -> "QuasiOrder":
-        return cls.from_obj(json.loads(text))
-
 
 def _minimal_states(space: PreTopology) -> tuple[int, ...] | None:
     """N(q) for every item q when each is a state, else None."""
@@ -138,7 +133,15 @@ def is_quasi_ordinal(space: PreTopology) -> bool:
 
 
 def to_quasi_order(space: PreTopology) -> QuasiOrder:
-    """x ⪯ y iff x belongs to every open containing y, i.e. x ∈ N(y)."""
+    """x ⪯ y iff x belongs to every open containing y, i.e. x ∈ N(y).
+
+    >>> uni = Universe(["z1", "z2", "z3"])
+    >>> space = PreTopology.from_family(
+    ...     SetFamily.from_masks(uni, [0b000, 0b001, 0b011, 0b111])
+    ... )
+    >>> print(to_quasi_order(space))
+    QuasiOrder(z1<=z2, z1<=z3, z2<=z3)
+    """
     mins = _minimal_states(space)
     if mins is None:
         raise NotQuasiOrdinal("space is not closed under intersections")
@@ -173,17 +176,6 @@ def atoms_at(space: PreTopology, t: str) -> SetFamily:
         m for m in through if not any(o != m and o & ~m == 0 for o in through)
     ]
     return SetFamily.from_masks(space.universe, minimals)
-
-
-def is_granular(space: PreTopology) -> bool:
-    """Every state through t sits above an atom at t (finite: always)."""
-    for i, t in enumerate(space.universe.labels):
-        atoms = atoms_at(space, t).masks()
-        bit = 1 << i
-        for m in space.states.masks():
-            if m & bit and not any(a & ~m == 0 for a in atoms):
-                return False
-    return True
 
 
 def is_antimatroid(space: PreTopology) -> bool:

@@ -181,15 +181,14 @@ def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
     return sorted(map(u._full.__xor__, opens), key=int.bit_count)
 
 
-def _first_in_scan_order(masks: Iterable[int]) -> int | None:
-    """The first of the masks in witness scan order, given them grouped
-    by size, smallest first: the least `_canonical_key` among those of
-    the first size, or None when there are none. Reads the masks only up
-    to the first one of a larger size."""
+def _first_in_scan_order(masks: Iterable[int]) -> int:
+    """The first of the masks, at least one, in witness scan order, given
+    them grouped by size, smallest first: the least `_canonical_key`
+    among those of the first size. Reads the masks only up to the first
+    one of a larger size. Both callers pass the partners of a failing
+    point or closed set, which hold its witness."""
     masks = iter(masks)
-    first = next(masks, None)
-    if first is None:
-        return None
+    first = next(masks)
     size = first.bit_count()
     same = takewhile(lambda f: f.bit_count() == size, masks)
     return min(chain((first,), same), key=_canonical_key)
@@ -236,9 +235,9 @@ def is_normal_property(
 
     e and f are separated iff some g ∈ R = {reach[U] : U open} has
     e ⊆ g and f ⊆ reach[g] (`_separators`). `_normal` decides that with
-    one table per distinct set of such reach[g]: O(|K|·|R|) when
-    normality holds and the tables are few, instead of a scan of the
-    opens for each pair of closed sets.
+    one scan of the closed sets per distinct set of such reach[g]:
+    O(|K|·|R|) when normality holds and those sets are few, instead of a
+    scan of the opens for each pair of closed sets.
     """
     u = space.universe
     return _normal(u, _closed(u, space.states.masks()), _separators(space))
@@ -251,13 +250,18 @@ def _normal(
 
     under(e) holds reach[g] for each g ∈ R with e ⊆ g; f fails with e iff
     f is disjoint from e and lies in no member of under(e) (`_partners`).
-    The closed sets in no member are closed upward, so e has a failing
-    partner iff it is disjoint from one of their ⊆-minimal members, kept
-    in a table per distinct under(e). Failing is symmetric, so the first
-    e with any failing partner has them all later in the scan: they lie
-    in e's size class or after it, and the first of them in scan order is
-    the witness's f. A table is built the second time its under(e) is
-    seen; the first time, those closed sets are scanned directly.
+    Failing is symmetric, so the first e with any failing partner has
+    them all later in the scan: they lie in e's size class or after it,
+    and the first of them in scan order is the witness's f.
+
+    Only the first member of the scan with a given under(e) is tested.
+    Let d come before e in the scan, with no failing partner and the same
+    under(e), while no member before e fails, so that no closed set
+    smaller than e fails. If e failed with some f, f would meet d, as
+    otherwise it would fail with d. d ∩ f is disjoint from e and lies in
+    no member of under(e), each of which is disjoint from d, so it fails
+    with e. It is no larger than d, so it is no smaller than e only if it
+    is d, and then d fails with e.
 
     A size class is scanned in list order, unsorted, and a member is
     only tested for some failing partner. Once one fails, the witness's
@@ -265,27 +269,19 @@ def _normal(
     part of the class ever sorted, and its f is found last. A normal
     space sorts no class.
     """
-    tables: dict[tuple[int, ...], list[int] | None] = {}
+    passed: set[tuple[int, ...]] = set()  # under(e) of the members without a partner
     start = 0  # where the current size class begins in `closed`
     for _, members in groupby(closed, int.bit_count):
         members = list(members)
         for i, e in enumerate(members):
             under = _under(e, separators)
-            if under in tables:
-                mins = tables[under]
-                if mins is None:
-                    mins = tables[under] = _minimal_outside(closed, under)
-                for f in mins:
-                    if not e & f:
-                        break
-                else:
-                    continue
-            else:
-                tables[under] = None
-                if next(_partners(e, under, closed[start:]), None) is None:
-                    continue
+            if under in passed:
+                continue
             later = closed[start:]
-            e = _least_failing(e, members[i + 1 :], separators, tables, later)
+            if next(_partners(e, under, later), None) is None:
+                passed.add(under)
+                continue
+            e = _least_failing(e, members[i + 1 :], separators, passed, later)
             f = _first_in_scan_order(_partners(e, _under(e, separators), later))
             return False, (ItemSet(u, e).labels, ItemSet(u, f).labels)
         start += len(members)
@@ -302,23 +298,20 @@ def _least_failing(
     e: int,
     rest: list[int],
     separators: list[tuple[int, int]],
-    tables: dict[tuple[int, ...], list[int] | None],
+    passed: set[tuple[int, ...]],
     later: list[int],
 ) -> int:
     """The member of least key among e, which has a failing partner in
     `later`, and those of `rest` that have one. Only the members of rest
-    with a smaller key than e are tested, in key order; a table built by
-    the scan answers for its under(e), any other is scanned directly."""
+    with a smaller key than e are tested, in key order; one whose
+    under(e) is among those that `passed` the scan has no failing partner
+    (see `_normal`)."""
     key = _canonical_key(e)
     for d in sorted(rest, key=_canonical_key):
         if _canonical_key(d) > key:
             break
         under = _under(d, separators)
-        mins = tables.get(under)
-        if mins is not None:
-            if any(not d & f for f in mins):
-                return d
-        elif next(_partners(d, under, later), None) is not None:
+        if under not in passed and next(_partners(d, under, later), None) is not None:
             return d
     return e
 
@@ -334,19 +327,6 @@ def _partners(e: int, under: tuple[int, ...], closed: list[int]) -> Iterator[int
                 break
         else:
             yield f
-
-
-def _minimal_outside(closed: list[int], under: tuple[int, ...]) -> list[int]:
-    """The ⊆-minimal closed sets that lie in no member of under."""
-    mins: list[int] = []
-    for f in closed:  # by size, so every subset of f comes before it
-        for r in under:
-            if not f & ~r:
-                break
-        else:
-            if all(m & ~f for m in mins):
-                mins.append(f)
-    return mins
 
 
 def is_completely_discriminative(space: PreTopology) -> bool:

@@ -7,7 +7,6 @@ from binary relations and extensional closure operators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from .core import (
@@ -127,9 +126,6 @@ class ClosureOperatorTable:
         self.universe = universe
         self.assignment = dict(assignment)
 
-    def of(self, a: ItemSet) -> ItemSet:
-        return ItemSet(self.universe, self.assignment[a.mask])
-
     @classmethod
     def from_obj(cls, obj: object) -> "ClosureOperatorTable":
         if not isinstance(obj, dict) or "universe" not in obj or "closure" not in obj:
@@ -148,10 +144,6 @@ class ClosureOperatorTable:
                 raise SchemaError(f"duplicate closure entry for {src}")
             assignment[src.mask] = dst.mask
         return cls(universe, assignment)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClosureOperatorTable":
-        return cls.from_obj(json.loads(text))
 
     @classmethod
     def of_space(cls, space: PreTopology) -> "ClosureOperatorTable":

@@ -10,14 +10,13 @@ its projection (`maps.PointMap`), are also compared with the scan of
 pairs of closed sets and the per-class image loop they replaced, on
 seeded families on 13-64 items and at the 8-item chunk edges (m = 8, 9,
 16, 17, 64), and on families where normality holds: opens that pairwise
-meet, and sums of two such blocks, which have disjoint opens. The normal
-kernel's table of minimal closed sets is compared with a filter of every
-closed set. The separators R, built from the base alone, are compared
-with the reach of every open on every space on up to 4 points and on
-the seeded and wide families. The union-closure test, which closes the
-base, is compared with the pairwise scan, witnesses included, on every
-family on up to 4 items that holds ∅ and Q and on wide union closures
-with one state removed.
+meet, and sums of two such blocks, which have disjoint opens. The
+separators R, built from the base alone, are compared with the reach of
+every open on every space on up to 4 points and on the seeded and wide
+families. The union-closure test, which closes the base, is compared
+with the pairwise scan, witnesses included, on every family on up to 4
+items that holds ∅ and Q and on wide union closures with one state
+removed.
 The per-item meets N(q) (`core._item_meets`) are compared the same way
 with the open scans, state systems and pairwise intersection tests that
 T0, T1, quasi-ordinality, minimal states and the discriminative
@@ -73,7 +72,6 @@ from pretopo.order import (
 )
 from pretopo.separation import (
     _closed,
-    _minimal_outside,
     _separators,
     is_completely_discriminative,
     is_discriminative,
@@ -856,25 +854,6 @@ def test_families_where_normality_holds():
         assert check_wide(u, masks) is True
         disjoint += any(a and b and not a & b for a, b in itertools.combinations(masks, 2))
     assert disjoint == 12
-
-
-def test_minimal_closed_sets_outside_every_reach():
-    """The table `is_normal_property` keeps per distinct set of reach
-    values: the ⊆-minimal closed sets in none of them, against a filter
-    of every closed set, for every such set the scan meets."""
-    tables = 0
-    for u, masks in wide_families(seed=23):
-        if oracle_missing_union(masks) is not None:
-            continue
-        space = PreTopology(u, SetFamily.from_masks(u, masks))
-        closed = _closed(u, masks)
-        separators = _separators(space)
-        for under in {tuple(r for g, r in separators if not e & ~g) for e in closed}:
-            outside = [f for f in closed if all(f & ~r for r in under)]
-            want = [f for f in outside if not any(o != f and not o & ~f for o in outside)]
-            assert _minimal_outside(closed, under) == want
-            tables += 1
-    assert tables >= 100
 
 
 def check_union_closure_test(u, masks):

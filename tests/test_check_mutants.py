@@ -190,7 +190,7 @@ MUTANTS = {
     ),
     "chain-connected-iff-connected": (connectivity, "is_connected", _negated, 1),
     "chain-connected-iff-connected/2": (
-        connectivity, "find_simple_chain", _forced(connectivity.NoChain), 2
+        connectivity, "find_simple_chain", _forced(None), 2
     ),
     "tight1-iff-well-graded": (connectivity, "is_tight_n_connected", _forced(False), 1),
     "tight1-iff-well-graded/2": (connectivity, "is_well_graded", _negated, 1),

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from pretopo import irreducible_states, matrix_primary_items
 from pretopo.cli import main
+
+import fixture_files as fixtures
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -220,6 +223,22 @@ def test_primary_items_matrix_golden(capsys):
     )
     assert code == 0
     assert out == MATRIX_GOLDEN
+
+
+def test_primary_items_matrix_on_a_space_reads_its_minimal_base(capsys):
+    space = fixtures.space("e0")
+    result, state = matrix_primary_items(irreducible_states(space))
+    code, out, err = run(
+        capsys, "primary-items", str(FIX / "e0.json"), "--method", "matrix",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "method": "matrix",
+        "D": list(result.labels),
+        "size": len(result),
+        "state": state.to_obj(),
+    }
 
 
 def test_primary_items_greedy(capsys):

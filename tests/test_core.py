@@ -279,6 +279,8 @@ def test_is_pre_base_for_examples():
     assert not is_pre_base_for(fam(uni, [["z1", "z2"], ["z3", "z4"]]), tau)
     pairs = fam(uni, [list(c) for c in itertools.combinations(uni.labels, 2)])
     assert is_pre_base_for(pairs, tau)
+    # the pairs cover every open, but {z1} is not open
+    assert not is_pre_base_for(SetFamily(uni, [*pairs, uni.subset(["z1"])]), tau)
     for name in fixtures.NAMES:
         space = fixtures.space(name)
         assert is_pre_base_for(irreducible_states(space), space)

@@ -39,3 +39,4 @@ def test_every_module_doctests():
     }
     assert attempted["pretopo.cardinal"] >= 4
     assert attempted["pretopo.skills"] >= 4
+    assert attempted["pretopo.order"] >= 1

@@ -17,7 +17,6 @@ from pretopo import (
     discriminative_reduction,
     from_quasi_order,
     is_antimatroid,
-    is_granular,
     is_pre_quotient,
     is_quasi_ordinal,
     minimal_state,
@@ -103,11 +102,6 @@ def test_atoms_at_examples():
     got = [sorted(m.labels) for m in atoms_at(fixtures.space("e1_tau"), "z1").members]
     assert got == [["z1", "z2"], ["z1", "z3"], ["z1", "z4"]]
     assert [m.mask for m in atoms_at(POWER, "a2").members] == [0b010]
-
-
-def test_every_fixture_is_granular():
-    for name in fixtures.NAMES:
-        assert is_granular(fixtures.space(name)), name
 
 
 def test_antimatroid_examples():

@@ -14,7 +14,8 @@ families and normal families of `tests/test_base_kernels.py`, and on
 seeded union closures with up to a few hundred states, normal ones
 included, where every size class is reached. On a space whose
 witnesses come early, the key is read for fewer closed sets than there
-are.
+are. The fact by which the normal kernel tests only the first member
+with a given set of reach values is checked on its own.
 """
 
 import random
@@ -26,7 +27,9 @@ from pretopo.errors import AxiomViolation
 from pretopo.separation import (
     _closed,
     _normal,
+    _partners,
     _separators,
+    _under,
     is_normal_property,
     is_regular_property,
     separation_profile,
@@ -216,3 +219,33 @@ def test_a_normal_space_reads_no_key(monkeypatch):
             normal += 1
             assert calls == [], space.states.to_obj()
     assert normal >= 24 + 100
+
+
+def test_a_repeated_under_never_fails_first():
+    """The fact by which `_normal` tests one member per under(e): when d
+    and e share it, |d| <= |e|, d has no failing partner and e has one,
+    some closed set smaller than e has one, so the scan stops before e.
+    Checked on every space on up to 4 points and on seeded union closures
+    on 5-9 items, where such pairs occur."""
+    rng = random.Random(59)
+    spaces = [s for n in range(1, 5) for s in miner.enumerate_spaces(n)]
+    for _ in range(150):
+        m = rng.randint(5, 9)
+        u = Universe([f"x{i + 1}" for i in range(m)])
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(2, 7))]
+        masks = union_closure_masks(gens) | {0, u.full.mask}
+        spaces.append(PreTopology(u, SetFamily.from_masks(u, masks)))
+    pairs = 0
+    for space in spaces:
+        closed = _closed(space.universe, space.states.masks())
+        separators = _separators(space)
+        unders = {e: _under(e, separators) for e in closed}
+        failing = {e for e in closed if next(_partners(e, unders[e], closed), None) is not None}
+        smallest = min((f.bit_count() for f in failing), default=0)
+        for e in failing:
+            for d in closed:
+                if d in failing or unders[d] != unders[e] or d.bit_count() > e.bit_count():
+                    continue
+                pairs += 1
+                assert smallest < e.bit_count()
+    assert pairs >= 100
