@@ -543,6 +543,11 @@ def union_closure_masks(masks: Iterable[int]) -> set[int]:
     return closed
 
 
+def _minimal_masks(masks: Sequence[int]) -> list[int]:
+    """The ⊆-minimal masks among the given ones, in their order: O(n²)."""
+    return [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
+
+
 def _irreducible_masks(masks: Iterable[int]) -> list[int]:
     """Union-irreducible nonempty masks of any family, by ascending size.
 

@@ -67,10 +67,9 @@ def _push(tables: _Tables, mask: int) -> int:
 class PointMap:
     """Total map between two universes, one codomain item per domain item.
 
-    `image_mask` and `preimage_mask` are the one place where masks cross
-    an item map: each reads per-byte tables (`_byte_tables`), built on
-    first use and kept on the map, at ⌈m/8⌉ lookups a mask for m items on
-    the side it reads.
+    `image_mask` and `preimage_mask` read per-byte tables (`_byte_tables`),
+    built on first use and kept on the map, at ⌈m/8⌉ lookups a mask for m
+    items on the side it reads. `subspace` remaps its masks without them.
     """
 
     __slots__ = ("domain", "codomain", "assignment", "_targets", "_image", "_preimage")
@@ -101,6 +100,9 @@ class PointMap:
             and self.codomain == other.codomain
             and self.assignment == other.assignment
         )
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, self._targets))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{a}->{b}" for a, b in self.assignment.items())
@@ -294,7 +296,10 @@ def classify_map(f: PointMap, x: PreTopology, y: PreTopology) -> MapClassificati
 
 
 def subspace(space: PreTopology, y: ItemSet) -> PreTopology:
-    """Trace family on a nonempty subset, relabelled to its own universe."""
+    """Trace family on a nonempty subset, relabelled to its own universe.
+    It remaps the bits itself: `_inclusion`'s tables preserve unions, so
+    traces read from them would make the miner's `subspace-pre-base-trace`
+    hold under any table bug."""
     if y.universe != space.universe:
         raise ValueError("subspace carrier is over a different universe")
     if y.is_empty():

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import ItemSet, KnowledgeStructure, PreTopology, _guard
-from .structure import RELATION_UNIVERSE_BOUND
+
+RELATION_UNIVERSE_BOUND = 20
 
 
 def _check_subset(space: KnowledgeStructure, a: ItemSet) -> None:
@@ -52,7 +53,7 @@ def interior_table(space: PreTopology) -> tuple[int, ...]:
     """The interior of every subset, indexed by its mask, built once per
     space: a state is its own interior, and any other S has the union of
     the interiors of S minus one item, as an open inside S misses an item.
-    The universe is guarded by the bound of `structure.from_relation`.
+    The universe is guarded by `RELATION_UNIVERSE_BOUND`.
 
     >>> from pretopo.core import SetFamily, Universe
     >>> u = Universe(["a", "b"])

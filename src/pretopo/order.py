@@ -19,12 +19,14 @@ from .core import (
     PreTopology,
     SetFamily,
     Universe,
+    _minimal_masks,
     _read_labels,
     _read_universe,
     union_closure_masks,
 )
 from .errors import AxiomViolation, NotQuasiOrdinal, SchemaError
 from .maps import PointMap, quotient_projection
+from .operators import _fringe_masks
 
 
 class QuasiOrder:
@@ -169,31 +171,18 @@ def minimal_state(space: PreTopology, t: str) -> ItemSet | None:
 
 
 def atoms_at(space: PreTopology, t: str) -> SetFamily:
-    """⊆-minimal states containing the item."""
+    """⊆-minimal states containing the item, from every state through it:
+    this is the T2 route of the miner's `separation-hierarchy`, and a route
+    through the base would share the base with `separation.is_t2`."""
     bit = 1 << space.universe.index(t)
     through = [m for m in space.states.masks() if m & bit]
-    minimals = [
-        m for m in through if not any(o != m and o & ~m == 0 for o in through)
-    ]
-    return SetFamily.from_masks(space.universe, minimals)
+    return SetFamily.from_masks(space.universe, _minimal_masks(through))
 
 
 def is_antimatroid(space: PreTopology) -> bool:
-    """Every nonempty state keeps some single element removable."""
-    for m in space.states.masks():
-        if m == 0:
-            continue
-        rest = m
-        found = False
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if space.states.has_mask(m & ~low):
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    """Every nonempty state keeps some single element removable: its inner
+    fringe (`operators._fringe_masks`) is nonempty."""
+    return all(_fringe_masks(space, m)[0] for m in space.states.masks() if m)
 
 
 @dataclass(frozen=True)

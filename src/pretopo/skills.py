@@ -31,6 +31,7 @@ from .core import (
     Universe,
     _canonical_key,
     _guard,
+    _minimal_masks,
     _read_labels,
     _read_universe,
     union_closure_masks,
@@ -173,8 +174,7 @@ def _competencies(masks: Iterable[int]) -> tuple[tuple[int, ...], tuple[int, ...
     """One item's competencies as masks: the distinct ones in canonical
     order, and the ⊆-minimal ones among them, in the same order."""
     comps = tuple(sorted(set(masks), key=_canonical_key))
-    mins = tuple(c for c in comps if not any(o != c and o & ~c == 0 for o in comps))
-    return comps, mins
+    return comps, tuple(_minimal_masks(comps))
 
 
 def problem_function(m: SkillMultimap, r: ItemSet) -> ItemSet:

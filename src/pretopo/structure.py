@@ -26,8 +26,7 @@ from .errors import (
     NotAPreBase,
     SchemaError,
 )
-
-RELATION_UNIVERSE_BOUND = 20
+from .operators import RELATION_UNIVERSE_BOUND, closure_table
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ class ClosureOperatorTable:
     """Extensional closure operator: a total map over all 2^m subsets.
 
     The four axioms (empty fixed, extensive, idempotent, monotone) are
-    checked on construction; monotonicity via single-element extensions.
+    checked on construction (`_closure_axiom_violation`).
     """
 
     __slots__ = ("universe", "assignment")
@@ -107,22 +106,9 @@ class ClosureOperatorTable:
         m = len(universe)
         if len(assignment) != 1 << m or set(assignment) != set(range(1 << m)):
             raise SchemaError("closure table must cover every subset exactly once")
-        if assignment[0] != 0:
-            raise AxiomViolation("empty-fixed", witness=str(ItemSet(universe, assignment[0])))
-        for b, c in assignment.items():
-            if b & ~c:
-                raise AxiomViolation("extensive", witness=str(ItemSet(universe, b)))
-            if assignment[c] != c:
-                raise AxiomViolation("idempotent", witness=str(ItemSet(universe, b)))
-            for i in range(m):
-                if c & ~assignment[b | (1 << i)]:
-                    raise AxiomViolation(
-                        "monotone",
-                        witness=(
-                            str(ItemSet(universe, b)),
-                            str(ItemSet(universe, b | (1 << i))),
-                        ),
-                    )
+        violation = _closure_axiom_violation(universe, assignment)
+        if violation is not None:
+            raise violation
         self.universe = universe
         self.assignment = dict(assignment)
 
@@ -149,10 +135,35 @@ class ClosureOperatorTable:
     def of_space(cls, space: PreTopology) -> "ClosureOperatorTable":
         """The closure of every subset, read from `operators.closure_table`,
         the dual of the space's interior table: built once in O(2^m·m),
-        with the universe guarded by the bound of `from_relation`."""
-        from .operators import closure_table
-
+        with the universe guarded by `RELATION_UNIVERSE_BOUND`."""
         return cls(space.universe, dict(enumerate(closure_table(space))))
+
+
+def _closure_axiom_violation(
+    universe: Universe, cl: dict[int, int] | tuple[int, ...]
+) -> AxiomViolation | None:
+    """The first axiom that the closure table cl breaks, scanning the masks
+    in order, with its witness, or None. Monotonicity is tried on one-item
+    extensions, which compose along chains, by the items outside b only."""
+    full = universe._full
+    if cl[0] != 0:
+        return AxiomViolation("empty-fixed", witness=str(ItemSet(universe, cl[0])))
+    for b in range(full + 1):
+        c = cl[b]
+        if b & ~c:
+            return AxiomViolation("extensive", witness=str(ItemSet(universe, b)))
+        if cl[c] != c:
+            return AxiomViolation("idempotent", witness=str(ItemSet(universe, b)))
+        rest = full & ~b
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if c & ~cl[b | low]:
+                return AxiomViolation(
+                    "monotone",
+                    witness=(str(ItemSet(universe, b)), str(ItemSet(universe, b | low))),
+                )
+    return None
 
 
 def from_closure_operator(table: ClosureOperatorTable) -> PreTopology:

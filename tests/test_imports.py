@@ -16,7 +16,12 @@ competencies, `skills._competencies`, is defined only in `skills` and called
 only by `skills` and the miner. The CLI registers its verbs at one
 `add_parser` call and prints an item set by `str`, not a formatter of its
 own. Size limits have one mechanism: no module reads the environment, and
-only `core._guard` raises a `BoundExceeded`.
+only `core._guard` raises a `BoundExceeded`. The four axioms of a closure
+table are checked by one function, `structure._closure_axiom_violation`,
+called only by `structure` and the miner. The ⊆-minimal filter,
+`core._minimal_masks`, is defined only in `core`. The package's modules
+import each other without a cycle, so none imports another inside a
+function to break one.
 """
 
 import ast
@@ -137,12 +142,43 @@ def test_the_product_and_inclusion_layouts_live_in_maps():
     assert readers == {"maps.py"}
 
 
+def homes_and_callers(name):
+    """The modules that define the named function, and those that call it."""
+    uses = [u for path in sorted(PACKAGE.glob("*.py")) for u in kernel_uses(path, {name})]
+    return (
+        [module for module, kind, _ in uses if kind == "def"],
+        {module for module, kind, _ in uses if kind == "call"},
+    )
+
+
 def test_the_competency_canonical_form_lives_in_skills():
-    uses = [
-        u for path in sorted(PACKAGE.glob("*.py")) for u in kernel_uses(path, {"_competencies"})
-    ]
-    assert [u for u in uses if u[1] == "def"] == [("skills.py", "def", "_competencies")]
-    assert {module for module, kind, _ in uses if kind == "call"} == {"skills.py", "miner.py"}
+    assert homes_and_callers("_competencies") == (["skills.py"], {"skills.py", "miner.py"})
+
+
+def test_the_closure_axioms_are_checked_in_one_place():
+    got = homes_and_callers("_closure_axiom_violation")
+    assert got == (["structure.py"], {"structure.py", "miner.py"})
+
+
+def test_the_minimal_filter_is_defined_only_in_core():
+    assert homes_and_callers("_minimal_masks") == (["core.py"], {"order.py", "skills.py"})
+
+
+def test_the_modules_import_each_other_without_a_cycle():
+    imports = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        imports[path.stem] = {
+            node.module.split(".")[0] if node.module else alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+    assert "structure" in imports["skills"] and "operators" in imports["structure"]
+    done = set()
+    while len(done) < len(imports):
+        ready = {m for m, deps in imports.items() if m not in done and deps <= done}
+        assert ready, sorted(set(imports) - done)
+        done |= ready
 
 
 def test_the_cli_registers_its_verbs_from_one_table():

@@ -63,6 +63,8 @@ def test_enumeration_bounds():
     with pytest.raises(BoundExceeded):
         enumerate_spaces(5)
     assert len(enumerate_spaces(2, bound=5)) == 4
+    with pytest.raises(PretopoError):
+        sample_spaces(0, 1)
 
 
 def test_sampling_is_reproducible_and_valid():
@@ -150,6 +152,11 @@ def test_audit_is_a_pure_function_of_its_arguments():
     assert reports_to_json(audit(*args)) == reports_to_json(audit(*args))
     sampled = ("closure-axioms", 5, 2, 40)
     assert reports_to_json(audit(*sampled)) == reports_to_json(audit(*sampled))
+
+
+def test_audit_samples_the_default_count_beyond_four_points():
+    default = reports_to_json(audit("closure-axioms", 5))
+    assert default == reports_to_json(audit("closure-axioms", 5, samples=2000))
 
 
 def test_audit_statuses_at_three():

@@ -24,7 +24,7 @@ from pretopo import (
     to_quasi_order,
     union_closure,
 )
-from pretopo.miner import enumerate_spaces, sample_quasi_orders
+from pretopo.miner import enumerate_spaces, sample_quasi_orders, sample_spaces
 
 import fixture_files as fixtures
 
@@ -108,6 +108,33 @@ def test_antimatroid_examples():
     assert is_antimatroid(CHAIN)
     assert is_antimatroid(POWER)
     assert not is_antimatroid(fixtures.space("conn"))
+
+
+def removable_element_scan(space):
+    """The antimatroid test as a scan of each state's elements, without
+    the inner fringe."""
+    for m in space.states.masks():
+        if m == 0:
+            continue
+        rest = m
+        found = False
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if space.states.has_mask(m & ~low):
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def test_antimatroid_agrees_with_a_scan_of_removable_elements():
+    spaces = [s for n in range(1, 5) for s in enumerate_spaces(n)]
+    spaces += [s for n in (5, 6) for s in sample_spaces(n, 300, seed=4)]
+    verdicts = [is_antimatroid(space) for space in spaces]
+    assert verdicts == [removable_element_scan(space) for space in spaces]
+    assert 0 < sum(verdicts) < len(spaces)
 
 
 def test_reduction_of_the_six_point_space():

@@ -3,7 +3,7 @@ an argument from another universe, the value-type protocol of the data
 classes, and the JSON shapes of the reports that `perfbench` reads.
 
 Equal values built by two routes must compare and hash equal, since
-families, spaces and orders are kept in sets and dicts, and each `repr`
+families, spaces, orders and maps are kept in sets and dicts, and each `repr`
 has one form.
 """
 
@@ -176,6 +176,7 @@ def test_equal_values_built_by_two_routes_compare_and_hash_equal():
         (read, SetFamily.from_masks(U, [0b11, 0b01, 0])),
         (QuasiOrder.from_pairs(U, [("a", "b")]), to_quasi_order(CHAIN)),
         (PreTopology.from_family(read), CHAIN),
+        (PointMap.identity(U), PointMap(read.universe, U, {"b": "b", "a": "a"})),
     ]
     for one, other in pairs:
         assert one is not other
