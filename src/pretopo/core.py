@@ -24,7 +24,7 @@ import json
 from functools import reduce
 from itertools import compress, count
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     AxiomViolation,
@@ -272,9 +272,11 @@ class SetFamily:
 
     The union-irreducible members and the per-item meets are derived
     once, on first use, and kept in `_derived` (see `_base`), next to the
-    union-closure verdict once a test has computed it (`_union_closed`)
-    and the interior of every subset once `operators.interior_table` has
-    built it; the family is immutable, so neither slot goes stale.
+    union-closure verdict once a test has computed it (`_union_closed`),
+    the interior of every subset once `operators.interior_table` has
+    built it and the separators R once `separation` has built them. Only
+    `_base` and `_kept` write the record; the family is immutable, so it
+    never goes stale.
     """
 
     __slots__ = ("universe", "_mask_set", "_members", "_derived")
@@ -364,8 +366,17 @@ class SetFamily:
             masks = tuple(sorted(irreducible, key=_canonical_key))
             irreducibles = SetFamily.from_masks(self.universe, masks)
             meets = tuple(_item_meets(masks, len(self.universe)))
-            self._derived = _Base(irreducibles, masks, meets, None, None)
+            self._derived = _Base(irreducibles, masks, meets)
         return self._derived
+
+    def _kept(self, name: str, build: Callable[[], Any]) -> Any:
+        """The field `name` of the base record, None until first use, built
+        by `build` on the first call and kept there for every later one."""
+        value = getattr(self._base(), name)
+        if value is None:
+            value = build()
+            self._derived = self._derived._replace(**{name: value})
+        return value
 
     def _union_closed(self) -> bool:
         """Whether the members, which must include ∅, are closed under
@@ -373,12 +384,9 @@ class SetFamily:
         the base. `PreTopology` validation makes that call; a trusted
         construction does not, so the first `classify` of a trusted family
         runs the test."""
-        base = self._base()
-        if base.union_closed is None:
-            base = self._derived = base._replace(
-                union_closed=_is_union_closed(self._mask_set, base.masks)
-            )
-        return base.union_closed
+        return self._kept(
+            "union_closed", lambda: _is_union_closed(self._mask_set, self._base().masks)
+        )
 
     def to_obj(self) -> dict:
         """The universe and the states, in canonical order, as label lists.
@@ -428,8 +436,9 @@ class _Base(NamedTuple):
     irreducibles: SetFamily  # the minimal pre-base, as `irreducible_states` gives it
     masks: tuple[int, ...]  # the same members as masks, in canonical order
     meets: tuple[int, ...]  # N(q) for each item q (`_item_meets`)
-    union_closed: bool | None  # the verdict of `_union_closed`; None until tested
-    interiors: tuple[int, ...] | None  # `operators.interior_table`; None until built
+    union_closed: bool | None = None  # the verdict of `_union_closed`; None until tested
+    interiors: tuple[int, ...] | None = None  # `operators.interior_table`; None until built
+    separators: tuple[tuple[int, int], ...] | None = None  # R, `separation._separators`
 
 
 class KnowledgeStructure:
@@ -502,10 +511,6 @@ class PreTopology(KnowledgeStructure):
                                 str(ItemSet(universe, b)),
                             ),
                         )
-
-    @classmethod
-    def from_family(cls, family: SetFamily) -> "PreTopology":
-        return cls(family.universe, family)
 
 
 def _require_cover(base: SetFamily) -> None:

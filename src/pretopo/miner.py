@@ -864,36 +864,16 @@ def _covers_for(space: PreTopology, rng: random.Random) -> list[list[int]]:
 
 
 def _cover_chain_connected(fam: list[int], n: int) -> bool:
-    """Every pair of items admits a simple chain: components of the
-    intersection graph, then a shared component per item pair."""
-    k = len(fam)
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if fam[i] & fam[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    comp_mask = [0] * n
-    for i in range(k):
-        r = find(i)
-        rest = fam[i]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            comp_mask[low.bit_length() - 1] |= 1 << r
-    return all(
-        comp_mask[x] & comp_mask[y]
-        for x in range(n)
-        for y in range(x + 1, n)
-    )
+    """Every pair of items admits a simple chain. Each member absorbs the
+    components it meets, so every item lies in the one component of the
+    members that hold it, and every pair of items shares a component iff
+    one component is the whole universe."""
+    comps: list[int] = []
+    for b in fam:
+        met = [c for c in comps if c & b]
+        comps = [c for c in comps if not c & b]
+        comps.append(functools.reduce(int.__or__, met, b))
+    return (1 << n) - 1 in comps
 
 
 @_per_space("chain-connected-iff-connected")

@@ -64,24 +64,24 @@ def interior_table(space: PreTopology) -> tuple[int, ...]:
     (0, 3, 2, 3)
     """
     _guard(len(space.universe), RELATION_UNIVERSE_BOUND, "subset table universe", None)
-    states = space.states
-    base = states._base()
-    if base.interiors is None:
-        opens = states.masks()
-        itr = [0] * (1 << len(space.universe))
-        for s in range(1, len(itr)):
-            if s in opens:
-                itr[s] = s
-                continue
-            acc = 0
-            rest = s
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                acc |= itr[s ^ low]
-            itr[s] = acc
-        base = states._derived = base._replace(interiors=tuple(itr))
-    return base.interiors
+    return space.states._kept("interiors", lambda: _interiors(space))
+
+
+def _interiors(space: PreTopology) -> tuple[int, ...]:
+    opens = space.states.masks()
+    itr = [0] * (1 << len(space.universe))
+    for s in range(1, len(itr)):
+        if s in opens:
+            itr[s] = s
+            continue
+        acc = 0
+        rest = s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            acc |= itr[s ^ low]
+        itr[s] = acc
+    return tuple(itr)
 
 
 def closure_table(space: PreTopology) -> tuple[int, ...]:

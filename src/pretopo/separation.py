@@ -6,17 +6,21 @@ regular_property and normal_property because several order-theoretic
 results need them in spaces that fail T1. Witnesses are the first failing
 pair in canonical scan order.
 
-Both are decided over R = {reach[U] : U open}, where reach[U] is the
-largest open disjoint from U (`_separators`): an open U ⊇ e may be
-replaced by the member of R that contains it and has the same reach, so
-a point or closed set is separated from a closed set e iff it lies in
-reach[g] for some g ∈ R containing e. R is small (2 to 20 members on
-the benchmark ladder spaces of seeds 0-9) and is built from the base
-alone, in O(|B|² + |R|·|B|), so the normal kernel is near-linear in |K|
-where normality holds, instead of a scan of the opens for every pair of
-closed sets. What still grows with |K| is the closed sets, grouped by
-size with one C-level sort, and the scans over them. The scan order
-within a size is read only as far as a scan reaches (`_closed`).
+T2, regularity and normality ask whether two things lie in disjoint
+opens, and all three are decided over one structure, R = {reach[U] :
+U open}, where reach[U] is the largest open disjoint from U
+(`_separators`): an open U may be replaced by the member of R that
+contains it and has the same reach, so a point, or a closed set, is
+separated from a point or a closed set e iff it lies in reach[g] for
+some g ∈ R containing e. R is small (2 to 20 members on the benchmark
+ladder spaces of seeds 0-9), is built from the base alone, in
+O(|B|² + |R|·|B|), and is kept with the base, so it is built once per
+space whichever of these is asked first. The normal kernel is then
+near-linear in |K| where normality holds, instead of a scan of the
+opens for every pair of closed sets. What still grows with |K| is the
+closed sets, grouped by size with one C-level sort, and the scans over
+them. The scan order within a size is read only as far as a scan
+reaches (`_closed`).
 """
 
 from __future__ import annotations
@@ -66,10 +70,6 @@ def is_t0(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     return True, None
 
 
-# one notion, one implementation
-is_discriminative = is_t0
-
-
 def is_t1(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     """Each point of a pair lies in an open missing the other.
 
@@ -87,43 +87,34 @@ def is_t1(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
 def is_t2(space: PreTopology) -> tuple[bool, tuple[str, str] | None]:
     """Distinct points admit disjoint opens.
 
-    An open through a point contains a base member through it, so
-    disjoint opens through i and j exist iff disjoint base members do:
-    j must lie in the reach of some base member through i.
-    O(|B|² + m·|B|) for |B| base members.
+    Disjoint opens U ∋ i and V ∋ j exist iff j lies in reach[g] for some
+    g ∈ R through i: U may be replaced by g = reach[reach[U]], which holds
+    U and has the same reach (`_separator_pairs`), and g and reach[g] are
+    disjoint opens. O(m·|R|) once R is built.
     """
     u = space.universe
-    base = space.states._base().masks
-    reach = _reach(base, base)
+    separators = _separators(space)
     for i in range(len(u)):
         apart = 0
-        for b in base:
-            if b >> i & 1:
-                apart |= reach[b]
+        for g, r in separators:
+            if g >> i & 1:
+                apart |= r
         for j in range(i + 1, len(u)):
             if not apart >> j & 1:
                 return False, (u.labels[i], u.labels[j])
     return True, None
 
 
-def _reach(opens: Iterable[int], base: Iterable[int]) -> dict[int, int]:
-    """For each open W, the union of the base members disjoint from W.
-
-    Every open is a union of base members, so this is the union of all
-    opens disjoint from W: the largest open disjoint from W. O(|opens|·|B|).
-    """
-    out: dict[int, int] = {}
-    for w in opens:
-        r = 0
-        for b in base:
-            if not b & w:
-                r |= b
-        out[w] = r
-    return out
+def _separators(space: PreTopology) -> tuple[tuple[int, int], ...]:
+    """R, built on the first call for a family (`_separator_pairs`) and
+    kept with its base, so every later call returns the same tuple."""
+    states = space.states
+    return states._kept("separators", lambda: _separator_pairs(states._base().masks))
 
 
-def _separators(space: PreTopology) -> list[tuple[int, int]]:
-    """(g, reach[g]) for every g in R = {reach[U] : U open}.
+def _separator_pairs(base: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(g, reach[g]) for every g in R = {reach[U] : U open}, from the
+    base B of the space.
 
     reach is a Galois connection on the opens: U ⊆ reach[reach[U]] and
     reach[reach[reach[U]]] = reach[U]. So an open U may be replaced by
@@ -142,7 +133,6 @@ def _separators(space: PreTopology) -> list[tuple[int, int]]:
     intersection of D(b) over b ∈ T. Sets of base members are bit masks
     over base positions: O(|B|² + |R|·|B|), with no pass over the opens.
     """
-    base = space.states._base().masks
     every = (1 << len(base)) - 1
     # D(b) for each base member b, as bits over base positions
     apart = [
@@ -157,7 +147,7 @@ def _separators(space: PreTopology) -> list[tuple[int, int]]:
         g = reduce(or_, compress(base, chosen), 0)
         far = reduce(and_, compress(apart, chosen), every)
         out.append((g, reduce(or_, compress(base, _flags(far)), 0)))
-    return out
+    return tuple(out)
 
 
 def is_regular_property(
@@ -176,7 +166,7 @@ def _closed(u: Universe, opens: Iterable[int]) -> list[int]:
     produced lazily: a scan reads the list one size class at a time, in
     list order. `_regular` sorts no class; it reads the key only on the
     failing members of the first class where it fails. `_normal` sorts
-    the rest of a class only once one of its members fails.
+    a class only once one of its members fails.
     """
     return sorted(map(u._full.__xor__, opens), key=int.bit_count)
 
@@ -195,7 +185,7 @@ def _first_in_scan_order(masks: Iterable[int]) -> int:
 
 
 def _regular(
-    u: Universe, closed: list[int], separators: list[tuple[int, int]]
+    u: Universe, closed: list[int], separators: tuple[tuple[int, int], ...]
 ) -> tuple[bool, tuple[str, tuple[str, ...]] | None]:
     """A point i ∉ f is separated from the closed set f iff some g ∈ R
     has f ⊆ g and i ∈ reach[g]. Fails at the least such i that is not,
@@ -244,7 +234,7 @@ def is_normal_property(
 
 
 def _normal(
-    u: Universe, closed: list[int], separators: list[tuple[int, int]]
+    u: Universe, closed: list[int], separators: tuple[tuple[int, int], ...]
 ) -> tuple[bool, tuple[tuple[str, ...], tuple[str, ...]] | None]:
     """Fails at the first pair (e, f) of the scan of pairs e before f.
 
@@ -255,8 +245,8 @@ def _normal(
     and the first of them in scan order is the witness's f.
 
     Only the first member of the scan with a given under(e) is tested.
-    Let d come before e in the scan, with no failing partner and the same
-    under(e), while no member before e fails, so that no closed set
+    Let the scan read d before e, with no failing partner and the same
+    under(e), while no member read before e fails, so that no closed set
     smaller than e fails. If e failed with some f, f would meet d, as
     otherwise it would fail with d. d ∩ f is disjoint from e and lies in
     no member of under(e), each of which is disjoint from d, so it fails
@@ -264,16 +254,16 @@ def _normal(
     is d, and then d fails with e.
 
     A size class is scanned in list order, unsorted, and a member is
-    only tested for some failing partner. Once one fails, the witness's
-    e is the failing member of least key (`_least_failing`), the only
-    part of the class ever sorted, and its f is found last. A normal
+    only tested for some failing partner. Once one fails, that class is
+    sorted and the witness's e is its first member in key order with a
+    failing partner (`_least_failing`); its f is found last. A normal
     space sorts no class.
     """
     passed: set[tuple[int, ...]] = set()  # under(e) of the members without a partner
     start = 0  # where the current size class begins in `closed`
     for _, members in groupby(closed, int.bit_count):
         members = list(members)
-        for i, e in enumerate(members):
+        for e in members:
             under = _under(e, separators)
             if under in passed:
                 continue
@@ -281,39 +271,34 @@ def _normal(
             if next(_partners(e, under, later), None) is None:
                 passed.add(under)
                 continue
-            e = _least_failing(e, members[i + 1 :], separators, passed, later)
+            e = _least_failing(members, separators, passed, later)
             f = _first_in_scan_order(_partners(e, _under(e, separators), later))
             return False, (ItemSet(u, e).labels, ItemSet(u, f).labels)
         start += len(members)
     return True, None
 
 
-def _under(e: int, separators: list[tuple[int, int]]) -> tuple[int, ...]:
+def _under(e: int, separators: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     """reach[g] for each g in R with e ⊆ g: a closed set is separated
     from e iff it lies in one of them."""
     return tuple([r for g, r in separators if not e & ~g])
 
 
 def _least_failing(
-    e: int,
-    rest: list[int],
-    separators: list[tuple[int, int]],
+    members: list[int],
+    separators: tuple[tuple[int, int], ...],
     passed: set[tuple[int, ...]],
     later: list[int],
 ) -> int:
-    """The member of least key among e, which has a failing partner in
-    `later`, and those of `rest` that have one. Only the members of rest
-    with a smaller key than e are tested, in key order; one whose
-    under(e) is among those that `passed` the scan has no failing partner
-    (see `_normal`)."""
-    key = _canonical_key(e)
-    for d in sorted(rest, key=_canonical_key):
-        if _canonical_key(d) > key:
-            break
+    """The member of least key of a size class that has a failing partner
+    in `later`, given that one does. The members are tested in key order;
+    one whose under(e) is among those that `passed` the scan has no
+    failing partner (see `_normal`), and every member that the scan read
+    before the failing one is such a member."""
+    for d in sorted(members, key=_canonical_key):
         under = _under(d, separators)
         if under not in passed and next(_partners(d, under, later), None) is not None:
             return d
-    return e
 
 
 def _partners(e: int, under: tuple[int, ...], closed: list[int]) -> Iterator[int]:
@@ -347,14 +332,14 @@ def separation_profile(space: PreTopology) -> SeparationProfile:
     """Every axiom once; the discrimination flags are T0, T1 and T2 under
     their knowledge-space names, with the same witnesses.
 
-    The base and the per-item meets come from the space's cache; the
-    closed sets and the pairs (g, reach[g]) over R are computed once and
-    shared by the regular and normal kernels. The pairs cost
-    O(|B|² + |R|·|B|), read from the base; the closed sets cost one
-    C-level sort by size, and the scan order within a size is read only
-    as far as a kernel's scan reaches (`_closed`). Each kernel costs
-    O(|K|·|R|) when the property holds and the normal kernel's tables
-    are few.
+    The base, the per-item meets and the pairs (g, reach[g]) over R come
+    from the space's base record, R built on first use in
+    O(|B|² + |R|·|B|) (`_separators`) and read by T2, the regular and the
+    normal kernels. The closed sets are computed once and shared by the
+    last two; they cost one C-level sort by size, and the scan order
+    within a size is read only as far as a kernel's scan reaches
+    (`_closed`). Each kernel costs O(|K|·|R|) when the property holds and
+    the normal kernel's tables are few.
     """
     u = space.universe
     closed = _closed(u, space.states.masks())

@@ -30,7 +30,9 @@ per-item fringe loop, with `is_tight_n_connected(·, 1)` against a copy of
 its loop over `fringes` reports. The base of a family is computed once
 and shared by every kernel that reads it, the subset tables are built
 once and kept with it, and a family made from masks builds no member
-item set unless someone iterates over it.
+item set unless someone iterates over it. The separators R are built
+once per space, whichever of T2, regularity, normality and the profile
+is asked first.
 """
 
 import itertools
@@ -38,7 +40,7 @@ import random
 
 import pytest
 
-from pretopo import cardinal, core, miner, operators
+from pretopo import cardinal, core, miner, operators, separation
 from pretopo.core import (
     KnowledgeStructure,
     PreTopology,
@@ -74,7 +76,6 @@ from pretopo.separation import (
     _closed,
     _separators,
     is_completely_discriminative,
-    is_discriminative,
     is_normal_property,
     is_regular_property,
     is_t0,
@@ -190,8 +191,8 @@ def oracle_normal_scan(u, opens):
 
 def oracle_separators(masks):
     """The per-open route to R = {reach[U] : U open}: the reach of every
-    open over the base, `_reach(all opens, base)`, O(|K|·|B|), as a map
-    from each g in R to reach[g]."""
+    open over the base, O(|K|·|B|), as a map from each g in R to
+    reach[g]."""
     base = oracle_irreducible(masks)
     reach = {}
     for w in masks:
@@ -422,7 +423,7 @@ def check_space(space):
     )
     assert is_regular_property(space) == oracle_regular(u, opens)
     assert is_normal_property(space) == oracle_normal(u, opens)
-    assert is_discriminative(space) == oracle_discriminative(u.labels, opens)
+    assert is_t0(space) == oracle_discriminative(u.labels, opens)
 
 
 def check_reduction(structure):
@@ -440,7 +441,7 @@ def check_meet_routes(space):
     n = len(u)
     opens = sorted(space.states.masks())
     t0, t1 = oracle_t0(u.labels, opens), oracle_t1(u.labels, opens)
-    assert is_t0(space) == is_discriminative(space) == t0
+    assert is_t0(space) == t0
     assert is_t1(space) == t1
     profile = separation_profile(space)
     assert (profile.t0, profile.discriminative) == (t0[0], t0[0])
@@ -776,6 +777,31 @@ def test_the_base_of_a_family_is_computed_once(monkeypatch):
     cardinal.greedy_primary_items(space)
     assert len(calls) == 1
     assert irreducible_states(space) is base
+
+
+def test_the_separators_are_built_once_per_space(monkeypatch):
+    """T2, regularity, normality and the profile, asked of one space in
+    either order, all read the one R kept with its base."""
+    calls = []
+    real = separation._separator_pairs
+
+    def counted(base):
+        calls.append(1)
+        return real(base)
+
+    monkeypatch.setattr(separation, "_separator_pairs", counted)
+    kernels = [is_t2, is_regular_property, is_normal_property, separation_profile]
+    rng = random.Random(7)
+    u = Universe([f"x{i + 1}" for i in range(9)])
+    gens = [rng.getrandbits(9) for _ in range(6)]
+    masks = union_closure_masks(gens) | {u.full.mask}
+    for sequence in (kernels, kernels[::-1]):
+        calls.clear()
+        space = PreTopology(u, SetFamily.from_masks(u, masks))
+        answers = [kernel(space) for kernel in sequence]
+        assert [kernel(space) for kernel in sequence] == answers
+        assert len(calls) == 1
+        assert space.states._base().separators is _separators(space)
 
 
 def test_a_family_from_masks_builds_no_member_item_sets():

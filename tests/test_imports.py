@@ -18,7 +18,8 @@ only by `skills` and the miner. The CLI registers its verbs at one
 own. Size limits have one mechanism: no module reads the environment, and
 only `core._guard` raises a `BoundExceeded`. The four axioms of a closure
 table are checked by one function, `structure._closure_axiom_violation`,
-called only by `structure` and the miner. The ⊆-minimal filter,
+called only by `structure` and the miner. A family's base record,
+`SetFamily._derived`, is assigned only in `core`. The ⊆-minimal filter,
 `core._minimal_masks`, is defined only in `core`. The package's modules
 import each other without a cycle, so none imports another inside a
 function to break one.
@@ -162,6 +163,27 @@ def test_the_closure_axioms_are_checked_in_one_place():
 
 def test_the_minimal_filter_is_defined_only_in_core():
     assert homes_and_callers("_minimal_masks") == (["core.py"], {"order.py", "skills.py"})
+
+
+def derived_writes(path):
+    """(module, top-level class or None) for each assignment to an
+    attribute named `_derived` in the module."""
+    found = []
+    for top in ast.parse(path.read_text()).body:
+        owner = top.name if isinstance(top, ast.ClassDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "_derived":
+                if isinstance(node.ctx, ast.Store):
+                    found.append((path.name, owner))
+    return found
+
+
+def test_the_base_record_is_written_only_in_core():
+    """A family's base record, `SetFamily._derived`, is assigned only by
+    `SetFamily` itself; the only other `_derived`, the delineation record
+    of a skill multimap, only by `SkillMultimap`."""
+    writes = {w for path in sorted(PACKAGE.glob("*.py")) for w in derived_writes(path)}
+    assert writes == {("core.py", "SetFamily"), ("skills.py", "SkillMultimap")}
 
 
 def test_the_modules_import_each_other_without_a_cycle():

@@ -289,6 +289,53 @@ def test_minimal_base_audit_matches_the_per_pick_route():
     assert fast[1] == []
 
 
+def union_find_chain_connected(fam, n):
+    """The union-find route to chain-connected covers: components of the
+    intersection graph, a component bitset per item, then every pair of
+    items must share a component."""
+    parent = list(range(len(fam)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(fam)), 2):
+        if fam[i] & fam[j]:
+            parent[find(i)] = find(j)
+    comp_mask = [0] * n
+    for i, member in enumerate(fam):
+        for x in range(n):
+            if member >> x & 1:
+                comp_mask[x] |= 1 << find(i)
+    return all(comp_mask[x] & comp_mask[y] for x, y in itertools.combinations(range(n), 2))
+
+
+def test_the_component_merge_matches_the_union_find_route():
+    """Every cover of every space on up to 3 points, the covers the
+    miner draws for every space on 4 points, and seeded covers of 5-8
+    items, each in both member orders; both verdicts occur."""
+    rng = random.Random(11)
+    covers = []
+    for n in range(1, 5):
+        for space in enumerate_spaces(n):
+            covers += [(fam, n) for fam in miner._covers_for(space, rng)]
+    for _ in range(400):
+        n = rng.randint(5, 8)
+        fam = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(rng.randint(1, 9))]
+        for x in range(n):  # each uncovered item joins a random member
+            if not any(member >> x & 1 for member in fam):
+                fam[rng.randrange(len(fam))] |= 1 << x
+        covers.append((fam, n))
+    verdicts = set()
+    for fam, n in covers:
+        want = union_find_chain_connected(fam, n)
+        assert miner._cover_chain_connected(fam, n) == want, (fam, n)
+        assert miner._cover_chain_connected(fam[::-1], n) == want, (fam, n)
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
 def test_minimal_base_audit_fails_with_the_per_pick_route_on_a_wrong_base(monkeypatch):
     """A reducible state put in place of an irreducible one, added, or
     claimed as the whole base, and a set that is no state, are each

@@ -21,6 +21,9 @@ from pretopo import (
     union_closure,
 )
 
+from pretopo import structure
+from pretopo.operators import closure_table
+
 import fixture_files as fixtures
 
 
@@ -167,6 +170,25 @@ def test_closure_table_axiom_violations():
     table[1] = 5  # c({z1}) = {z1,z3} but c({z1,z2}) = {z1,z2}: not monotone
     with pytest.raises(AxiomViolation):
         ClosureOperatorTable(uni3, table)
+
+
+def test_the_closure_of_a_space_is_not_checked_again(monkeypatch):
+    """`of_space` trusts the closure of a space, which satisfies the
+    axioms by construction, and gives the table that the checked
+    constructor accepts."""
+    calls = []
+    real = structure._closure_axiom_violation
+    monkeypatch.setattr(
+        structure, "_closure_axiom_violation", lambda *a: calls.append(1) or real(*a)
+    )
+    for n in range(1, 4):
+        for space in enumerate_spaces(n):
+            u = space.universe
+            table = ClosureOperatorTable.of_space(space)
+            assert calls == []
+            checked = ClosureOperatorTable(u, dict(enumerate(closure_table(space))))
+            assert calls.pop() == 1
+            assert table.universe == u and table.assignment == checked.assignment
 
 
 # ------------------------------------------------------- pre-base predicates
